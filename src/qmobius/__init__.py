@@ -11,12 +11,11 @@ from .quat import (I, J, K, ONE, ZERO, Quaternion, conjugate_sphere_check,
                    set_tolerance, slice_decompose)
 from .mat2h import (CAYLEY, CAYLEY_INV, GroupTag, H_FORM, K_FORM, Mat2H,
                     cayley_conjugate, cayley_conjugate_inv, classify, det_h,
-                    inverse, inverse_form_a, inverse_form_b, mat_mul,
-                    normalize)
+                    inverse, inverse_form_a, inverse_form_b, normalize)
 from .flt import (FLT, INFINITY, Dilation, ExtQuaternion, Generator,
                   Inversion, MobiusCanonical, Rotation, Translation, apply,
                   apply_generator, apply_generators, canonical_compose,
-                  canonical_det_check, canonical_inverse, compose,
+                  canonical_det_check, canonical_inverse,
                   constant_value, decompose_generators, ext_from_json,
                   ext_to_json, generator_inverse, generator_matrix,
                   halfspace_general, is_constant, is_infinity,

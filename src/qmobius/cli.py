@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -64,9 +65,18 @@ def _emit(payload) -> None:
     print(json.dumps(_clean(payload)))
 
 
+def _finite_number(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise _ParseError(f"non-finite operand {text}")
+    return value
+
+
 def _parse_json(text: str):
+    """json.loads that refuses NaN, Infinity and numbers beyond float range."""
     try:
-        return json.loads(text)
+        return json.loads(text, parse_constant=_finite_number,
+                          parse_float=_finite_number, parse_int=_finite_number)
     except json.JSONDecodeError as exc:
         raise _ParseError(f"invalid JSON operand {text!r}: {exc}") from exc
 
@@ -184,7 +194,7 @@ def _cmd_geodesic(args) -> int:
     n = args.samples
     if args.disc:
         geo = geodesic_disc(q1, q2)
-        samples = geodesic_sample(q1, q2, n) if n >= 2 else []
+        samples = geodesic_sample(q1, q2, n)
         if args.csv:
             sys.stdout.write(samples_to_csv(samples, digits=7))
             return 0
@@ -193,9 +203,8 @@ def _cmd_geodesic(args) -> int:
                "samples": samples_to_json(samples)})
         return 0
     geo = geodesic_halfspace(q1, q2)
-    disc_samples = (geodesic_sample(cayley_inv(q1), cayley_inv(q2), n)
-                    if n >= 2 else [])
-    samples = [cayley(p) for p in disc_samples]
+    samples = [cayley(p) for p in
+               geodesic_sample(cayley_inv(q1), cayley_inv(q2), n)]
     if args.csv:
         finite = [p for p in samples if isinstance(p, Quaternion)]
         sys.stdout.write(samples_to_csv(finite, digits=7))

@@ -106,11 +106,6 @@ class FLT:
         return f"FLT({self.matrix!r})"
 
 
-def compose(f: FLT, g: FLT) -> FLT:
-    """compose(f, g)(q) = f(g(q))."""
-    return f.compose(g)
-
-
 def is_constant(A: Mat2H, tol: float | None = None) -> bool:
     """Whether the formula (a q + b)(c q + d)^-1 collapses to one value.
 

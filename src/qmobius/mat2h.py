@@ -65,10 +65,6 @@ class Mat2H(NamedTuple):
         return cls(*(Quaternion.from_json(entry) for entry in data))
 
 
-def mat_mul(A: Mat2H, B: Mat2H) -> Mat2H:
-    return A @ B
-
-
 def det_h(A: Mat2H) -> float:
     """Dieudonne determinant; multiplicative and zero iff A is singular."""
     a, b, c, d = A
@@ -103,7 +99,7 @@ def mul_rows(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 
 def mat_mul_many(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Vectorized mat_mul over stacks shaped (n, 4, 4): the middle axis
+    """Vectorized matrix product over stacks shaped (n, 4, 4): the middle axis
     runs over the entries (a, b, c, d), the last over components."""
     a1, b1, c1, d1 = (A[:, k, :] for k in range(4))
     a2, b2, c2, d2 = (B[:, k, :] for k in range(4))

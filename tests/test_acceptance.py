@@ -31,7 +31,7 @@ from qmobius.kobayashi import (kobayashi_image_modulus_sq,
                                poincare_image_modulus_sq)
 from qmobius.mat2h import (Mat2H, cayley_conjugate, cayley_conjugate_inv,
                            det_h, det_h_many, inverse, inverse_form_a,
-                           inverse_form_b, mat_mul, mat_mul_many, normalize)
+                           inverse_form_b, mat_mul_many, normalize)
 from qmobius.quat import Quaternion
 
 ZERO = Quaternion(0.0, 0.0, 0.0, 0.0)
@@ -76,7 +76,7 @@ def test_02_inverse_identity_residual_and_both_forms_agree():
     for _ in range(n):
         A = smp.random_invertible_matrix(rng, 2.0)
         min_det = min(min_det, det_h(A))
-        P = mat_mul(A, inverse(A))
+        P = A @ inverse(A)
         worst_ident = max(worst_ident,
                           max(abs(p - e) for p, e in zip(P, ident)))
         Fa = inverse_form_a(A)
@@ -96,7 +96,7 @@ def test_03_induced_maps_compose_as_matrices_and_constants_are_flagged():
     for _ in range(1000):
         A = smp.random_invertible_matrix(rng, 2.0)
         B = smp.random_invertible_matrix(rng, 2.0)
-        AB = mat_mul(A, B)
+        AB = A @ B
         probes = 0
         while probes < 8:
             q = smp.random_quaternion(rng, 2.0)

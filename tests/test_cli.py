@@ -108,6 +108,17 @@ def test_distance(capsys):
     assert data["distance"] == pytest.approx(math.log(2.0), abs=1e-6)
 
 
+@pytest.mark.parametrize("argv, expected", [
+    (("--disc", "[0.999999999999,0,0,0]", "[-0.999999999999,0,0,0]"), 28.32419),
+    (("--halfspace", "[1e-13,0,0,0]", "[1e-12,0,0,0]"), 1.151293),
+])
+def test_distance_near_boundary(capsys, argv, expected):
+    code, out = invoke(capsys, "distance", *argv)
+    assert code == 0
+    assert out.count("\n") == 1
+    assert json.loads(out) == {"distance": expected}
+
+
 def test_geodesic_json(capsys):
     code, data = invoke_json(capsys, "geodesic", "--disc", "[0,0,0,0]",
                              "[0.5,0,0,0]", "--samples", "3")
@@ -215,6 +226,28 @@ def test_domain_error_exits_one(capsys):
                              "[0,0,0,0]")
     assert code == 1
     assert data["error"] == "OutOfDomain"
+
+
+@pytest.mark.parametrize("model", ["--disc", "--halfspace"])
+def test_geodesic_one_sample_is_a_domain_error(capsys, model):
+    code, data = invoke_json(capsys, "geodesic", model, "[0.5,0,0,0]",
+                             "[0.25,0,0,0]", "--samples", "1")
+    assert code == 1
+    assert data["error"] == "TooFewSamples"
+
+
+def test_selftest_with_no_iterations_fails(capsys):
+    code, data = invoke_json(capsys, "selftest", "--iters", "0")
+    assert code == 1
+    assert data["ok"] is False
+
+
+@pytest.mark.parametrize("entry", ["NaN", "Infinity", "-Infinity", "1e400"])
+def test_non_finite_operand_is_a_parse_error(capsys, entry):
+    code, data = invoke_json(
+        capsys, "det", f"[[{entry},0,0,0],[0,0,0,0],[0,0,0,0],[1,0,0,0]]")
+    assert code == 2
+    assert data["error"] == "parse"
 
 
 def test_parse_error_exits_two(capsys):

@@ -28,7 +28,6 @@ from qmobius.flt import (
     canonical_compose,
     canonical_det_check,
     canonical_inverse,
-    compose,
     constant_value,
     decompose_generators,
     generator_from_json,
@@ -43,7 +42,7 @@ from qmobius.flt import (
     three_point_map,
     to_canonical_disc,
 )
-from qmobius.mat2h import GroupTag, Mat2H, classify, det_h, mat_mul, normalize
+from qmobius.mat2h import GroupTag, Mat2H, classify, det_h, normalize
 from qmobius.quat import I, J, K, ONE, ZERO, Quaternion
 from qmobius.sampling import (
     make_rng,
@@ -100,7 +99,7 @@ def test_homomorphism_fuzz():
     for _ in range(200):
         A = random_invertible_matrix(rng, 2.0)
         B = random_invertible_matrix(rng, 2.0)
-        AB = mat_mul(A, B)
+        AB = A @ B
         for _ in range(4):
             p = random_quaternion(rng, 2.0)
             step = apply(B, p)
@@ -162,11 +161,11 @@ def test_constant_both_rows_zero_raises():
 
 def test_compose_spot_values():
     f = FLT(Mat2H(ONE, q(2), ZERO, ONE))
-    assert compose(f, FLT.identity()).same_map(f)
+    assert f.compose(FLT.identity()).same_map(f)
     inv = FLT(INVERSION_M)
-    assert compose(inv, inv).same_map(FLT.identity())
+    assert inv.compose(inv).same_map(FLT.identity())
     shift = FLT(Mat2H(ONE, ONE, ZERO, ONE))
-    assert compose(shift, inv)(ONE) == q(2)
+    assert shift.compose(inv)(ONE) == q(2)
 
 
 def test_compose_order_is_rightmost_first():
@@ -174,7 +173,7 @@ def test_compose_order_is_rightmost_first():
     f = FLT(random_invertible_matrix(rng, 1.5))
     g = FLT(random_invertible_matrix(rng, 1.5))
     p = random_quaternion(rng)
-    assert ext_close(compose(f, g)(p), f(g(p)))
+    assert ext_close(f.compose(g)(p), f(g(p)))
 
 
 def test_flt_inverse_round_trip():
@@ -366,7 +365,7 @@ def test_three_point_image_unique_up_to_conjugation():
         f = three_point_map(*pts)
         u = random_unit_quaternion(rng)
         twist = FLT(Mat2H(u, ZERO, ZERO, u))
-        g = compose(twist, f)
+        g = twist.compose(f)
         assert ext_close(g(pts[0]), ZERO, 1e-9)
         assert is_infinity(g(pts[1]))
         assert ext_close(g(pts[2]), ONE, 1e-9)
@@ -437,7 +436,7 @@ def test_canonical_compose_matches_flt_composition():
         g1 = random_canonical(rng)
         g2 = random_canonical(rng)
         direct = canonical_compose(g1, g2).to_flt()
-        via_flt = compose(g1.to_flt(), g2.to_flt())
+        via_flt = g1.to_flt().compose(g2.to_flt())
         assert direct.same_map(via_flt, tol=1e-8)
 
 

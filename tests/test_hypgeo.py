@@ -5,7 +5,6 @@ import math
 import numpy as np
 import pytest
 
-import qmobius.hypgeo as hypgeo
 from qmobius.crossratio import cross_ratio, is_concyclic
 from qmobius.errors import CoincidentPoints, OutOfDomain, TooFewSamples
 from qmobius.flt import INFINITY, apply, is_infinity, to_canonical_disc
@@ -355,20 +354,30 @@ def test_distance_halfspace_spot_values():
 
 
 def test_distance_halfspace_cross_ratio_route_agrees():
-    val = distance_halfspace(ONE, ONE + I, check=True)
-    assert val == pytest.approx(distance_halfspace(ONE, ONE + I), abs=1e-12)
-    old = hypgeo.HALFSPACE_CR_CHECK
-    hypgeo.HALFSPACE_CR_CHECK = True
-    try:
-        rng = make_rng(70)
-        for _ in range(25):
-            q1 = random_halfspace_point(rng)
-            q2 = random_halfspace_point(rng)
-            if abs(q1 - q2) < 0.05:
-                continue
-            assert distance_halfspace(q1, q2) >= 0.0
-    finally:
-        hypgeo.HALFSPACE_CR_CHECK = old
+    rng = make_rng(70)
+    pairs = [(ONE, ONE + I)] + [
+        (random_halfspace_point(rng), random_halfspace_point(rng))
+        for _ in range(25)]
+    for q1, q2 in pairs:
+        if abs(q1 - q2) < 0.05:
+            continue
+        # the defining route: half the log of the real cross-ratio of q1, q2
+        # against the ends of their geodesic
+        geo = geodesic_halfspace(q1, q2)
+        route = 0.5 * math.log(cross_ratio(q1, q2, geo.e3, geo.e4).w)
+        d = distance_halfspace(q1, q2)
+        assert abs(route - d) <= 1e-9 * (1.0 + d)
+
+
+def test_distance_disc_near_boundary_is_exact():
+    a = 0.999999999999
+    d = distance_disc(q(a), q(-a))
+    assert d == pytest.approx(math.log((1.0 + a) / (1.0 - a)), rel=1e-12)
+
+
+def test_distance_halfspace_near_boundary_is_exact():
+    d = distance_halfspace(q(1e-13), q(1e-12))
+    assert d == pytest.approx(0.5 * math.log(10.0), rel=1e-12)
 
 
 def test_distance_halfspace_domain():

@@ -21,7 +21,6 @@ from qmobius.mat2h import (
     inverse,
     inverse_form_a,
     inverse_form_b,
-    mat_mul,
     mat_mul_many,
     mul_rows,
     normalize,
@@ -82,7 +81,7 @@ def test_binet_fuzz():
     for _ in range(300):
         A = random_matrix(rng, 10.0)
         B = random_matrix(rng, 10.0)
-        lhs = det_h(mat_mul(A, B))
+        lhs = det_h(A @ B)
         rhs = det_h(A) * det_h(B)
         assert abs(lhs - rhs) <= 1e-9 * (1.0 + rhs)
 
@@ -124,10 +123,9 @@ def test_det_real_scalar_multiple():
 def test_mat_mul_identity_and_noncommutativity():
     A = Mat2H(I, ZERO, ZERO, ONE)
     B = Mat2H(J, ZERO, ZERO, ONE)
-    assert mat_mul(A, IDENT) == A
-    assert mat_mul(A, B) == Mat2H(K, ZERO, ZERO, ONE)
-    assert mat_mul(B, A) == Mat2H(-K, ZERO, ZERO, ONE)
-    assert mat_mul(A, B) == A @ B
+    assert A @ IDENT == A
+    assert A @ B == Mat2H(K, ZERO, ZERO, ONE)
+    assert B @ A == Mat2H(-K, ZERO, ZERO, ONE)
 
 
 def test_bulk_rows_match_scalar_product():
@@ -150,7 +148,7 @@ def test_bulk_matrix_ops_match_scalar():
     for i in range(30):
         A = Mat2H(*(Quaternion(*(float(t) for t in row)) for row in stack_a[i]))
         B = Mat2H(*(Quaternion(*(float(t) for t in row)) for row in stack_b[i]))
-        P = mat_mul(A, B)
+        P = A @ B
         for k, entry in enumerate(P):
             got = Quaternion(*(float(t) for t in prod[i, k]))
             assert abs(got - entry) <= 1e-12
@@ -192,8 +190,8 @@ def test_inverse_fuzz():
     for _ in range(300):
         A = random_invertible_matrix(rng, 2.0)
         Ainv = inverse(A)
-        assert close_mats(mat_mul(A, Ainv), IDENT, 1e-8)
-        assert close_mats(mat_mul(Ainv, A), IDENT, 1e-8)
+        assert close_mats(A @ Ainv, IDENT, 1e-8)
+        assert close_mats(Ainv @ A, IDENT, 1e-8)
 
 
 def test_inverse_forms_agree():
@@ -212,7 +210,7 @@ def test_inverse_forms_agree():
 def test_inverse_pivots_on_b_when_a_vanishes():
     A = Mat2H(ZERO, ONE, ONE, ONE)
     Ainv = inverse(A)
-    assert close_mats(mat_mul(A, Ainv), IDENT, 1e-12)
+    assert close_mats(A @ Ainv, IDENT, 1e-12)
 
 
 # -- normalization -------------------------------------------------------
@@ -269,7 +267,7 @@ def test_slhplus_closed_under_product_and_inverse():
     for _ in range(50):
         A = random_slhplus(rng)
         B = random_slhplus(rng)
-        assert GroupTag.SL_HPLUS in classify(normalize(mat_mul(A, B)))
+        assert GroupTag.SL_HPLUS in classify(normalize(A @ B))
         assert GroupTag.SL_HPLUS in classify(normalize(inverse(A)))
 
 
@@ -277,14 +275,14 @@ def test_slhplus_closed_under_product_and_inverse():
 
 
 def form_residual(M: Mat2H, form: Mat2H) -> float:
-    left = mat_mul(mat_mul(M.transpose_conj(), form), M)
+    left = M.transpose_conj() @ form @ M
     diff = Mat2H(left.a - form.a, left.b - form.b, left.c - form.c, left.d - form.d)
     return max_entry(diff)
 
 
 def test_cayley_matrices_are_inverse():
-    assert close_mats(mat_mul(CAYLEY, CAYLEY_INV), IDENT, 1e-15)
-    assert close_mats(mat_mul(CAYLEY_INV, CAYLEY), IDENT, 1e-15)
+    assert close_mats(CAYLEY @ CAYLEY_INV, IDENT, 1e-15)
+    assert close_mats(CAYLEY_INV @ CAYLEY, IDENT, 1e-15)
 
 
 def test_cayley_conjugate_identity():
