@@ -3,9 +3,9 @@ geometry of the unit ball and half-space."""
 
 from .errors import (BothZero, CoincidentPoints, ConstraintViolation,
                      DegenerateResult, DivisionByZero, GeometryError,
-                     InternalNumericError, NonImaginaryShift, NotConcyclic,
-                     NotOnSphere, NotSp11, OutOfDomain, PoleInput, RealInput,
-                     Singular, TooFewSamples, ZeroD)
+                     InternalNumericError, NonFiniteResult, NonImaginaryShift,
+                     NotConcyclic, NotOnSphere, NotSp11, OutOfDomain, PoleInput,
+                     RealInput, Singular, TooFewSamples, ZeroD)
 from .quat import (I, J, K, ONE, ZERO, Quaternion, conjugate_sphere_check,
                    get_tolerance, imaginary_unit, isclose, on_sphere,
                    set_tolerance, slice_decompose)

@@ -19,7 +19,7 @@ import os
 import sys
 
 from . import selftest
-from .errors import GeometryError
+from .errors import GeometryError, NonFiniteResult
 from .crossratio import cross_ratio, is_concyclic
 from .flt import (FLT, apply, decompose_generators, ext_from_json, ext_to_json,
                   generator_to_json, to_canonical_disc)
@@ -53,6 +53,8 @@ def _clean(obj):
     if isinstance(obj, bool):
         return obj
     if isinstance(obj, float):
+        if not math.isfinite(obj):
+            raise NonFiniteResult(f"result {obj} is not a finite float")
         return _round7(obj)
     if isinstance(obj, dict):
         return {k: _clean(v) for k, v in obj.items()}

@@ -72,3 +72,7 @@ class OutOfDomain(GeometryError):
 
 class TooFewSamples(GeometryError):
     """A sampled path needs at least two points."""
+
+
+class NonFiniteResult(GeometryError):
+    """A result overflowed the float range or came out NaN."""

@@ -26,7 +26,7 @@ from .crossratio import cross_ratio
 from .errors import (CoincidentPoints, InternalNumericError, OutOfDomain,
                      TooFewSamples)
 from .flt import FLT, INFINITY, ExtQuaternion, MobiusCanonical, apply
-from .mat2h import CAYLEY, Mat2H, mul_rows
+from .mat2h import CAYLEY, Mat2H, _norm_sq, qmul_planes
 from .quat import ONE, Quaternion, _tols
 
 _MINUS_ONE = Quaternion(-1.0, 0.0, 0.0, 0.0)
@@ -132,18 +132,14 @@ def metric_halfspace(q: Quaternion, tau: Quaternion) -> float:
 # -- sampled geodesics and numeric length ------------------------------
 
 
-def _q_arr(q: Quaternion) -> np.ndarray:
-    return np.array(q, dtype=float)
-
-
-def _apply_matrix_to_reals(M: Mat2H, r: np.ndarray) -> np.ndarray:
-    """Images (a r + b)(c r + d)^-1 for an array of real points r."""
-    a, b, c, d = (_q_arr(e) for e in M)
-    num = np.outer(r, a) + b
-    den = np.outer(r, c) + d
-    den_conj = den * np.array([1.0, -1.0, -1.0, -1.0])
-    den_n2 = (den * den).sum(axis=1, keepdims=True)
-    return mul_rows(num, den_conj / den_n2)
+def _apply_matrix_to_reals(M: Mat2H, r: np.ndarray) -> tuple:
+    """Component planes of the images (a r + b)(c r + d)^-1 of the real
+    points r."""
+    a, b, c, d = M
+    num = [r * a[k] + b[k] for k in range(4)]
+    dw, dx, dy, dz = den = [r * c[k] + d[k] for k in range(4)]
+    n2 = _norm_sq(den)
+    return qmul_planes(num, (dw / n2, -dx / n2, -dy / n2, -dz / n2))
 
 
 def geodesic_sample_rows(q1: Quaternion, q2: Quaternion, n: int) -> np.ndarray:
@@ -157,39 +153,32 @@ def geodesic_sample_rows(q1: Quaternion, q2: Quaternion, n: int) -> np.ndarray:
     M = L.inverse().matrix
     s = np.linspace(0.0, 1.0, n)
     radii = np.tanh(s * math.atanh(t))
-    rows = _apply_matrix_to_reals(M, radii)
-    rows[0] = _q_arr(q1)
-    rows[-1] = _q_arr(q2)
+    rows = np.stack(_apply_matrix_to_reals(M, radii), axis=1)
+    rows[0] = q1
+    rows[-1] = q2
     return rows
 
 
 def geodesic_sample(q1: Quaternion, q2: Quaternion, n: int) -> list[Quaternion]:
     """geodesic_sample_rows as a list of quaternions."""
-    rows = geodesic_sample_rows(q1, q2, n)
-    pts = [Quaternion(float(w), float(x), float(y), float(z))
-           for w, x, y, z in rows]
-    pts[0] = q1
-    pts[-1] = q2
-    return pts
+    return [Quaternion(*map(float, row)) for row in geodesic_sample_rows(q1, q2, n)]
 
 
 def integrated_length_disc(path) -> float:
     """Composite-midpoint length of a sampled ball path under the
     invariant line element |dq| / (1 - |q|^2)."""
-    if isinstance(path, np.ndarray):
-        arr = path.astype(float)
-    else:
-        arr = np.array([tuple(p) for p in path], dtype=float)
+    arr = np.asarray(path if isinstance(path, np.ndarray)
+                     else [tuple(p) for p in path], dtype=float)
     if arr.ndim != 2 or arr.shape[1] != 4:
         raise ValueError("path must be a sequence of quaternions")
     if len(arr) < 2:
         raise TooFewSamples("need at least two path samples")
-    if ((arr * arr).sum(axis=1) >= 1.0).any():
+    if (np.einsum("ij,ij->i", arr, arr) >= 1.0).any():
         raise OutOfDomain("path leaves the open unit ball")
     seg = arr[1:] - arr[:-1]
     mid = 0.5 * (arr[1:] + arr[:-1])
-    lengths = np.sqrt((seg * seg).sum(axis=1))
-    weights = 1.0 - (mid * mid).sum(axis=1)
+    lengths = np.sqrt(np.einsum("ij,ij->i", seg, seg))
+    weights = 1.0 - np.einsum("ij,ij->i", mid, mid)
     return float((lengths / weights).sum())
 
 

@@ -83,44 +83,53 @@ def det_h(A: Mat2H) -> float:
     return math.sqrt(rad)
 
 
-_CONJ_SIGNS = np.array([1.0, -1.0, -1.0, -1.0])
+# -- batched kernels: (n, 4, 4) stacks of entries (a, b, c, d) by components
+# (w, x, y, z), computed on contiguous (4, 4, n) component planes
 
 
-def mul_rows(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Row-wise Hamilton product of (n, 4) component arrays."""
-    w1, x1, y1, z1 = A.T
-    w2, x2, y2, z2 = B.T
-    return np.stack([
-        w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
-        w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
-        w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
-        w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
-    ], axis=1)
+def _planes(M: np.ndarray) -> np.ndarray:
+    """The planes of a stack; no copy when M is a transposed view of them."""
+    return np.ascontiguousarray(M.transpose(1, 2, 0), dtype=float)
+
+
+def _norm_sq(p) -> np.ndarray:
+    """|q|^2 of a quaternion given as four component planes."""
+    w, x, y, z = p
+    return w * w + x * x + y * y + z * z
+
+
+def qmul_planes(p, q) -> tuple:
+    """Hamilton product of component planes, in Quaternion.__mul__'s order."""
+    w1, x1, y1, z1 = p
+    w2, x2, y2, z2 = q
+    return (w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
+            w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
+            w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
+            w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2)
 
 
 def mat_mul_many(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Vectorized matrix product over stacks shaped (n, 4, 4): the middle axis
-    runs over the entries (a, b, c, d), the last over components."""
-    a1, b1, c1, d1 = (A[:, k, :] for k in range(4))
-    a2, b2, c2, d2 = (B[:, k, :] for k in range(4))
-    return np.stack([
-        mul_rows(a1, a2) + mul_rows(b1, c2),
-        mul_rows(a1, b2) + mul_rows(b1, d2),
-        mul_rows(c1, a2) + mul_rows(d1, c2),
-        mul_rows(c1, b2) + mul_rows(d1, d2),
-    ], axis=1)
+    """Matrix product, entry for entry equal to A @ B; returns a transposed
+    view of planes, which det_h_many and mat_mul_many read without a copy."""
+    a1, b1, c1, d1 = _planes(A)
+    a2, b2, c2, d2 = _planes(B)
+    out = np.empty((4, 4, a1.shape[1]))
+    terms = ((a1, a2, b1, c2), (a1, b2, b1, d2), (c1, a2, d1, c2), (c1, b2, d1, d2))
+    for entry, (l1, r1, l2, r2) in zip(out, terms):
+        for comp, s, t in zip(entry, qmul_planes(l1, r1), qmul_planes(l2, r2)):
+            np.add(s, t, out=comp)
+    return out.transpose(2, 0, 1)
 
 
 def det_h_many(M: np.ndarray) -> np.ndarray:
-    """Vectorized det_h over a stack shaped (n, 4, 4); same clamp on the
-    radicand as the scalar version."""
-    a, b, c, d = (M[:, k, :] for k in range(4))
-    t1 = (a * a).sum(axis=1) * (d * d).sum(axis=1)
-    t2 = (c * c).sum(axis=1) * (b * b).sum(axis=1)
-    p = mul_rows(c, a * _CONJ_SIGNS)
-    r = mul_rows(b, d * _CONJ_SIGNS)
-    re = (p * r * _CONJ_SIGNS).sum(axis=1)
-    rad = t1 + t2 - 2.0 * re
+    """det_h of each matrix, with the radicand and the clamp of the scalar."""
+    a, b, c, d = _planes(M)
+    t1 = _norm_sq(a) * _norm_sq(d)
+    t2 = _norm_sq(c) * _norm_sq(b)
+    conj = np.array([[1.0], [-1.0], [-1.0], [-1.0]])
+    pw, px, py, pz = qmul_planes(c, a * conj)
+    rw, rx, ry, rz = qmul_planes(b, d * conj)
+    rad = t1 + t2 - 2.0 * (pw * rw - px * rx - py * ry - pz * rz)
     neg = rad < 0.0
     if np.any(neg):
         atol, rtol = _tols(None)

@@ -69,7 +69,9 @@ class Quaternion(NamedTuple):
         return w * w + x * x + y * y + z * z
 
     def __abs__(self) -> float:
-        return math.sqrt(self.norm_sq())
+        # hypot scales internally, so |q| is finite whenever it fits a float
+        w, x, y, z = self
+        return math.hypot(w, x, y, z)
 
     def im(self) -> "Quaternion":
         return Quaternion(0.0, self.x, self.y, self.z)
@@ -166,6 +168,8 @@ class Quaternion(NamedTuple):
     def from_json(cls, data) -> "Quaternion":
         if not isinstance(data, (list, tuple)) or len(data) != 4:
             raise ValueError("quaternion JSON must be a 4-number array")
+        if any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in data):
+            raise ValueError(f"quaternion entries must be numbers, got {data!r}")
         return cls(*(float(v) for v in data))
 
     def __str__(self) -> str:

@@ -1,9 +1,13 @@
 """Command line interface: JSON shapes, exit codes, determinism."""
 
+import contextlib
+import io
 import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qmobius import cli
 from qmobius.quat import get_tolerance, set_tolerance
@@ -261,3 +265,77 @@ def test_parse_error_exits_two(capsys):
 
     code, _ = invoke(capsys, "distance", "[1,0,0,0]", "[2,0,0,0]")
     assert code == 2
+
+
+def test_overflowing_det_is_a_domain_error(capsys):
+    code, out = invoke(capsys, "det", "[[1e200,0,0,0],[0,0,0,0],[0,0,0,0],[1e200,0,0,0]]")
+    assert code == 1
+    assert json.loads(out)["error"] == "NonFiniteResult"
+    assert capsys.readouterr().err == ""
+
+
+def test_huge_halfspace_points_keep_a_finite_distance(capsys):
+    # |q1 - q2| no longer overflows, so the distance is asinh(1/2)
+    code, data = invoke_json(capsys, "distance", "--halfspace",
+                             "[1e200,0,0,0]", "[1e200,1e200,0,0]")
+    assert (code, data) == (0, {"distance": 0.4812118})
+
+
+def test_overflowing_distance_is_a_domain_error(capsys):
+    code, out = invoke(capsys, "distance", "--halfspace",
+                       "[1e-300,0,0,0]", "[1e-300,1e200,0,0]")
+    assert code == 1
+    assert json.loads(out)["error"] == "NonFiniteResult"
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("entry", ['"nan"', '"1"', "true", "false", "null", "[0]"])
+def test_non_numeric_entry_is_a_parse_error(capsys, entry):
+    for argv in (("distance", "--disc", f"[{entry},0,0,0]", "[0,0,0,0]"),
+                 ("det", f"[[{entry},0,0,0],[0,0,0,0],[0,0,0,0],[1,0,0,0]]")):
+        code, out = invoke(capsys, *argv)
+        assert code == 2
+        assert json.loads(out)["error"] == "parse"
+
+
+# -- error contract fuzz -------------------------------------------------
+
+_numbers = st.one_of(st.sampled_from([0.0, 1e200, -1e200, 1e-300, -1e-300]),
+                     st.floats(-0.4, 0.4), st.floats(-3.0, 3.0))
+_junk = st.one_of(st.text(max_size=3), st.booleans(), st.none())
+
+
+def _arrays(item, bad_item):
+    """Four items, or a wrong-length, junk-carrying or junk array."""
+    good = st.lists(item, min_size=4, max_size=4)
+    # sampled_from, not one_of, which would merge the repeated good branch
+    return st.sampled_from([
+        good, good, good, st.lists(st.one_of(item, bad_item), min_size=4, max_size=4),
+        st.lists(item, min_size=3, max_size=3), st.lists(item, min_size=5, max_size=5),
+        _junk]).flatmap(lambda kind: kind)
+
+
+_quats = _arrays(_numbers, _junk)
+_mats = _arrays(st.lists(_numbers, min_size=4, max_size=4), _quats)
+
+
+def _strict_json(text):
+    def refuse(name):
+        raise ValueError(f"non-finite {name} in output")
+    return json.loads(text, parse_constant=refuse)
+
+
+@given(st.one_of(
+    st.tuples(st.just("det"), _mats),
+    st.tuples(st.sampled_from(["--disc", "--halfspace"]), _quats, _quats)))
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_cli_contract_one_document_and_an_exit_code(call):
+    head, *operands = call
+    argv = ([head] if head == "det" else ["distance", head]) + [json.dumps(x) for x in operands]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.run(argv)
+    assert err.getvalue() == ""
+    data = _strict_json(out.getvalue())
+    assert code in (0, 1, 2)
+    assert ("error" in data) == (code != 0)

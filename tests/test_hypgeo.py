@@ -272,6 +272,21 @@ def test_geodesic_sample_rows_match_list():
         assert Quaternion(*(float(t) for t in row)) == p
 
 
+def test_geodesic_sample_rows_pinned_to_scalar_apply():
+    rng = make_rng(75)
+    for _ in range(5):
+        q1, q2 = random_ball_point(rng), random_ball_point(rng)
+        n = 200
+        rows = geodesic_sample_rows(q1, q2, n)
+        Linv = normalizing_map(q1, q2).inverse()
+        t = abs(q2 - q1) / abs(ONE - q1.conj() * q2)
+        radii = np.tanh(np.linspace(0.0, 1.0, n) * math.atanh(t))
+        for row, r in zip(rows[1:-1], radii[1:-1]):
+            p = apply(Linv, q(r))
+            assert np.abs(row - np.array(p)).max() <= 1e-15
+        assert tuple(rows[0]) == q1 and tuple(rows[-1]) == q2
+
+
 def test_geodesic_sample_too_few():
     with pytest.raises(TooFewSamples):
         geodesic_sample(ZERO, HALF, 1)

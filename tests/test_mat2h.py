@@ -22,8 +22,8 @@ from qmobius.mat2h import (
     inverse_form_a,
     inverse_form_b,
     mat_mul_many,
-    mul_rows,
     normalize,
+    qmul_planes,
 )
 from qmobius.quat import I, J, K, ONE, ZERO, Quaternion
 from qmobius.sampling import (
@@ -132,11 +132,11 @@ def test_bulk_rows_match_scalar_product():
     rng = make_rng(16)
     lhs = rng.normal(size=(20, 4))
     rhs = rng.normal(size=(20, 4))
-    rows = mul_rows(lhs, rhs)
+    planes = np.array(qmul_planes(lhs.T, rhs.T))
     for i in range(20):
         p = Quaternion(*(float(t) for t in lhs[i]))
         r = Quaternion(*(float(t) for t in rhs[i]))
-        assert abs(Quaternion(*(float(t) for t in rows[i])) - p * r) <= 1e-12
+        assert Quaternion(*(float(t) for t in planes[:, i])) == p * r
 
 
 def test_bulk_matrix_ops_match_scalar():
@@ -167,6 +167,52 @@ def test_bulk_det_clamps_rank_one_noise():
         rows.append([tuple(k * c), tuple(k * d), tuple(c), tuple(d)])
     dets = det_h_many(np.array(rows, dtype=float))
     assert (dets <= 1e-5).all()
+
+
+def as_mat(row) -> Mat2H:
+    return Mat2H(*(Quaternion(*(float(t) for t in e)) for e in row))
+
+
+def pinned_stack(rng, n):
+    """Random rows, with every third row rank-one and every third
+    near-singular (rank-one plus a 1e-9 perturbation)."""
+    stack = rng.uniform(-2.0, 2.0, size=(n, 4, 4))
+    for i in range(1, n, 3):
+        c, d, k = (random_quaternion(rng, 2.0) for _ in range(3))
+        stack[i] = [tuple(k * c), tuple(k * d), tuple(c), tuple(d)]
+        if i + 1 < n:
+            stack[i + 1] = stack[i] + 1e-9 * rng.normal(size=(4, 4))
+    return stack
+
+
+def assert_products_exact(prod, stack_a, stack_b):
+    assert prod.shape == stack_a.shape
+    for i in range(len(stack_a)):
+        assert as_mat(prod[i]) == as_mat(stack_a[i]) @ as_mat(stack_b[i])
+
+
+def test_bulk_product_pinned_exactly_to_scalar():
+    rng = make_rng(19)
+    stack_a, stack_b = pinned_stack(rng, 60), pinned_stack(rng, 60)
+    assert_products_exact(mat_mul_many(stack_a, stack_b), stack_a, stack_b)
+
+
+def test_bulk_product_pinned_on_non_contiguous_input():
+    rng = make_rng(20)
+    stack_a, stack_b = pinned_stack(rng, 30), pinned_stack(rng, 30)
+    rev = stack_a[::-1]
+    assert not rev.flags.c_contiguous
+    assert_products_exact(mat_mul_many(rev, stack_b), rev, stack_b)
+    prod = mat_mul_many(stack_a, stack_b)
+    assert not prod.flags.c_contiguous  # a transposed view of the planes
+    assert_products_exact(mat_mul_many(prod, stack_b), np.array(prod), stack_b)
+    assert_products_exact(mat_mul_many(stack_b, prod), stack_b, np.array(prod))
+
+
+def test_bulk_det_of_product_view_matches_copy_bitwise():
+    rng = make_rng(21)
+    prod = mat_mul_many(pinned_stack(rng, 60), pinned_stack(rng, 60))
+    assert np.array_equal(det_h_many(prod), det_h_many(np.ascontiguousarray(prod)))
 
 
 # -- inverses ------------------------------------------------------------
