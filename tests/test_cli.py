@@ -267,35 +267,39 @@ def test_parse_error_exits_two(capsys):
     assert code == 2
 
 
+def invoke_quiet(capsys, *argv):
+    """Exit code and the one JSON document printed, with nothing on stderr."""
+    code = cli.run(list(argv))
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    return code, json.loads(captured.out)
+
+
 def test_overflowing_det_is_a_domain_error(capsys):
-    code, out = invoke(capsys, "det", "[[1e200,0,0,0],[0,0,0,0],[0,0,0,0],[1e200,0,0,0]]")
-    assert code == 1
-    assert json.loads(out)["error"] == "NonFiniteResult"
-    assert capsys.readouterr().err == ""
+    code, data = invoke_quiet(capsys, "det",
+                              "[[1e200,0,0,0],[0,0,0,0],[0,0,0,0],[1e200,0,0,0]]")
+    assert (code, data["error"]) == (1, "NonFiniteResult")
 
 
 def test_huge_halfspace_points_keep_a_finite_distance(capsys):
     # |q1 - q2| no longer overflows, so the distance is asinh(1/2)
-    code, data = invoke_json(capsys, "distance", "--halfspace",
-                             "[1e200,0,0,0]", "[1e200,1e200,0,0]")
+    code, data = invoke_quiet(capsys, "distance", "--halfspace",
+                              "[1e200,0,0,0]", "[1e200,1e200,0,0]")
     assert (code, data) == (0, {"distance": 0.4812118})
 
 
 def test_overflowing_distance_is_a_domain_error(capsys):
-    code, out = invoke(capsys, "distance", "--halfspace",
-                       "[1e-300,0,0,0]", "[1e-300,1e200,0,0]")
-    assert code == 1
-    assert json.loads(out)["error"] == "NonFiniteResult"
-    assert capsys.readouterr().err == ""
+    code, data = invoke_quiet(capsys, "distance", "--halfspace",
+                              "[1e-300,0,0,0]", "[1e-300,1e200,0,0]")
+    assert (code, data["error"]) == (1, "NonFiniteResult")
 
 
 @pytest.mark.parametrize("entry", ['"nan"', '"1"', "true", "false", "null", "[0]"])
 def test_non_numeric_entry_is_a_parse_error(capsys, entry):
     for argv in (("distance", "--disc", f"[{entry},0,0,0]", "[0,0,0,0]"),
                  ("det", f"[[{entry},0,0,0],[0,0,0,0],[0,0,0,0],[1,0,0,0]]")):
-        code, out = invoke(capsys, *argv)
-        assert code == 2
-        assert json.loads(out)["error"] == "parse"
+        code, data = invoke_quiet(capsys, *argv)
+        assert (code, data["error"]) == (2, "parse")
 
 
 # -- error contract fuzz -------------------------------------------------
