@@ -29,7 +29,7 @@ from .hypgeo import (cayley, cayley_inv, distance_disc, distance_halfspace,
                      samples_to_json)
 from .kobayashi import non_isometry_witness
 from .mat2h import Mat2H, classify, det_h, inverse, normalize
-from .quat import Quaternion, set_tolerance
+from .quat import Quaternion, get_tolerance, set_tolerance
 
 
 class _ParseError(Exception):
@@ -279,6 +279,7 @@ def run(argv) -> int:
     except _ParseError as exc:
         print(json.dumps({"error": "parse", "message": str(exc)}))
         return 2
+    saved = get_tolerance()
     if args.tol is not None:
         set_tolerance(args.tol, args.tol)
     try:
@@ -289,6 +290,8 @@ def run(argv) -> int:
     except GeometryError as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}))
         return 1
+    finally:
+        set_tolerance(*saved)
 
 
 def main() -> None:

@@ -71,7 +71,7 @@ class OutOfDomain(GeometryError):
 
 
 class TooFewSamples(GeometryError):
-    """A sampled path needs at least two points."""
+    """A sampled path, or a scan along each axis, needs at least two points."""
 
 
 class NonFiniteResult(GeometryError):

@@ -213,7 +213,11 @@ def distance_halfspace(q1: Quaternion, q2: Quaternion) -> float:
     _require_halfspace(q1)
     _require_halfspace(q2)
     # sqrt(Re q1) sqrt(Re q2), not sqrt(Re q1 Re q2), which can underflow
-    return math.asinh(abs(q1 - q2) / (2.0 * math.sqrt(q1.w) * math.sqrt(q2.w)))
+    x = abs(q1 - q2) / (2.0 * math.sqrt(q1.w) * math.sqrt(q2.w))
+    if x == math.inf:
+        # asinh x = log 2x to rounding once x > 2^28; in logs, 2x cannot overflow
+        return math.log(abs(q1 - q2)) - 0.5 * (math.log(q1.w) + math.log(q2.w))
+    return math.asinh(x)
 
 
 # -- serialization helpers ----------------------------------------------

@@ -18,7 +18,8 @@ from __future__ import annotations
 
 import math
 
-from .errors import InternalNumericError, OutOfDomain
+from .errors import InternalNumericError, OutOfDomain, TooFewSamples
+from .flt import MobiusCanonical
 from .quat import ONE, Quaternion
 
 ComplexPair = tuple[complex, complex]
@@ -49,11 +50,28 @@ def _check_unit_disc(value: complex, name: str) -> None:
         raise OutOfDomain(f"{name} must lie in the open unit disc")
 
 
+def ball_automorphism(a: ComplexPair, z: ComplexPair) -> ComplexPair:
+    """The automorphism of the complex unit ball that swaps a and 0,
+
+        phi_a(z) = (a - P_a z - s_a Q_a z) / (1 - <z, a>),
+
+    with P_a the orthogonal projection onto C a, Q_a = 1 - P_a and
+    s_a = sqrt(1 - |a|^2) (Rudin, Function Theory in the Unit Ball of C^n,
+    section 2.2); phi_a is an involution.
+    """
+    aa = abs(a[0]) ** 2 + abs(a[1]) ** 2
+    za = z[0] * a[0].conjugate() + z[1] * a[1].conjugate()
+    t = za / aa if aa else 0j  # P_a z = t a
+    s = math.sqrt(1.0 - aa)
+    return tuple((ai - t * ai - s * (zi - t * ai)) / (1.0 - za)
+                 for ai, zi in zip(a, z))
+
+
 def poincare_image_modulus_sq(alpha: complex, beta: complex) -> float:
     """|M(beta j)|^2 for the ball Moebius map M centered at (alpha, 0).
 
-    Evaluated both by the closed form and by direct quaternion
-    arithmetic; a mismatch beyond 1e-10 raises.
+    Evaluated both by the closed form and by the canonical ball map
+    with q0 = (alpha, 0); a mismatch beyond 1e-10 raises.
     """
     alpha = complex(alpha)
     beta = complex(beta)
@@ -62,9 +80,7 @@ def poincare_image_modulus_sq(alpha: complex, beta: complex) -> float:
     a2 = abs(alpha) ** 2
     b2 = abs(beta) ** 2
     closed = (b2 + a2) / (1.0 + a2 * b2)
-    center = from_c2((alpha, 0j))
-    q = from_c2((0j, beta))
-    image = (q - center) * (ONE - center.conj() * q).inverse()
+    image = MobiusCanonical(ONE, ONE, from_c2((alpha, 0j)))(from_c2((0j, beta)))
     direct = image.norm_sq()
     if abs(direct - closed) > _AGREE:
         raise InternalNumericError(
@@ -74,7 +90,8 @@ def poincare_image_modulus_sq(alpha: complex, beta: complex) -> float:
 
 def kobayashi_image_modulus_sq(alpha: complex, beta: complex) -> float:
     """|phi(0, beta)|^2 for the complex-ball automorphism phi centered at
-    (alpha, 0), computed as for poincare_image_modulus_sq."""
+    (alpha, 0), checked against ball_automorphism as
+    poincare_image_modulus_sq is against the canonical map."""
     alpha = complex(alpha)
     beta = complex(beta)
     _check_unit_disc(alpha, "alpha")
@@ -82,10 +99,7 @@ def kobayashi_image_modulus_sq(alpha: complex, beta: complex) -> float:
     a2 = abs(alpha) ** 2
     b2 = abs(beta) ** 2
     closed = a2 + (1.0 - a2) * b2
-    s = math.sqrt(1.0 - a2)
-    den = 1.0 - 0j * alpha.conjugate()
-    z = (alpha - 0j) / den
-    w = (0j - s * beta) / den
+    z, w = ball_automorphism((alpha, 0j), (0j, beta))
     direct = abs(z) ** 2 + abs(w) ** 2
     if abs(direct - closed) > _AGREE:
         raise InternalNumericError(
@@ -98,8 +112,11 @@ def non_isometry_witness(grid: int = 20) -> dict:
     scan a grid of moduli for the largest gap found.
 
     The witness gap must exceed 1e-3, otherwise something is deeply
-    wrong and InternalNumericError is raised.
+    wrong and InternalNumericError is raised.  The grid needs at least two
+    points per axis (TooFewSamples).
     """
+    if grid < 2:
+        raise TooFewSamples("the witness scan needs at least two grid points per axis")
     a = b = 0.5
     Q = poincare_image_modulus_sq(complex(a), complex(b))
     C = kobayashi_image_modulus_sq(complex(a), complex(b))

@@ -12,6 +12,7 @@ matrices.  For real or complex entries it reduces to |ad - bc|.
 from __future__ import annotations
 
 import math
+import sys
 from enum import Enum
 from typing import NamedTuple
 
@@ -65,17 +66,33 @@ class Mat2H(NamedTuple):
         return cls(*(Quaternion.from_json(entry) for entry in data))
 
 
+# squared-norm sums outside this range have lost digits or overflowed
+_RAD_TINY = 2.0 ** -900
+_RAD_HUGE = sys.float_info.max
+
+
 def det_h(A: Mat2H) -> float:
     """Dieudonne determinant; multiplicative and zero iff A is singular."""
     a, b, c, d = A
-    t1 = a.norm_sq() * d.norm_sq()
-    t2 = c.norm_sq() * b.norm_sq()
-    rad = t1 + t2 - 2.0 * (c * a.conj() * b * d.conj()).w
+    t = a.norm_sq() * d.norm_sq() + c.norm_sq() * b.norm_sq()
+    if not _RAD_TINY <= t <= _RAD_HUGE:
+        # every radicand term takes one factor from each row, so scaling
+        # row i by 2^-e_i is exact and scales det_h by 2^-(e_1 + e_2)
+        e1 = math.frexp(max(abs(a), abs(b)))[1]
+        e2 = math.frexp(max(abs(c), abs(d)))[1]
+        if e1 or e2:  # the balanced matrix has e1 = e2 = 0: no deeper call
+            s1, s2 = math.ldexp(1.0, -e1), math.ldexp(1.0, -e2)
+            balanced = det_h(Mat2H(a * s1, b * s1, c * s2, d * s2))
+            try:
+                return math.ldexp(balanced, e1 + e2)
+            except OverflowError:
+                return math.inf
+    rad = t - 2.0 * (c * a.conj() * b * d.conj()).w
     if rad < 0.0:
         # the radicand is a square in exact arithmetic; tiny negatives are
         # cancellation noise, anything larger is a genuine bug
         atol, rtol = _tols(None)
-        if -rad <= atol + rtol * (t1 + t2):
+        if -rad <= atol + rtol * t:
             rad = 0.0
         else:
             raise InternalNumericError(
@@ -169,9 +186,11 @@ def inverse(A: Mat2H) -> Mat2H:
     if det_h(A) <= SINGULAR_REL * scale * scale:
         raise Singular(f"matrix with det_h {det_h(A)} is numerically singular")
     atol, _ = _tols(None)
-    if abs(A.a) > atol * (1.0 + scale):
+    # relative to the entries, so that a tiny but well-conditioned matrix
+    # still has a pivot
+    if abs(A.a) > atol * scale:
         return inverse_form_a(A)
-    if abs(A.b) > atol * (1.0 + scale):
+    if abs(A.b) > atol * scale:
         return inverse_form_b(A)
     raise Singular("first row vanishes, so det_h = 0")  # unreachable past the gate
 

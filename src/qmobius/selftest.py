@@ -1,256 +1,437 @@
-"""Seeded invariant suites behind the CLI selftest subcommand.
+"""The invariant registry behind `qmobius selftest` and the acceptance gates.
 
-Each suite fuzzes one family of identities and reports the worst error
-seen; the suite passes when that error stays below its bound.  The
-acceptance tests in the repository run heavier versions of the same
-checks.
+Each suite owns the sampler, checks and bounds of one family of invariants
+and runs on a numpy Generator at one size: `qmobius selftest` runs all of
+them at --iters on one generator seeded by --seed, the acceptance tests
+each at its own seed and size.  A report gives the cases evaluated and
+skipped, every checked statistic, and the tightest check as worst_err,
+bound and margin: the share of its bound a statistic uses up, worst_err /
+bound for an upper bound, bound / worst_err for a positive floor, null for
+a count whose bound is 0.  A suite passes when it evaluated at least one
+case and every check holds.
 """
 
 from __future__ import annotations
 
 import math
+import operator
+
+import numpy as np
 
 from . import sampling as smp
 from .crossratio import cross_ratio, is_concyclic, on_quadric, transform_quadric
-from .flt import (FLT, apply, apply_generator, decompose_generators,
-                  is_constant, jacobian)
-from .hypgeo import (cayley, distance_disc, distance_halfspace, geodesic_sample,
-                     integrated_length_disc, metric_disc)
+from .flt import (FLT, Dilation, Inversion, MobiusCanonical, Rotation,
+                  Translation, apply, apply_generator, canonical_det_check,
+                  is_constant, is_infinity, jacobian)
+from .hypgeo import (cayley, cayley_inv, distance_disc, distance_halfspace,
+                     geodesic_sample, geodesic_sample_rows,
+                     integrated_length_disc, metric_disc, metric_halfspace)
 from .kobayashi import (kobayashi_image_modulus_sq, non_isometry_witness,
                         poincare_image_modulus_sq)
-from .mat2h import GroupTag, Mat2H, classify, det_h, inverse
-from .quat import Quaternion
+from .mat2h import (GroupTag, Mat2H, cayley_conjugate, cayley_conjugate_inv,
+                    classify, det_h, det_h_many, inverse, inverse_form_a,
+                    inverse_form_b, mat_mul_many, normalize)
+from .quat import ONE, ZERO, Quaternion
+
+_HOLDS = {"<=": operator.le, ">=": operator.ge, ">": operator.gt}
 
 
-def _suite(max_err: float, bound: float, n: int) -> dict:
-    """A suite passes when it ran at least once and stayed within bound."""
-    return {"ok": bool(n > 0 and max_err <= bound), "max_err": max_err,
-            "bound": bound, "n": n}
+def _finite(x: float | None) -> float | None:
+    return x if x is not None and math.isfinite(x) else None
 
 
-def binet_suite(rng, iters: int) -> dict:
-    worst = 0.0
-    for _ in range(iters):
-        A = smp.random_matrix(rng, 10.0)
-        B = smp.random_matrix(rng, 10.0)
-        lhs = det_h(A @ B)
-        rhs = det_h(A) * det_h(B)
-        worst = max(worst, abs(lhs - rhs) / (1.0 + rhs))
-    return _suite(worst, 1e-9, iters)
+def _margin(value: float, op: str, bound: float) -> float | None:
+    if bound == 0.0:
+        return None
+    if op == "<=":
+        return _finite(value / bound)
+    if bound > 0.0:
+        return bound / value if value > 0.0 else None
+    return _finite(max(0.0, value / bound))  # a floor below zero: a deficit
 
 
-def inverse_suite(rng, iters: int) -> dict:
-    worst = 0.0
+class Suite:
+    """Case counts and checked statistics of one suite run."""
+
+    def __init__(self, n_checked: int = 0) -> None:
+        self.n_checked = n_checked
+        self.n_skipped = 0
+        self.checks: dict[str, tuple[float, str, float]] = {}
+
+    def check(self, name: str, value: float, op: str, bound: float) -> None:
+        """Record the statistic `value op bound`, op one of <=, >=, >."""
+        self.checks[name] = (float(value), op, float(bound))
+
+    def report(self) -> dict:
+        graded = [(name, value, bound, _HOLDS[op](value, bound),
+                   _margin(value, op, bound))
+                  for name, (value, op, bound) in self.checks.items()]
+        name, value, bound, _, margin = max(
+            graded, key=lambda g: (not g[3], -math.inf if g[4] is None else g[4]))
+        return {"ok": self.n_checked > 0 and all(g[3] for g in graded),
+                "n_checked": self.n_checked, "n_skipped": self.n_skipped,
+                "check": name, "worst_err": _finite(value),
+                "bound": _finite(bound), "margin": margin,
+                "stats": {g[0]: _finite(g[1]) for g in graded}}
+
+
+def binet_suite(rng, n: int) -> Suite:
+    """det_h is multiplicative, on the batched kernels pinned to the scalar."""
+    s = Suite(n_checked=n)
+    # components in [-5, 5] keep every entry modulus at most 10
+    comps = rng.uniform(-5.0, 5.0, size=(n, 8, 4))
+    As = comps[:, :4, :].copy()
+    Bs = comps[:, 4:, :].copy()
+    agree = 0.0
+    det_a = det_h_many(As)
+    for i in range(min(n, 100)):
+        A = Mat2H(*(Quaternion(*(float(t) for t in row)) for row in As[i]))
+        agree = max(agree, abs(det_a[i] - det_h(A)) / (1.0 + det_a[i]))
+    lhs = det_h_many(mat_mul_many(As, Bs))
+    rhs = det_h_many(As) * det_h_many(Bs)
+    s.check("scalar_agree", agree, "<=", 1e-12)
+    s.check("worst_rel", np.max(np.abs(lhs - rhs) / (1.0 + rhs), initial=0.0),
+            "<=", 1e-9)
+    return s
+
+
+def inverse_suite(rng, n: int) -> Suite:
+    """A A^-1 = I, and the two Cramer-type inverse forms agree."""
+    s = Suite(n_checked=n)
     ident = Mat2H.identity()
-    for _ in range(iters):
+    worst_ident = worst_forms = 0.0
+    min_det = math.inf
+    for _ in range(n):
         A = smp.random_invertible_matrix(rng, 2.0)
+        min_det = min(min_det, det_h(A))
         P = A @ inverse(A)
-        worst = max(worst, max(abs(p - q) for p, q in zip(P, ident)))
-    return _suite(worst, 1e-8, iters)
+        worst_ident = max(worst_ident, max(abs(p - e) for p, e in zip(P, ident)))
+        forms = zip(inverse_form_a(A), inverse_form_b(A))
+        worst_forms = max(worst_forms, max(abs(p - q) for p, q in forms))
+    s.check("min_det", min_det, ">", 1e-3)
+    s.check("worst_identity", worst_ident, "<=", 1e-8)
+    s.check("worst_forms", worst_forms, "<=", 1e-8)
+    return s
 
 
-def homomorphism_suite(rng, iters: int) -> dict:
+def homomorphism_suite(rng, n: int) -> Suite:
+    """The induced maps compose as their matrices, at 8 probes per pair away
+    from both poles, and exactly the rank-one matrices induce constants."""
+    s = Suite()
     worst = 0.0
-    for _ in range(iters):
+    for _ in range(n):
         A = smp.random_invertible_matrix(rng, 2.0)
         B = smp.random_invertible_matrix(rng, 2.0)
         AB = A @ B
-        for _ in range(4):
+        probes = 0
+        while probes < 8:
             q = smp.random_quaternion(rng, 2.0)
-            lhs = apply(AB, q)
-            step = apply(B, q)
-            if not isinstance(step, Quaternion):
+            # both stages stay away from their poles, so no side is infinite
+            step = apply(B, q) if abs(B.c * q + B.d) >= 0.1 else None
+            if step is None or abs(A.c * step + A.d) < 0.1:
+                s.n_skipped += 1
                 continue
             rhs = apply(A, step)
-            if isinstance(lhs, Quaternion) and isinstance(rhs, Quaternion):
-                worst = max(worst, abs(lhs - rhs) / (1.0 + abs(rhs)))
-    return _suite(worst, 1e-8, iters)
+            worst = max(worst, abs(apply(AB, q) - rhs) / (1.0 + abs(rhs)))
+            probes += 1
+    misflagged = 0
+    for _ in range(3 * n // 10):
+        c = smp.random_quaternion(rng, 2.0)
+        d = smp.random_quaternion(rng, 2.0)
+        while max(abs(c), abs(d)) < 0.2:
+            s.n_skipped += 1
+            c = smp.random_quaternion(rng, 2.0)
+            d = smp.random_quaternion(rng, 2.0)
+        k = smp.random_quaternion(rng, 2.0)
+        misflagged += not is_constant(Mat2H(k * c, k * d, c, d))
+        misflagged += is_constant(smp.random_invertible_matrix(rng, 2.0))
+    s.n_checked = 8 * n + 3 * n // 10
+    s.check("worst_rel", worst, "<=", 1e-8)
+    s.check("misflagged", misflagged, "<=", 0)
+    return s
 
 
-def cross_ratio_suite(rng, iters: int) -> dict:
+def cross_ratio_suite(rng, n: int) -> Suite:
+    """Translation, dilation, rotation and inversion laws of the
+    cross-ratio, and real cross-ratio if and only if concyclic."""
+    s = Suite()
     worst = 0.0
-    for _ in range(iters):
+    for _ in range(n):
         pts = smp.random_separated_points(rng, 4, min_norm=0.15)
         cr = cross_ratio(*pts)
+        denom = 1.0 + abs(cr)
+        b = smp.random_quaternion(rng, 2.0)
+        worst = max(worst, abs(cross_ratio(*(p + b for p in pts)) - cr) / denom)
+        lam = float(rng.uniform(0.2, 3.0))
+        worst = max(worst, abs(cross_ratio(*(p * lam for p in pts)) - cr) / denom)
         a = smp.random_unit_quaternion(rng)
         rot = cross_ratio(*(a * p for p in pts))
-        worst = max(worst, abs(rot - a * cr * a.conj()) / (1.0 + abs(cr)))
+        worst = max(worst, abs(rot - a * cr * a.conj()) / denom)
         inv = cross_ratio(*(p.inverse() for p in pts))
-        q3 = pts[2]
-        expected = q3.inverse() * cr * q3
-        worst = max(worst, abs(inv - expected) / (1.0 + abs(cr)))
-    return _suite(worst, 1e-9, iters)
-
-
-def concyclic_suite(rng, iters: int) -> dict:
+        worst = max(worst, abs(inv - pts[2].inverse() * cr * pts[2]) / denom)
     bad = 0
-    for _ in range(iters):
+    done = 0
+    while done < n:
         point = smp.random_circle(rng)
         angles = sorted(rng.uniform(0.0, 2.0 * math.pi, size=4))
-        if min(b - a for a, b in zip(angles, angles[1:])) < 0.05:
+        if min(t2 - t1 for t1, t2 in zip(angles, angles[1:])) < 0.05:
+            s.n_skipped += 1
             continue
         qs = [point(t) for t in angles]
-        if not is_concyclic(*qs, tol=1e-7):
-            bad += 1
+        cr = cross_ratio(*qs)
+        bad += not is_concyclic(*qs, tol=1e-7)
+        bad += cr.im_norm() > 1e-7 * (1.0 + abs(cr))
+        done += 1
+    for _ in range(n):
         generic = smp.random_separated_points(rng, 4)
         cr = cross_ratio(*generic)
-        if cr.im_norm() > 1e-6 * (1.0 + abs(cr)) and is_concyclic(*generic, tol=1e-9):
-            bad += 1
-    return _suite(float(bad), 0.0, iters)
+        has_im = cr.im_norm() > 1e-6 * (1.0 + abs(cr))
+        bad += has_im and is_concyclic(*generic, tol=1e-9)
+        bad += not has_im and not is_concyclic(*generic, tol=1e-5)
+    s.n_checked = 3 * n
+    s.check("worst_rel", worst, "<=", 1e-9)
+    s.check("concyclic_mismatches", bad, "<=", 0)
+    return s
 
 
-def quadric_suite(rng, iters: int) -> dict:
+def quadric_suite(rng, n: int) -> Suite:
+    """A generator carries a point of a sphere or 3-plane onto the pushed
+    forward quadric."""
+    s = Suite()
     bad = 0
-    for _ in range(iters):
+    while s.n_checked < n:
         if rng.uniform() < 0.5:
             Q, c, r = smp.random_sphere_quadric(rng)
             p = smp.random_point_on_sphere(rng, c, r)
         else:
             Q = smp.random_plane_quadric(rng)
             p = smp.random_point_on_plane(rng, Q)
-        g = _random_generator(rng)
+        k = int(rng.integers(0, 4))
+        g = (Translation(smp.random_quaternion(rng, 1.5)) if k == 0
+             else Rotation(smp.random_unit_quaternion(rng)) if k == 1
+             else Dilation(float(rng.uniform(0.2, 3.0))) if k == 2 else Inversion())
         image = apply_generator(g, p)
         if not isinstance(image, Quaternion):
+            s.n_skipped += 1
             continue
-        if not on_quadric(image, transform_quadric(g, Q), tol=1e-7):
-            bad += 1
-    return _suite(float(bad), 0.0, iters)
+        bad += not on_quadric(image, transform_quadric(g, Q), tol=1e-7)
+        s.n_checked += 1
+    s.check("off_quadric", bad, "<=", 0)
+    return s
 
 
-def _random_generator(rng):
-    from .flt import Dilation, Inversion, Rotation, Translation
-    k = rng.integers(0, 4)
-    if k == 0:
-        return Translation(smp.random_quaternion(rng, 1.5))
-    if k == 1:
-        return Rotation(smp.random_unit_quaternion(rng))
-    if k == 2:
-        return Dilation(float(rng.uniform(0.2, 3.0)))
-    return Inversion()
+def spots_suite(rng, n: int) -> Suite:
+    """Pinned values of the distance, the cross-ratio, the canonical
+    determinant and the metric; neither rng nor n is used."""
+    s = Suite(n_checked=6)
+    half = Quaternion(0.5, 0.0, 0.0, 0.0)
+    s.check("distance", abs(distance_disc(ZERO, half) - 0.5 * math.log(3.0)),
+            "<=", 1e-12)
+    cr = cross_ratio(ZERO, half, ONE, Quaternion(-1.0, 0.0, 0.0, 0.0))
+    s.check("cross_ratio", abs(cr - 3.0), "<=", 1e-12)
+    canon = [abs(canonical_det_check(MobiusCanonical(ONE, ONE, q0)) - expect)
+             for q0, expect in [(ZERO, 1.0), (half, 0.75),
+                                (Quaternion(0.0, 0.6, 0.0, 0.0), 0.64)]]
+    s.check("canonical", max(canon), "<=", 1e-12)
+    s.check("metric", abs(metric_halfspace(ONE, ONE) - 0.5), "<=", 1e-12)
+    return s
 
 
-def distance_suite(rng, iters: int) -> dict:
-    worst = 0.0
-    for _ in range(iters):
+def distance_suite(rng, n: int) -> Suite:
+    """The ball group and conjugation preserve the distance, and the ball
+    group the metric (by a central difference)."""
+    s = Suite(n_checked=n)
+    worst_dist = worst_conj = worst_fd = 0.0
+    h = 1e-6
+    for _ in range(n):
         g = FLT(smp.random_sp11(rng))
-        p = smp.random_ball_point(rng)
-        q = smp.random_ball_point(rng)
+        p = smp.random_ball_point(rng, 0.85)
+        q = smp.random_ball_point(rng, 0.85)
         d = distance_disc(p, q)
-        worst = max(worst, abs(distance_disc(g(p), g(q)) - d) / (1.0 + d))
-        r = smp.random_ball_point(rng)
-        slack = distance_disc(p, q) + distance_disc(q, r) - distance_disc(p, r)
-        worst = max(worst, max(0.0, -slack))
-    return _suite(worst, 1e-9, iters)
+        worst_dist = max(worst_dist, abs(distance_disc(g(p), g(q)) - d) / (1.0 + d))
+        worst_conj = max(worst_conj,
+                         abs(distance_disc(p.conj(), q.conj()) - d) / (1.0 + d))
+        base = smp.random_ball_point(rng, 0.8)
+        v = smp.random_unit_quaternion(rng)
+        push = (g(base + v * h) - g(base - v * h)) * (1.0 / (2.0 * h))
+        rhs = metric_disc(base, v)
+        worst_fd = max(worst_fd, abs(metric_disc(g(base), push) - rhs) / (1.0 + rhs))
+    s.check("worst_distance", worst_dist, "<=", 1e-9)
+    s.check("worst_conjugation", worst_conj, "<=", 1e-9)
+    s.check("worst_metric_fd", worst_fd, "<=", 1e-5)
+    return s
 
 
-def integrated_suite(rng, iters: int) -> dict:
+def integrated_suite(rng, n: int) -> Suite:
+    """The integrated length of a 10,000-sample geodesic is the distance."""
+    s = Suite(n_checked=n)
+    pairs = []
+    while len(pairs) < n:
+        p = smp.random_ball_point(rng, 0.85)
+        q = smp.random_ball_point(rng, 0.85)
+        if distance_disc(p, q) >= 0.05:
+            pairs.append((p, q))
+        else:
+            s.n_skipped += 1
+    # the list and rows variants must agree before the bulk pass is trusted
+    agree = 0.0
+    for p, q in pairs[:1]:
+        agree = abs(integrated_length_disc(geodesic_sample(p, q, 500))
+                    - integrated_length_disc(geodesic_sample_rows(p, q, 500)))
     worst = 0.0
-    for _ in range(min(iters, 20)):
-        p = smp.random_ball_point(rng)
-        q = smp.random_ball_point(rng)
-        if abs(p - q) < 1e-3:
-            continue
+    for p, q in pairs:
+        length = integrated_length_disc(geodesic_sample_rows(p, q, 10_000))
         d = distance_disc(p, q)
-        approx = integrated_length_disc(geodesic_sample(p, q, 2000))
-        worst = max(worst, abs(approx - d) / (1.0 + d))
-    return _suite(worst, 1e-5, min(iters, 20))
+        worst = max(worst, abs(length - d) / d)
+    s.check("rows_agree", agree, "<=", 1e-12)
+    s.check("worst_rel", worst, "<=", 1e-5)
+    return s
 
 
-def cayley_suite(rng, iters: int) -> dict:
-    worst = 0.0
-    for _ in range(iters):
-        p = smp.random_ball_point(rng)
-        q = smp.random_ball_point(rng)
-        if abs(p - q) < 1e-6:
-            continue
+def cayley_suite(rng, n: int) -> Suite:
+    """The Cayley map: spot values, isometry from the ball onto the
+    half-space, and conjugation between the two groups both ways."""
+    s = Suite()
+    s.check("spot_zero", abs(cayley(ZERO) - ONE), "<=", 1e-12)
+    s.check("spot_one_finite", not is_infinity(cayley(ONE)), "<=", 0)
+    s.check("spot_half_i", abs(cayley(Quaternion(0.0, 0.5, 0.0, 0.0))
+                               - Quaternion(0.6, 0.8, 0.0, 0.0)), "<=", 1e-12)
+    worst_iso = 0.0
+    for _ in range(n):
+        p = smp.random_ball_point(rng, 0.9)
+        q = smp.random_ball_point(rng, 0.9)
         d = distance_disc(p, q)
         w = distance_halfspace(cayley(p), cayley(q))
-        worst = max(worst, abs(w - d) / (1.0 + d))
-    return _suite(worst, 1e-9, iters)
+        worst_iso = max(worst_iso, abs(w - d) / (1.0 + d))
+    worst_conj = 0.0
+    for _ in range(n // 2):
+        A = smp.random_sp11(rng)
+        N = cayley_conjugate_inv(A)
+        w = smp.random_halfspace_point(rng)
+        rhs = cayley(apply(A, cayley_inv(w)))
+        worst_conj = max(worst_conj, abs(apply(N, w) - rhs) / (1.0 + abs(rhs)))
+        back = zip(cayley_conjugate(N), A)
+        worst_conj = max(worst_conj, max(abs(x - y) for x, y in back))
+        B = smp.random_slhplus(rng)
+        M = cayley_conjugate(B)
+        p = smp.random_ball_point(rng, 0.9)
+        rhs = cayley_inv(apply(B, cayley(p)))
+        worst_conj = max(worst_conj, abs(apply(M, p) - rhs) / (1.0 + abs(rhs)))
+        back = zip(cayley_conjugate_inv(M), B)
+        worst_conj = max(worst_conj, max(abs(x - y) for x, y in back))
+    s.n_checked = 3 + n + n // 2
+    s.check("worst_isometry", worst_iso, "<=", 1e-9)
+    s.check("worst_conjugation", worst_conj, "<=", 1e-9)
+    return s
 
 
-def kobayashi_suite(rng, iters: int) -> dict:
+def _modulus_gap(a: complex, b: complex) -> float:
+    return poincare_image_modulus_sq(a, b) - kobayashi_image_modulus_sq(a, b)
+
+
+def kobayashi_suite(rng, n: int) -> Suite:
+    """The quaternionic image modulus exceeds the Kobayashi one off the
+    axes by the closed-form gap and equals it on them, so the two metrics
+    are not isometric; every modulus call also checks its closed form
+    against an automorphism at 1e-10, and random phases keep that busy."""
+    s = Suite()
+    report = non_isometry_witness(grid=20)
+    wit = report["witness"]
+    s.check("Q_err", abs(wit["Q"] - 0.4705882), "<=", 1e-6)
+    s.check("C_err", abs(wit["C"] - 0.4375), "<=", 1e-6)
+    s.check("witness_exact", max(abs(wit["Q"] - 8.0 / 17.0), abs(wit["C"] - 0.4375)),
+            "<=", 1e-9)
+    s.check("gap", wit["gap"], ">", 0.03)
+    s.check("grid_max_gap", report["grid_max_gap"], ">=", wit["gap"] - 1e-12)
+    min_phase_gap = math.inf
+    worst_formula = 0.0
+    for _ in range(n):
+        a = float(rng.uniform(0.0, 0.95)) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
+        b = float(rng.uniform(0.0, 0.95)) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
+        gap = _modulus_gap(a, b)
+        min_phase_gap = min(min_phase_gap, gap)
+        a2, b2 = abs(a) ** 2, abs(b) ** 2
+        formula = a2 * b2 * (1.0 - a2) * (1.0 - b2) / (1.0 + a2 * b2)
+        worst_formula = max(worst_formula, abs(gap - formula))
+    axis = [float(t) for t in np.linspace(0.0, 0.9, 19)]
+    worst_axis = max(abs(_modulus_gap(a, b))
+                     for t in axis for a, b in ((t, 0.0), (0.0, t)))
+    grid = [float(t) for t in np.linspace(0.1, 0.9, 9)]
+    min_gap = min(_modulus_gap(a, b) for a in grid for b in grid)
+    s.n_checked = 1 + n + 2 * len(axis) + len(grid) ** 2
+    s.check("min_phase_gap", min_phase_gap, ">=", -1e-12)
+    s.check("worst_gap_formula", worst_formula, "<=", 1e-10)
+    s.check("worst_axis", worst_axis, "<=", 1e-12)
+    s.check("min_offaxis_gap", min_gap, ">", 0.0)
+    return s
+
+
+def triangle_suite(rng, n: int) -> Suite:
+    """The ball distance satisfies the triangle inequality."""
+    s = Suite(n_checked=n)
+    worst_slack = 0.0
+    for _ in range(n):
+        a = smp.random_ball_point(rng, 0.95)
+        b = smp.random_ball_point(rng, 0.95)
+        c = smp.random_ball_point(rng, 0.95)
+        slack = distance_disc(a, b) + distance_disc(b, c) - distance_disc(a, c)
+        worst_slack = min(worst_slack, slack)
+    s.check("worst_slack", worst_slack, ">=", -1e-9)
+    return s
+
+
+def conformal_suite(rng, n: int) -> Suite:
+    """J^T J of an induced map is a multiple of the identity."""
+    s = Suite()
     worst = 0.0
-    report = non_isometry_witness(grid=10)
-    worst = max(worst, abs(report["witness"]["Q"] - 8.0 / 17.0))
-    worst = max(worst, abs(report["witness"]["C"] - 0.4375))
-    for _ in range(iters):
-        a = complex(rng.uniform(0.0, 0.95), 0.0)
-        b = complex(rng.uniform(0.0, 0.95), 0.0)
-        gap = poincare_image_modulus_sq(a, b) - kobayashi_image_modulus_sq(a, b)
-        worst = max(worst, max(0.0, -gap))
-    return _suite(worst, 1e-9, iters)
-
-
-def conformal_suite(rng, iters: int) -> dict:
-    import numpy as np
-    worst = 0.0
-    done = 0
-    while done < iters:
-        f = FLT(smp.random_invertible_matrix(rng, 1.5, min_det_rel=0.1))
+    while s.n_checked < n:
+        A = normalize(smp.random_invertible_matrix(rng, 1.5))
         q = smp.random_quaternion(rng, 1.5)
-        a, b, c, d = f.matrix
-        if abs(c * q + d) < 0.3:
+        if abs(A.c * q + A.d) < 0.4:
+            s.n_skipped += 1
             continue
-        J = jacobian(f, q)
-        G = J.T @ J
-        lam = np.trace(G) / 4.0
-        worst = max(worst, float(np.max(np.abs(G - lam * np.eye(4)))))
-        done += 1
-    return _suite(worst, 1e-4, iters)
+        J = jacobian(FLT(A), q)
+        M = J.T @ J
+        lam2 = float(np.trace(M)) / 4.0
+        worst = max(worst, float(np.max(np.abs(M - lam2 * np.eye(4)))))
+        s.n_checked += 1
+    s.check("worst_offscale", worst, "<=", 1e-4)
+    return s
 
 
-def constant_suite(rng, iters: int) -> dict:
-    bad = 0
-    for _ in range(iters):
-        c = smp.random_quaternion(rng, 2.0)
-        d = smp.random_quaternion(rng, 2.0)
-        k = smp.random_quaternion(rng, 2.0)
-        if abs(c) < 0.05 and abs(d) < 0.05:
-            continue
-        singular = Mat2H(k * c, k * d, c, d)
-        if not is_constant(singular, tol=1e-7):
-            bad += 1
-        A = smp.random_invertible_matrix(rng, 2.0)
-        if is_constant(A):
-            bad += 1
-    return _suite(float(bad), 0.0, iters)
-
-
-def sp11_suite(rng, iters: int) -> dict:
-    bad = 0
-    for _ in range(iters):
+def sp11_suite(rng, n: int) -> Suite:
+    """Canonical ball maps are tagged Sp(1,1) and keep the ball."""
+    s = Suite(n_checked=n)
+    untagged = left = 0
+    for _ in range(n):
         M = smp.random_sp11(rng)
-        if GroupTag.SP11 not in classify(M, tol=1e-7):
-            bad += 1
-        g = FLT(M)
-        p = smp.random_ball_point(rng)
-        if abs(g(p)) >= 1.0:
-            bad += 1
-    return _suite(float(bad), 0.0, iters)
+        untagged += GroupTag.SP11 not in classify(M, tol=1e-7)
+        left += abs(FLT(M)(smp.random_ball_point(rng))) >= 1.0
+    s.check("untagged", untagged, "<=", 0)
+    s.check("left_ball", left, "<=", 0)
+    return s
 
 
-ALL_SUITES = {
+SUITES = {
     "binet": binet_suite,
     "inverse": inverse_suite,
     "homomorphism": homomorphism_suite,
-    "constant": constant_suite,
     "cross_ratio": cross_ratio_suite,
-    "concyclic": concyclic_suite,
     "quadric": quadric_suite,
-    "sp11": sp11_suite,
+    "spots": spots_suite,
     "distance": distance_suite,
     "integrated": integrated_suite,
     "cayley": cayley_suite,
     "kobayashi": kobayashi_suite,
+    "triangle": triangle_suite,
     "conformal": conformal_suite,
+    "sp11": sp11_suite,
 }
 
 
 def run_all(seed: int = 0, iters: int = 200) -> dict:
     rng = smp.make_rng(seed)
-    suites = {}
-    for name, fn in ALL_SUITES.items():
-        suites[name] = fn(rng, iters)
+    size = max(iters, 0)
+    suites = {name: fn(rng, size).report() for name, fn in SUITES.items()}
     return {"ok": all(s["ok"] for s in suites.values()),
             "seed": seed, "iters": iters, "suites": suites}

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qmobius import cli
-from qmobius.quat import get_tolerance, set_tolerance
+from qmobius.quat import get_tolerance
 
 IDENT = "[[1,0,0,0],[0,0,0,0],[0,0,0,0],[1,0,0,0]]"
 BOOST = "[[1,0,0,0],[0,1,0,0],[0,0,1,0],[0,0,0,1]]"  # [[1, i], [j, k]]
@@ -183,6 +183,10 @@ def test_selftest(capsys):
     assert data["seed"] == 3
     assert set(data["suites"]) >= {"binet", "inverse", "cross_ratio",
                                     "distance", "kobayashi"}
+    for suite in data["suites"].values():
+        assert {"ok", "n_checked", "n_skipped", "worst_err", "bound",
+                "margin"} <= set(suite)
+        assert suite["ok"] is True and suite["n_checked"] > 0
 
 
 # -- determinism and configuration --------------------------------------
@@ -204,13 +208,11 @@ def test_seed_env_default(capsys, monkeypatch):
 
 def test_tol_flag_changes_comparisons(capsys):
     base = get_tolerance()
-    try:
-        code, data = invoke_json(capsys, "--tol", "0.5", "classify",
-                                 "[[1,0,0,0],[0.1,0,0,0],[0,0,0,0],[1,0,0,0]]")
-        assert code == 0
-        assert "Sp11" in data["tags"]  # sloppy tolerance accepts the perturbation
-    finally:
-        set_tolerance(*base)
+    code, data = invoke_json(capsys, "--tol", "0.5", "classify",
+                             "[[1,0,0,0],[0.1,0,0,0],[0,0,0,0],[1,0,0,0]]")
+    assert code == 0
+    assert "Sp11" in data["tags"]  # sloppy tolerance accepts the perturbation
+    assert get_tolerance() == base  # the flag stays inside its call
     code, data = invoke_json(capsys, "classify",
                              "[[1,0,0,0],[0.1,0,0,0],[0,0,0,0],[1,0,0,0]]")
     assert code == 0
@@ -244,6 +246,7 @@ def test_selftest_with_no_iterations_fails(capsys):
     code, data = invoke_json(capsys, "selftest", "--iters", "0")
     assert code == 1
     assert data["ok"] is False
+    assert data["suites"]["binet"]["n_checked"] == 0
 
 
 @pytest.mark.parametrize("entry", ["NaN", "Infinity", "-Infinity", "1e400"])
@@ -275,6 +278,22 @@ def invoke_quiet(capsys, *argv):
     return code, json.loads(captured.out)
 
 
+@pytest.mark.parametrize("mat, det", [
+    ("[[1e100,0,0,0],[0,0,0,0],[0,0,0,0],[1e100,0,0,0]]", 1e200),
+    ("[[1e-100,0,0,0],[0,0,0,0],[0,0,0,0],[1e-100,0,0,0]]", 1e-200),
+    ("[[1e200,0,0,0],[0,0,0,0],[0,0,0,0],[1e-200,0,0,0]]", 1),
+])
+def test_det_beyond_squared_norm_range_stays_finite(capsys, mat, det):
+    assert invoke_quiet(capsys, "det", mat) == (0, {"det": det})
+
+
+def test_inverse_of_a_tiny_diagonal_matrix(capsys):
+    code, data = invoke_quiet(capsys, "inv",
+                              "[[1e-100,0,0,0],[0,0,0,0],[0,0,0,0],[1e-100,0,0,0]]")
+    assert (code, data) == (0, {"matrix": [[1e100, 0, 0, 0], [0, 0, 0, 0],
+                                           [0, 0, 0, 0], [1e100, 0, 0, 0]]})
+
+
 def test_overflowing_det_is_a_domain_error(capsys):
     code, data = invoke_quiet(capsys, "det",
                               "[[1e200,0,0,0],[0,0,0,0],[0,0,0,0],[1e200,0,0,0]]")
@@ -288,10 +307,17 @@ def test_huge_halfspace_points_keep_a_finite_distance(capsys):
     assert (code, data) == (0, {"distance": 0.4812118})
 
 
-def test_overflowing_distance_is_a_domain_error(capsys):
+def test_distance_whose_quotient_overflows_stays_finite(capsys):
+    # asinh x = log 2x there, taken in logs
     code, data = invoke_quiet(capsys, "distance", "--halfspace",
                               "[1e-300,0,0,0]", "[1e-300,1e200,0,0]")
-    assert (code, data["error"]) == (1, "NonFiniteResult")
+    assert (code, data) == (0, {"distance": 1151.293})
+
+
+@pytest.mark.parametrize("grid", ["1", "0", "-3"])
+def test_witness_grid_below_two_is_a_domain_error(capsys, grid):
+    code, data = invoke_quiet(capsys, "kobayashi-witness", "--grid", grid)
+    assert (code, data["error"]) == (1, "TooFewSamples")
 
 
 @pytest.mark.parametrize("entry", ['"nan"', '"1"', "true", "false", "null", "[0]"])

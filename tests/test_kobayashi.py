@@ -7,6 +7,7 @@ import pytest
 
 from qmobius.errors import OutOfDomain
 from qmobius.kobayashi import (
+    ball_automorphism,
     from_c2,
     kobayashi_from_origin,
     kobayashi_image_modulus_sq,
@@ -135,3 +136,17 @@ def test_gap_positive_off_the_axes():
             expected = a2 * b2 * (1.0 - a2) * (1.0 - b2) / (1.0 + a2 * b2)
             assert gap == pytest.approx(expected, rel=1e-9, abs=1e-15)
             assert gap > 0.0
+
+
+# -- the complex-ball automorphism ---------------------------------------
+
+
+def test_ball_automorphism_swaps_a_and_zero_and_is_an_involution():
+    rng = make_rng(84)
+    for _ in range(200):
+        a = to_c2(random_ball_point(rng, 0.95))
+        z = to_c2(random_ball_point(rng, 0.95))
+        assert max(abs(c) for c in ball_automorphism(a, a)) <= 1e-14
+        assert max(abs(c - d) for c, d in zip(ball_automorphism(a, (0j, 0j)), a)) <= 1e-15
+        back = ball_automorphism(a, ball_automorphism(a, z))
+        assert max(abs(c - d) for c, d in zip(back, z)) <= 1e-13
