@@ -28,7 +28,7 @@ from .hypgeo import (GeodesicDisc, GeodesicHalfspace, cayley, cayley_inv,
                      geodesic_halfspace, geodesic_sample,
                      integrated_length_disc, metric_disc, metric_halfspace,
                      normalizing_map, samples_to_csv, samples_to_json)
-from .kobayashi import (ball_automorphism, from_c2, kobayashi_from_origin,
+from .kobayashi import (from_c2, kobayashi_from_origin,
                         kobayashi_image_modulus_sq, non_isometry_witness,
                         poincare_image_modulus_sq, to_c2)
 

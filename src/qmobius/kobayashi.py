@@ -91,7 +91,13 @@ def poincare_image_modulus_sq(alpha: complex, beta: complex) -> float:
 def kobayashi_image_modulus_sq(alpha: complex, beta: complex) -> float:
     """|phi(0, beta)|^2 for the complex-ball automorphism phi centered at
     (alpha, 0), checked against ball_automorphism as
-    poincare_image_modulus_sq is against the canonical map."""
+    poincare_image_modulus_sq is against the canonical map.
+
+    (0, beta) is orthogonal to (alpha, 0), so the projection term of
+    ball_automorphism vanishes there; the image has <image, a> = |alpha|^2,
+    and mapping it back to (0, beta) checks the projection term too.  The
+    way back divides by 1 - |alpha|^2, so its error is weighed by that.
+    """
     alpha = complex(alpha)
     beta = complex(beta)
     _check_unit_disc(alpha, "alpha")
@@ -99,11 +105,15 @@ def kobayashi_image_modulus_sq(alpha: complex, beta: complex) -> float:
     a2 = abs(alpha) ** 2
     b2 = abs(beta) ** 2
     closed = a2 + (1.0 - a2) * b2
-    z, w = ball_automorphism((alpha, 0j), (0j, beta))
-    direct = abs(z) ** 2 + abs(w) ** 2
+    image = ball_automorphism((alpha, 0j), (0j, beta))
+    direct = abs(image[0]) ** 2 + abs(image[1]) ** 2
     if abs(direct - closed) > _AGREE:
         raise InternalNumericError(
             f"direct evaluation {direct} disagrees with closed form {closed}")
+    z, w = ball_automorphism((alpha, 0j), image)
+    if max(abs(z), abs(w - beta)) * (1.0 - a2) > _AGREE:
+        raise InternalNumericError(
+            f"the automorphism maps its image back to {(z, w)}, not (0, {beta})")
     return closed
 
 

@@ -12,7 +12,6 @@ matrices.  For real or complex entries it reduces to |ad - bc|.
 from __future__ import annotations
 
 import math
-import sys
 from enum import Enum
 from typing import NamedTuple
 
@@ -66,23 +65,31 @@ class Mat2H(NamedTuple):
         return cls(*(Quaternion.from_json(entry) for entry in data))
 
 
-# squared-norm sums outside this range have lost digits or overflowed
+# squared-norm sums below this have lost digits to underflow
 _RAD_TINY = 2.0 ** -900
-_RAD_HUGE = sys.float_info.max
+
+
+def _row_exponent(p: Quaternion, q: Quaternion) -> int:
+    """e with 2^(e-1) <= the largest component modulus of the row < 2^e."""
+    return math.frexp(max(abs(x) for x in (*p, *q)))[1]
+
+
+def _ldexp_q(q: Quaternion, e: int) -> Quaternion:
+    return Quaternion(*(math.ldexp(x, e) for x in q))
 
 
 def det_h(A: Mat2H) -> float:
     """Dieudonne determinant; multiplicative and zero iff A is singular."""
     a, b, c, d = A
     t = a.norm_sq() * d.norm_sq() + c.norm_sq() * b.norm_sq()
-    if not _RAD_TINY <= t <= _RAD_HUGE:
+    if not _RAD_TINY <= t < math.inf:
         # every radicand term takes one factor from each row, so scaling
-        # row i by 2^-e_i is exact and scales det_h by 2^-(e_1 + e_2)
-        e1 = math.frexp(max(abs(a), abs(b)))[1]
-        e2 = math.frexp(max(abs(c), abs(d)))[1]
+        # row i by 2^-e_i is exact and scales det_h by 2^-(e_1 + e_2); the
+        # components are scaled directly, since 2^-e_i may not be a float
+        e1, e2 = _row_exponent(a, b), _row_exponent(c, d)
         if e1 or e2:  # the balanced matrix has e1 = e2 = 0: no deeper call
-            s1, s2 = math.ldexp(1.0, -e1), math.ldexp(1.0, -e2)
-            balanced = det_h(Mat2H(a * s1, b * s1, c * s2, d * s2))
+            balanced = det_h(Mat2H(_ldexp_q(a, -e1), _ldexp_q(b, -e1),
+                                   _ldexp_q(c, -e2), _ldexp_q(d, -e2)))
             try:
                 return math.ldexp(balanced, e1 + e2)
             except OverflowError:
@@ -185,14 +192,11 @@ def inverse(A: Mat2H) -> Mat2H:
     scale = A.entry_scale()
     if det_h(A) <= SINGULAR_REL * scale * scale:
         raise Singular(f"matrix with det_h {det_h(A)} is numerically singular")
-    atol, _ = _tols(None)
-    # relative to the entries, so that a tiny but well-conditioned matrix
-    # still has a pivot
-    if abs(A.a) > atol * scale:
+    # pivot on the larger entry of the first row: scale-invariant, and
+    # that entry is nonzero past the gate
+    if abs(A.a) >= abs(A.b):
         return inverse_form_a(A)
-    if abs(A.b) > atol * scale:
-        return inverse_form_b(A)
-    raise Singular("first row vanishes, so det_h = 0")  # unreachable past the gate
+    return inverse_form_b(A)
 
 
 def normalize(A: Mat2H) -> Mat2H:

@@ -88,7 +88,7 @@ def binet_suite(rng, n: int) -> Suite:
         A = Mat2H(*(Quaternion(*(float(t) for t in row)) for row in As[i]))
         agree = max(agree, abs(det_a[i] - det_h(A)) / (1.0 + det_a[i]))
     lhs = det_h_many(mat_mul_many(As, Bs))
-    rhs = det_h_many(As) * det_h_many(Bs)
+    rhs = det_a * det_h_many(Bs)
     s.check("scalar_agree", agree, "<=", 1e-12)
     s.check("worst_rel", np.max(np.abs(lhs - rhs) / (1.0 + rhs), initial=0.0),
             "<=", 1e-9)
@@ -143,8 +143,10 @@ def homomorphism_suite(rng, n: int) -> Suite:
             c = smp.random_quaternion(rng, 2.0)
             d = smp.random_quaternion(rng, 2.0)
         k = smp.random_quaternion(rng, 2.0)
-        misflagged += not is_constant(Mat2H(k * c, k * d, c, d))
-        misflagged += is_constant(smp.random_invertible_matrix(rng, 2.0))
+        if not is_constant(Mat2H(k * c, k * d, c, d)):
+            misflagged += 1
+        if is_constant(smp.random_invertible_matrix(rng, 2.0)):
+            misflagged += 1
     s.n_checked = 8 * n + 3 * n // 10
     s.check("worst_rel", worst, "<=", 1e-8)
     s.check("misflagged", misflagged, "<=", 0)
@@ -159,16 +161,14 @@ def cross_ratio_suite(rng, n: int) -> Suite:
     for _ in range(n):
         pts = smp.random_separated_points(rng, 4, min_norm=0.15)
         cr = cross_ratio(*pts)
-        denom = 1.0 + abs(cr)
         b = smp.random_quaternion(rng, 2.0)
-        worst = max(worst, abs(cross_ratio(*(p + b for p in pts)) - cr) / denom)
         lam = float(rng.uniform(0.2, 3.0))
-        worst = max(worst, abs(cross_ratio(*(p * lam for p in pts)) - cr) / denom)
         a = smp.random_unit_quaternion(rng)
-        rot = cross_ratio(*(a * p for p in pts))
-        worst = max(worst, abs(rot - a * cr * a.conj()) / denom)
-        inv = cross_ratio(*(p.inverse() for p in pts))
-        worst = max(worst, abs(inv - pts[2].inverse() * cr * pts[2]) / denom)
+        laws = [cross_ratio(*(p + b for p in pts)) - cr,
+                cross_ratio(*(p * lam for p in pts)) - cr,
+                cross_ratio(*(a * p for p in pts)) - a * cr * a.conj(),
+                cross_ratio(*(p.inverse() for p in pts)) - pts[2].inverse() * cr * pts[2]]
+        worst = max(worst, max(abs(e) for e in laws) / (1.0 + abs(cr)))
     bad = 0
     done = 0
     while done < n:
@@ -179,19 +179,34 @@ def cross_ratio_suite(rng, n: int) -> Suite:
             continue
         qs = [point(t) for t in angles]
         cr = cross_ratio(*qs)
-        bad += not is_concyclic(*qs, tol=1e-7)
-        bad += cr.im_norm() > 1e-7 * (1.0 + abs(cr))
+        if not is_concyclic(*qs, tol=1e-7):
+            bad += 1
+        if cr.im_norm() > 1e-7 * (1.0 + abs(cr)):
+            bad += 1
         done += 1
     for _ in range(n):
         generic = smp.random_separated_points(rng, 4)
         cr = cross_ratio(*generic)
         has_im = cr.im_norm() > 1e-6 * (1.0 + abs(cr))
-        bad += has_im and is_concyclic(*generic, tol=1e-9)
-        bad += not has_im and not is_concyclic(*generic, tol=1e-5)
+        if has_im and is_concyclic(*generic, tol=1e-9):
+            bad += 1
+        if not has_im and not is_concyclic(*generic, tol=1e-5):
+            bad += 1
     s.n_checked = 3 * n
     s.check("worst_rel", worst, "<=", 1e-9)
     s.check("concyclic_mismatches", bad, "<=", 0)
     return s
+
+
+def _random_generator(rng):
+    k = rng.integers(0, 4)
+    if k == 0:
+        return Translation(smp.random_quaternion(rng, 1.5))
+    if k == 1:
+        return Rotation(smp.random_unit_quaternion(rng))
+    if k == 2:
+        return Dilation(float(rng.uniform(0.2, 3.0)))
+    return Inversion()
 
 
 def quadric_suite(rng, n: int) -> Suite:
@@ -206,15 +221,13 @@ def quadric_suite(rng, n: int) -> Suite:
         else:
             Q = smp.random_plane_quadric(rng)
             p = smp.random_point_on_plane(rng, Q)
-        k = int(rng.integers(0, 4))
-        g = (Translation(smp.random_quaternion(rng, 1.5)) if k == 0
-             else Rotation(smp.random_unit_quaternion(rng)) if k == 1
-             else Dilation(float(rng.uniform(0.2, 3.0))) if k == 2 else Inversion())
+        g = _random_generator(rng)
         image = apply_generator(g, p)
         if not isinstance(image, Quaternion):
             s.n_skipped += 1
             continue
-        bad += not on_quadric(image, transform_quadric(g, Q), tol=1e-7)
+        if not on_quadric(image, transform_quadric(g, Q), tol=1e-7):
+            bad += 1
         s.n_checked += 1
     s.check("off_quadric", bad, "<=", 0)
     return s
@@ -405,8 +418,10 @@ def sp11_suite(rng, n: int) -> Suite:
     untagged = left = 0
     for _ in range(n):
         M = smp.random_sp11(rng)
-        untagged += GroupTag.SP11 not in classify(M, tol=1e-7)
-        left += abs(FLT(M)(smp.random_ball_point(rng))) >= 1.0
+        if GroupTag.SP11 not in classify(M, tol=1e-7):
+            untagged += 1
+        if abs(FLT(M)(smp.random_ball_point(rng))) >= 1.0:
+            left += 1
     s.check("untagged", untagged, "<=", 0)
     s.check("left_ball", left, "<=", 0)
     return s

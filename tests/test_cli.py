@@ -282,6 +282,8 @@ def invoke_quiet(capsys, *argv):
     ("[[1e100,0,0,0],[0,0,0,0],[0,0,0,0],[1e100,0,0,0]]", 1e200),
     ("[[1e-100,0,0,0],[0,0,0,0],[0,0,0,0],[1e-100,0,0,0]]", 1e-200),
     ("[[1e200,0,0,0],[0,0,0,0],[0,0,0,0],[1e-200,0,0,0]]", 1),
+    # a subnormal row: its balancing factor 2^1029 is not a float
+    ("[[1e-310,0,0,0],[0,0,0,0],[0,0,0,0],[1,0,0,0]]", 1e-310),
 ])
 def test_det_beyond_squared_norm_range_stays_finite(capsys, mat, det):
     assert invoke_quiet(capsys, "det", mat) == (0, {"det": det})
@@ -330,7 +332,7 @@ def test_non_numeric_entry_is_a_parse_error(capsys, entry):
 
 # -- error contract fuzz -------------------------------------------------
 
-_numbers = st.one_of(st.sampled_from([0.0, 1e200, -1e200, 1e-300, -1e-300]),
+_numbers = st.one_of(st.sampled_from([0.0, 1e200, -1e200, 1e-300, -1e-300, 1e-310, -1e-310]),
                      st.floats(-0.4, 0.4), st.floats(-3.0, 3.0))
 _junk = st.one_of(st.text(max_size=3), st.booleans(), st.none())
 

@@ -259,6 +259,14 @@ def test_inverse_pivots_on_b_when_a_vanishes():
     assert close_mats(A @ Ainv, IDENT, 1e-12)
 
 
+def test_inverse_pivots_on_the_larger_entry_at_small_scale():
+    # a is nonzero but 2e-9 of the entry scale; pivoting on it would cost
+    # about 2e-9 of the residual
+    A = Mat2H(Quaternion(2e-12, 0.0, 0.0, 0.0), Quaternion(1e-3, 0.0, 0.0, 0.0),
+              Quaternion(1e-3, 0.0, 0.0, 0.0), Quaternion(1e-3, 0.0, 0.0, 0.0))
+    assert close_mats(A @ inverse(A), IDENT, 1e-12)
+
+
 # -- normalization -------------------------------------------------------
 
 
