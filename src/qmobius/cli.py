@@ -18,7 +18,6 @@ import math
 import os
 import sys
 
-from . import selftest
 from .errors import GeometryError, NonFiniteResult
 from .crossratio import cross_ratio, is_concyclic
 from .flt import (FLT, apply, decompose_generators, ext_from_json, ext_to_json,
@@ -266,6 +265,7 @@ def _dispatch(args) -> int:
     elif cmd == "kobayashi-witness":
         _emit(non_isometry_witness(grid=args.grid))
     elif cmd == "selftest":
+        from . import selftest
         report = selftest.run_all(seed=args.seed, iters=args.iters)
         _emit(report)
         return 0 if report["ok"] else 1

@@ -12,8 +12,6 @@ import math
 from dataclasses import dataclass
 from typing import Union
 
-import numpy as np
-
 from . import mat2h as _m
 from .errors import (BothZero, CoincidentPoints, ConstraintViolation,
                      NonImaginaryShift, NotSp11, PoleInput, ZeroD)
@@ -273,13 +271,14 @@ _BASIS = (Quaternion(1.0, 0.0, 0.0, 0.0), Quaternion(0.0, 1.0, 0.0, 0.0),
           Quaternion(0.0, 0.0, 1.0, 0.0), Quaternion(0.0, 0.0, 0.0, 1.0))
 
 
-def jacobian(f, q: Quaternion, step: float | None = None) -> np.ndarray:
+def jacobian(f, q: Quaternion, step: float | None = None):
     """Real 4x4 differential of f at q by central finite differences.
 
     Column l holds the derivative along the l-th coordinate direction.
     Conformality of the map shows up as transpose(J) J being a positive
     multiple of the identity.
     """
+    import numpy as np
     if is_infinity(q):
         raise PoleInput("cannot differentiate at the infinite point")
     h = step if step is not None else 1e-6 * (1.0 + abs(q))

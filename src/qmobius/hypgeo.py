@@ -20,8 +20,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .crossratio import cross_ratio
 from .errors import (CoincidentPoints, InternalNumericError, OutOfDomain,
                      TooFewSamples)
@@ -132,7 +130,7 @@ def metric_halfspace(q: Quaternion, tau: Quaternion) -> float:
 # -- sampled geodesics and numeric length ------------------------------
 
 
-def _apply_matrix_to_reals(M: Mat2H, r: np.ndarray) -> tuple:
+def _apply_matrix_to_reals(M: Mat2H, r) -> tuple:
     """Component planes of the images (a r + b)(c r + d)^-1 of the real
     points r."""
     a, b, c, d = M
@@ -142,10 +140,11 @@ def _apply_matrix_to_reals(M: Mat2H, r: np.ndarray) -> tuple:
     return qmul_planes(num, (dw / n2, -dx / n2, -dy / n2, -dz / n2))
 
 
-def geodesic_sample_rows(q1: Quaternion, q2: Quaternion, n: int) -> np.ndarray:
+def geodesic_sample_rows(q1: Quaternion, q2: Quaternion, n: int):
     """Component rows (n, 4) of n points along the line from q1 to q2,
     equally spaced in the invariant distance; endpoints are exact.  Bulk
     consumers can feed the rows straight to integrated_length_disc."""
+    import numpy as np
     if n < 2:
         raise TooFewSamples("need at least two sample points")
     L = normalizing_map(q1, q2)
@@ -167,6 +166,7 @@ def geodesic_sample(q1: Quaternion, q2: Quaternion, n: int) -> list[Quaternion]:
 def integrated_length_disc(path) -> float:
     """Composite-midpoint length of a sampled ball path under the
     invariant line element |dq| / (1 - |q|^2)."""
+    import numpy as np
     arr = np.asarray(path if isinstance(path, np.ndarray)
                      else [tuple(p) for p in path], dtype=float)
     if arr.ndim != 2 or arr.shape[1] != 4:
@@ -213,10 +213,15 @@ def distance_halfspace(q1: Quaternion, q2: Quaternion) -> float:
     _require_halfspace(q1)
     _require_halfspace(q2)
     # sqrt(Re q1) sqrt(Re q2), not sqrt(Re q1 Re q2), which can underflow
-    x = abs(q1 - q2) / (2.0 * math.sqrt(q1.w) * math.sqrt(q2.w))
+    gap = abs(q1 - q2)
+    x = gap / (2.0 * math.sqrt(q1.w) * math.sqrt(q2.w))
     if x == math.inf:
-        # asinh x = log 2x to rounding once x > 2^28; in logs, 2x cannot overflow
-        return math.log(abs(q1 - q2)) - 0.5 * (math.log(q1.w) + math.log(q2.w))
+        # asinh x = log 2x to rounding once x > 2^28; in logs, 2x cannot
+        # overflow, and neither can q1 - q2, taken as 2 (q1/2 - q2/2) where
+        # it does (halving is exact at that scale)
+        log_gap = (math.log(gap) if gap < math.inf else
+                   math.log(2.0) + math.log(abs(q1 * 0.5 - q2 * 0.5)))
+        return log_gap - 0.5 * (math.log(q1.w) + math.log(q2.w))
     return math.asinh(x)
 
 

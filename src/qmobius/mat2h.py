@@ -15,8 +15,6 @@ import math
 from enum import Enum
 from typing import NamedTuple
 
-import numpy as np
-
 from .errors import InternalNumericError, Singular
 from .quat import ONE, ZERO, Quaternion, _tols, isclose
 
@@ -111,12 +109,13 @@ def det_h(A: Mat2H) -> float:
 # (w, x, y, z), computed on contiguous (4, 4, n) component planes
 
 
-def _planes(M: np.ndarray) -> np.ndarray:
+def _planes(M):
     """The planes of a stack; no copy when M is a transposed view of them."""
+    import numpy as np
     return np.ascontiguousarray(M.transpose(1, 2, 0), dtype=float)
 
 
-def _norm_sq(p) -> np.ndarray:
+def _norm_sq(p):
     """|q|^2 of a quaternion given as four component planes."""
     w, x, y, z = p
     return w * w + x * x + y * y + z * z
@@ -132,9 +131,10 @@ def qmul_planes(p, q) -> tuple:
             w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2)
 
 
-def mat_mul_many(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+def mat_mul_many(A, B):
     """Matrix product, entry for entry equal to A @ B; returns a transposed
     view of planes, which det_h_many and mat_mul_many read without a copy."""
+    import numpy as np
     a1, b1, c1, d1 = _planes(A)
     a2, b2, c2, d2 = _planes(B)
     out = np.empty((4, 4, a1.shape[1]))
@@ -145,24 +145,42 @@ def mat_mul_many(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return out.transpose(2, 0, 1)
 
 
-def det_h_many(M: np.ndarray) -> np.ndarray:
-    """det_h of each matrix, with the radicand and the clamp of the scalar."""
-    a, b, c, d = _planes(M)
-    t1 = _norm_sq(a) * _norm_sq(d)
-    t2 = _norm_sq(c) * _norm_sq(b)
+def _det_h_planes(a, b, c, d) -> tuple:
+    """det_h of each matrix given as entry planes, with the radicand and the
+    clamp of the scalar, and the radicand's t = |a|^2|d|^2 + |c|^2|b|^2."""
+    import numpy as np
+    t = _norm_sq(a) * _norm_sq(d) + _norm_sq(c) * _norm_sq(b)
     conj = np.array([[1.0], [-1.0], [-1.0], [-1.0]])
     pw, px, py, pz = qmul_planes(c, a * conj)
     rw, rx, ry, rz = qmul_planes(b, d * conj)
-    rad = t1 + t2 - 2.0 * (pw * rw - px * rx - py * ry - pz * rz)
+    rad = t - 2.0 * (pw * rw - px * rx - py * ry - pz * rz)
     neg = rad < 0.0
     if np.any(neg):
         atol, rtol = _tols(None)
-        bound = atol + rtol * (t1 + t2)
+        bound = atol + rtol * t
         if np.any(-rad[neg] > bound[neg]):
             raise InternalNumericError(
                 "determinant radicand negative beyond tolerance")
         rad = np.where(neg, 0.0, rad)
-    return np.sqrt(rad)
+    return np.sqrt(rad), t
+
+
+def det_h_many(M):
+    """det_h of each matrix, with the radicand, the clamp and the rescue of
+    the scalar; overflow and invalid operations stay silent, as there."""
+    import numpy as np
+    P = _planes(M)
+    with np.errstate(over="ignore", invalid="ignore"):
+        det, t = _det_h_planes(*P)
+        redo = ~((t >= _RAD_TINY) & (t < math.inf))
+        if np.any(redo):
+            # det_h's rescue on those rows: e holds each row's exponent
+            # (rows a, b and c, d), applied to the components by ldexp
+            sub = P[:, :, redo]
+            e = np.frexp(np.abs(sub).reshape(2, 8, -1).max(axis=1))[1]
+            balanced = np.ldexp(sub, -np.repeat(e, 2, axis=0)[:, None, :])
+            det[redo] = np.ldexp(_det_h_planes(*balanced)[0], e.sum(axis=0))
+    return det
 
 
 # Cramer-type inverse formulas amplify rounding roughly with the square of
@@ -226,15 +244,12 @@ CAYLEY = Mat2H(ONE, ONE, -ONE, ONE)
 CAYLEY_INV = Mat2H(ONE, -ONE, ONE, ONE).scalar_mul(0.5)
 
 
-def _form_close(M: Mat2H, target: Mat2H, thr: float) -> bool:
-    return all(abs(p - q) <= thr for p, q in zip(M, target))
-
-
 def classify(A: Mat2H, tol: float | None = None) -> set[GroupTag]:
     """Group memberships of A, as a set of tags.
 
     Membership in the two matrix groups preserving an indefinite form is
-    decided entrywise on conj-transpose(A) * form * A.
+    decided entrywise on conj-transpose(A) * form * A, whose entries are
+    taken in closed form, one of each conjugate pair.
     """
     atol, rtol = _tols(tol)
     tags: set[GroupTag] = set()
@@ -246,16 +261,23 @@ def classify(A: Mat2H, tol: float | None = None) -> set[GroupTag]:
     if isclose(dh, 1.0, tol):
         tags.add(GroupTag.SL2H)
 
-    tc = A.transpose_conj()
+    a, b, c, d = A
+    ac, cc = a.conj(), c.conj()
     thr = atol + rtol * (1.0 + scale * scale)
-    if _form_close(tc @ H_FORM @ A, H_FORM, thr):
+    # against H_FORM = diag(1, -1)
+    if (abs(a.norm_sq() - c.norm_sq() - 1.0) <= thr
+            and abs(ac * b - cc * d) <= thr
+            and abs(b.norm_sq() - d.norm_sq() + 1.0) <= thr):
         tags.add(GroupTag.SP11)
-    if _form_close(tc @ K_FORM @ A, K_FORM, thr):
+    # against K_FORM = antidiag(1, 1)
+    if (abs(2.0 * (cc * a).w) <= thr
+            and abs(cc * b + ac * d - 1.0) <= thr
+            and abs(2.0 * (d.conj() * b).w) <= thr):
         tags.add(GroupTag.SL_HPLUS)
 
     thr1 = atol + rtol * (1.0 + scale)
-    if (abs(A.b) <= thr1 and abs(A.c) <= thr1 and abs(A.a - A.d) <= thr1
-            and A.a.im_norm() <= thr1 and abs(A.a) > atol):
+    if (abs(b) <= thr1 and abs(c) <= thr1 and abs(a - d) <= thr1
+            and a.im_norm() <= thr1 and abs(a) > atol):
         tags.add(GroupTag.CENTER_GL)
         if A.close_to(Mat2H.identity(), tol) or A.close_to(-Mat2H.identity(), tol):
             tags.add(GroupTag.CENTER_SL)

@@ -4,6 +4,9 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -316,6 +319,13 @@ def test_distance_whose_quotient_overflows_stays_finite(capsys):
     assert (code, data) == (0, {"distance": 1151.293})
 
 
+def test_distance_whose_difference_overflows_stays_finite(capsys):
+    # q1 - q2 is 2 (q1/2 - q2/2) there; the distance is log(2e308)
+    code, data = invoke_quiet(capsys, "distance", "--halfspace",
+                              "[1,1e308,0,0]", "[1,-1e308,0,0]")
+    assert (code, data) == (0, {"distance": 709.8894})
+
+
 @pytest.mark.parametrize("grid", ["1", "0", "-3"])
 def test_witness_grid_below_two_is_a_domain_error(capsys, grid):
     code, data = invoke_quiet(capsys, "kobayashi-witness", "--grid", grid)
@@ -347,8 +357,14 @@ def _arrays(item, bad_item):
         _junk]).flatmap(lambda kind: kind)
 
 
+# rows whose components all come from one extreme magnitude, so that a
+# whole row can be subnormal
+_extreme_row = st.sampled_from([1e200, 1e-300, 1e-310]).flatmap(
+    lambda v: st.lists(st.lists(st.sampled_from([0.0, v, -v]), min_size=4, max_size=4),
+                       min_size=2, max_size=2))
 _quats = _arrays(_numbers, _junk)
-_mats = _arrays(st.lists(_numbers, min_size=4, max_size=4), _quats)
+_mats = st.one_of(_arrays(st.lists(_numbers, min_size=4, max_size=4), _quats),
+                  st.tuples(_extreme_row, _extreme_row).map(lambda rows: rows[0] + rows[1]))
 
 
 def _strict_json(text):
@@ -371,3 +387,29 @@ def test_cli_contract_one_document_and_an_exit_code(call):
     data = _strict_json(out.getvalue())
     assert code in (0, 1, 2)
     assert ("error" in data) == (code != 0)
+
+
+# -- cold start ----------------------------------------------------------
+
+_SCALAR_COMMANDS = """
+import contextlib, io, json, sys
+import qmobius, qmobius.cli
+mat = "[[1,0,0,0],[0,1,0,0],[0,0,1,0],[0,0,0,1]]"
+calls = [["det", mat], ["inv", mat], ["classify", mat], ["apply", mat, "[0,0,0,1]"],
+         ["cross-ratio", "[0,0,0,0]", "[1,0,0,0]", "[0,1,0,0]", "[0,0,1,0]"],
+         ["distance", "--disc", "[0,0,0,0]", "[0.5,0,0,0]"],
+         ["distance", "--halfspace", "[1,0,0,0]", "[2,0,0,0]"]]
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [qmobius.cli.run(argv) for argv in calls]
+print(json.dumps({"codes": codes, "numpy": "numpy" in sys.modules}))
+"""
+
+
+def test_scalar_commands_do_not_import_numpy():
+    # a cold process pays about 100 ms for numpy; only selftest, geodesic
+    # and the batched kernels need it
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", _SCALAR_COMMANDS], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert json.loads(out) == {"codes": [0] * 7, "numpy": False}

@@ -1,6 +1,7 @@
 """2x2 quaternionic matrices: determinant laws, inverses, group tags."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from qmobius.mat2h import (
     normalize,
     qmul_planes,
 )
-from qmobius.quat import I, J, K, ONE, ZERO, Quaternion
+from qmobius.quat import I, J, K, ONE, ZERO, Quaternion, get_tolerance
 from qmobius.sampling import (
     make_rng,
     random_invertible_matrix,
@@ -215,6 +216,24 @@ def test_bulk_det_of_product_view_matches_copy_bitwise():
     assert np.array_equal(det_h_many(prod), det_h_many(np.ascontiguousarray(prod)))
 
 
+def test_bulk_det_rescues_rows_beyond_squared_norm_range():
+    # t = |a|^2|d|^2 + |c|^2|b|^2 overflows, underflows, and underflows on
+    # a subnormal row; the last row's det_h overflows, as in the scalar
+    rng = make_rng(22)
+    extreme = [[[1e100, 0, 0, 0], [0] * 4, [0] * 4, [1e100, 0, 0, 0]],
+               [[1e-100, 0, 0, 0], [0] * 4, [0] * 4, [1e-100, 0, 0, 0]],
+               [[1e-310, 0, 0, 0], [0] * 4, [0] * 4, [1, 0, 0, 0]],
+               [[1e200, 0, 0, 0], [0] * 4, [0] * 4, [1e200, 0, 0, 0]]]
+    stack = rng.uniform(-2.0, 2.0, size=(12, 4, 4))
+    stack[1::3] = extreme
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        dets = det_h_many(stack)
+    assert list(dets[1::3]) == [1e200, 1e-200, 1e-310, math.inf]
+    for row, det in zip(stack, dets):
+        assert det == pytest.approx(det_h(as_mat(row)), rel=1e-12, abs=1e-12)
+
+
 # -- inverses ------------------------------------------------------------
 
 
@@ -356,6 +375,43 @@ def test_cayley_conjugate_random_directions():
         B = random_sp11(rng)
         assert form_residual(cayley_conjugate_inv(B), K_FORM) <= 1e-9
         assert close_mats(cayley_conjugate_inv(cayley_conjugate(A)), A, 1e-12)
+
+
+# -- classify's closed form against the products ---------------------------
+
+
+def form_tags_by_products(A: Mat2H) -> set:
+    """classify's form tags, from the products conj-transpose(A) F A."""
+    atol, rtol = get_tolerance()
+    thr = atol + rtol * (1.0 + max_entry(A) ** 2)
+    return {tag for tag, form in ((GroupTag.SP11, H_FORM), (GroupTag.SL_HPLUS, K_FORM))
+            if form_residual(A, form) <= thr}
+
+
+def step(M: Mat2H, h: float, D: Mat2H) -> Mat2H:
+    return Mat2H(*(p + h * q for p, q in zip(M, D)))
+
+
+def test_classify_forms_match_the_products():
+    rng = make_rng(23)
+    atol, rtol = get_tolerance()
+    mats = [IDENT, -IDENT, H_FORM, K_FORM]
+    mats += [random_matrix(rng, 2.0) for _ in range(100)]
+    for _ in range(50):
+        for M, tag, form in ((random_sp11(rng), GroupTag.SP11, H_FORM),
+                             (random_slhplus(rng), GroupTag.SL_HPLUS, K_FORM)):
+            mats.append(M)
+            # the residual grows linearly along a direction D at these
+            # steps: put it at 0.9 and at 1.1 of the threshold
+            D = random_matrix(rng, 1.0)
+            slope = form_residual(step(M, 1e-7, D), form) / 1e-7
+            thr = atol + rtol * (1.0 + max_entry(M) ** 2)
+            inside, outside = (step(M, k * thr / slope, D) for k in (0.9, 1.1))
+            assert form_tags_by_products(inside) == {tag}
+            assert form_tags_by_products(outside) == set()
+            mats += [inside, outside]
+    for A in mats:
+        assert classify(A) & {GroupTag.SP11, GroupTag.SL_HPLUS} == form_tags_by_products(A)
 
 
 # -- serialization -------------------------------------------------------
