@@ -212,16 +212,15 @@ def distance_halfspace(q1: Quaternion, q2: Quaternion) -> float:
     """Invariant distance of the half-space."""
     _require_halfspace(q1)
     _require_halfspace(q2)
-    # sqrt(Re q1) sqrt(Re q2), not sqrt(Re q1 Re q2), which can underflow
+    # sqrt(Re q1) sqrt(Re q2) cannot underflow; |q1 - q2| is halved last, to
+    # keep subnormal bits, or first where it overflows (exactly, at that scale)
+    s = math.sqrt(q1.w) * math.sqrt(q2.w)
     gap = abs(q1 - q2)
-    x = gap / (2.0 * math.sqrt(q1.w) * math.sqrt(q2.w))
+    x = gap / s * 0.5 if gap < math.inf else abs(q1 * 0.5 - q2 * 0.5) / s
     if x == math.inf:
-        # asinh x = log 2x to rounding once x > 2^28; in logs, 2x cannot
-        # overflow, and neither can q1 - q2, taken as 2 (q1/2 - q2/2) where
-        # it does (halving is exact at that scale)
-        log_gap = (math.log(gap) if gap < math.inf else
-                   math.log(2.0) + math.log(abs(q1 * 0.5 - q2 * 0.5)))
-        return log_gap - 0.5 * (math.log(q1.w) + math.log(q2.w))
+        # asinh x = log 2x to rounding once x > 2^28; in logs, 2x cannot overflow
+        return (math.log(2.0) + math.log(abs(q1 * 0.5 - q2 * 0.5))
+                - 0.5 * (math.log(q1.w) + math.log(q2.w)))
     return math.asinh(x)
 
 

@@ -174,8 +174,7 @@ def det_h_many(M):
         det, t = _det_h_planes(*P)
         redo = ~((t >= _RAD_TINY) & (t < math.inf))
         if np.any(redo):
-            # det_h's rescue on those rows: e holds each row's exponent
-            # (rows a, b and c, d), applied to the components by ldexp
+            # det_h's rescue on those rows, e the exponent of rows a, b and c, d
             sub = P[:, :, redo]
             e = np.frexp(np.abs(sub).reshape(2, 8, -1).max(axis=1))[1]
             balanced = np.ldexp(sub, -np.repeat(e, 2, axis=0)[:, None, :])
@@ -247,9 +246,9 @@ CAYLEY_INV = Mat2H(ONE, -ONE, ONE, ONE).scalar_mul(0.5)
 def classify(A: Mat2H, tol: float | None = None) -> set[GroupTag]:
     """Group memberships of A, as a set of tags.
 
-    Membership in the two matrix groups preserving an indefinite form is
-    decided entrywise on conj-transpose(A) * form * A, whose entries are
-    taken in closed form, one of each conjugate pair.
+    Membership in the groups preserving diag(1, -1) (Sp11) and antidiag(1, 1)
+    (SLHplus) is decided on the distinct entries of conj-transpose(A) F A,
+    F the form, taken in closed form.
     """
     atol, rtol = _tols(tol)
     tags: set[GroupTag] = set()
@@ -264,12 +263,10 @@ def classify(A: Mat2H, tol: float | None = None) -> set[GroupTag]:
     a, b, c, d = A
     ac, cc = a.conj(), c.conj()
     thr = atol + rtol * (1.0 + scale * scale)
-    # against H_FORM = diag(1, -1)
     if (abs(a.norm_sq() - c.norm_sq() - 1.0) <= thr
             and abs(ac * b - cc * d) <= thr
             and abs(b.norm_sq() - d.norm_sq() + 1.0) <= thr):
         tags.add(GroupTag.SP11)
-    # against K_FORM = antidiag(1, 1)
     if (abs(2.0 * (cc * a).w) <= thr
             and abs(cc * b + ac * d - 1.0) <= thr
             and abs(2.0 * (d.conj() * b).w) <= thr):

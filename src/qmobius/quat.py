@@ -80,10 +80,6 @@ class Quaternion(NamedTuple):
         x, y, z = self.x, self.y, self.z
         return math.sqrt(x * x + y * y + z * z)
 
-    def is_real(self, tol: float | None = None) -> bool:
-        atol, _ = _tols(tol)
-        return self.im_norm() <= atol * (1.0 + abs(self))
-
     # -- arithmetic -----------------------------------------------------
 
     def __add__(self, other):

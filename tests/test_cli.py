@@ -319,11 +319,19 @@ def test_distance_whose_quotient_overflows_stays_finite(capsys):
     assert (code, data) == (0, {"distance": 1151.293})
 
 
-def test_distance_whose_difference_overflows_stays_finite(capsys):
-    # q1 - q2 is 2 (q1/2 - q2/2) there; the distance is log(2e308)
-    code, data = invoke_quiet(capsys, "distance", "--halfspace",
-                              "[1,1e308,0,0]", "[1,-1e308,0,0]")
-    assert (code, data) == (0, {"distance": 709.8894})
+@pytest.mark.parametrize("q1, q2, expected", [
+    # q1 - q2 overflows; the distance is log(2e308)
+    ("[1,1e308,0,0]", "[1,-1e308,0,0]", 709.8894),
+    # q1 - q2 overflows, yet the quotient is only 1.25
+    ("[8e307,1e308,0,0]", "[8e307,-1e308,0,0]", 1.047593),
+    # 2 sqrt(Re q1) sqrt(Re q2) would overflow; the quotient is 5e-9
+    ("[1e308,0,0,0]", "[1e308,1e300,0,0]", 5e-09),
+    # the gap is one subnormal step, which halving it first would lose
+    ("[1.5e-323,0,0,0]", "[1.5e-323,5e-324,0,0]", 0.1659046),
+])
+def test_halfspace_distance_at_the_ends_of_float_range(capsys, q1, q2, expected):
+    code, data = invoke_quiet(capsys, "distance", "--halfspace", q1, q2)
+    assert (code, data) == (0, {"distance": expected})
 
 
 @pytest.mark.parametrize("grid", ["1", "0", "-3"])
