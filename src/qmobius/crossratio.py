@@ -36,21 +36,19 @@ def cross_ratio(q1: ExtQuaternion, q2: ExtQuaternion, q3: ExtQuaternion,
         raise CoincidentPoints("at most one point may be infinite")
     if q1 is not INFINITY and q2 is not INFINITY and tuple(q1) == tuple(q2):
         return ONE
+    # each modulus and difference serves both the checks and the product
+    mods = [None if p is INFINITY else abs(p) for p in pts]
+    diffs = []
     for i, j in ((0, 2), (0, 3), (1, 2), (1, 3), (2, 3)):
-        p, q = pts[i], pts[j]
-        if p is INFINITY or q is INFINITY:
-            continue
-        if _coincident(p, q, atol):
+        diff = None if mods[i] is None or mods[j] is None else pts[i] - pts[j]
+        if diff is not None and abs(diff) <= atol * (1.0 + max(mods[i], mods[j])):
             raise CoincidentPoints(f"q{i + 1} and q{j + 1} coincide")
+        diffs.append(diff)
+    d13, d14, d23, d24, _ = diffs
     result = ONE
-    if q1 is not INFINITY and q3 is not INFINITY:
-        result = result * (q1 - q3)
-    if q1 is not INFINITY and q4 is not INFINITY:
-        result = result * (q1 - q4).inverse()
-    if q2 is not INFINITY and q4 is not INFINITY:
-        result = result * (q2 - q4)
-    if q2 is not INFINITY and q3 is not INFINITY:
-        result = result * (q2 - q3).inverse()
+    for factor, invert in ((d13, False), (d14, True), (d24, False), (d23, True)):
+        if factor is not None:
+            result = result * (factor.inverse() if invert else factor)
     return result
 
 

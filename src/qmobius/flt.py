@@ -8,15 +8,15 @@ leaves only a sign ambiguity.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from math import hypot
 from typing import Union
 
 from . import mat2h as _m
 from .errors import (BothZero, CoincidentPoints, ConstraintViolation,
                      NonImaginaryShift, NotSp11, PoleInput, ZeroD)
 from .mat2h import SINGULAR_REL, GroupTag, Mat2H, classify, det_h, normalize
-from .quat import ONE, ZERO, Quaternion, _tols
+from .quat import N2_HUGE, N2_TINY, ONE, ZERO, Quaternion, _new, _tols
 
 
 class _Infinity:
@@ -67,10 +67,31 @@ def apply(f, q: ExtQuaternion) -> ExtQuaternion:
         if abs(c) <= _POLE_EPS * (1.0 + abs(a) + abs(d)):
             return INFINITY
         return a * c.inverse()
-    den = c * q + d
-    if abs(den) <= _POLE_EPS * (1.0 + abs(c) * abs(q) + abs(d)):
+    # (a q + b)(c q + d)^-1 on components: each operation is the one the
+    # Quaternion operators perform, in their order, so the result is bit-
+    # identical to that expression; e = c q + d, n = a q + b
+    (qw, qx, qy, qz), (cw, cx, cy, cz), (dw, dx, dy, dz) = q, c, d
+    ew = cw * qw - cx * qx - cy * qy - cz * qz + dw
+    ex = cw * qx + cx * qw + cy * qz - cz * qy + dx
+    ey = cw * qy - cx * qz + cy * qw + cz * qx + dy
+    ez = cw * qz + cx * qy - cy * qx + cz * qw + dz
+    scale = 1.0 + hypot(cw, cx, cy, cz) * hypot(qw, qx, qy, qz) + hypot(dw, dx, dy, dz)
+    if hypot(ew, ex, ey, ez) <= _POLE_EPS * scale:
         return INFINITY
-    return (a * q + b) * den.inverse()
+    (aw, ax, ay, az), (bw, bx, by, bz) = a, b
+    nw = aw * qw - ax * qx - ay * qy - az * qz + bw
+    nx = aw * qx + ax * qw + ay * qz - az * qy + bx
+    ny = aw * qy - ax * qz + ay * qw + az * qx + by
+    nz = aw * qz + ax * qy - ay * qx + az * qw + bz
+    n2 = ew * ew + ex * ex + ey * ey + ez * ez
+    if not N2_TINY <= n2 < N2_HUGE:  # Quaternion.inverse rescales
+        return Quaternion(nw, nx, ny, nz) * Quaternion(ew, ex, ey, ez).inverse()
+    iw, ix, iy, iz = ew / n2, -ex / n2, -ey / n2, -ez / n2
+    return _new(Quaternion, (
+        nw * iw - nx * ix - ny * iy - nz * iz,
+        nw * ix + nx * iw + ny * iz - nz * iy,
+        nw * iy - nx * iz + ny * iw + nz * ix,
+        nw * iz + nx * iy - ny * ix + nz * iw))
 
 
 class FLT:

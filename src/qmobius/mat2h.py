@@ -16,7 +16,7 @@ from enum import Enum
 from typing import NamedTuple
 
 from .errors import InternalNumericError, Singular
-from .quat import ONE, ZERO, Quaternion, _tols, isclose
+from .quat import N2_TINY, ONE, ZERO, Quaternion, _ldexp_q, _new, _tols, isclose
 
 
 class Mat2H(NamedTuple):
@@ -32,8 +32,8 @@ class Mat2H(NamedTuple):
     def __matmul__(self, other: "Mat2H") -> "Mat2H":
         a1, b1, c1, d1 = self
         a2, b2, c2, d2 = other
-        return Mat2H(a1 * a2 + b1 * c2, a1 * b2 + b1 * d2,
-                     c1 * a2 + d1 * c2, c1 * b2 + d1 * d2)
+        return _new(Mat2H, (a1 * a2 + b1 * c2, a1 * b2 + b1 * d2,
+                            c1 * a2 + d1 * c2, c1 * b2 + d1 * d2))
 
     def transpose_conj(self) -> "Mat2H":
         """Conjugate transpose [[conj a, conj c], [conj b, conj d]]."""
@@ -63,24 +63,16 @@ class Mat2H(NamedTuple):
         return cls(*(Quaternion.from_json(entry) for entry in data))
 
 
-# squared-norm sums below this have lost digits to underflow
-_RAD_TINY = 2.0 ** -900
-
-
 def _row_exponent(p: Quaternion, q: Quaternion) -> int:
     """e with 2^(e-1) <= the largest component modulus of the row < 2^e."""
     return math.frexp(max(abs(x) for x in (*p, *q)))[1]
-
-
-def _ldexp_q(q: Quaternion, e: int) -> Quaternion:
-    return Quaternion(*(math.ldexp(x, e) for x in q))
 
 
 def det_h(A: Mat2H) -> float:
     """Dieudonne determinant; multiplicative and zero iff A is singular."""
     a, b, c, d = A
     t = a.norm_sq() * d.norm_sq() + c.norm_sq() * b.norm_sq()
-    if not _RAD_TINY <= t < math.inf:
+    if not N2_TINY <= t < math.inf:
         # every radicand term takes one factor from each row, so scaling
         # row i by 2^-e_i is exact and scales det_h by 2^-(e_1 + e_2); the
         # components are scaled directly, since 2^-e_i may not be a float
@@ -172,7 +164,7 @@ def det_h_many(M):
     P = _planes(M)
     with np.errstate(over="ignore", invalid="ignore"):
         det, t = _det_h_planes(*P)
-        redo = ~((t >= _RAD_TINY) & (t < math.inf))
+        redo = ~((t >= N2_TINY) & (t < math.inf))
         if np.any(redo):
             # det_h's rescue on those rows, e the exponent of rows a, b and c, d
             sub = P[:, :, redo]

@@ -12,7 +12,7 @@ import math
 import re as _re
 from typing import NamedTuple
 
-from .errors import DivisionByZero, NotOnSphere, RealInput
+from .errors import DivisionByZero, NonFiniteResult, NotOnSphere, RealInput
 
 DEFAULT_ATOL = 1e-9
 DEFAULT_RTOL = 1e-9
@@ -48,8 +48,16 @@ def isclose(a: float, b: float, tol: float | None = None) -> bool:
     return abs(a - b) <= atol + rtol * max(abs(a), abs(b))
 
 
+# squared norms outside [2^-900, 2^900) have lost digits or come close to overflow
+N2_TINY, N2_HUGE = 2.0 ** -900, 2.0 ** 900
+
 _NUM = r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
 _QUAT_RE = _re.compile(rf"\s*({_NUM})\s*({_NUM})i\s*({_NUM})j\s*({_NUM})k\s*")
+
+
+# the operators build results as namedtuple's _make does, skipping the
+# Python-level __new__ that NamedTuple generates
+_new = tuple.__new__
 
 
 class Quaternion(NamedTuple):
@@ -62,7 +70,7 @@ class Quaternion(NamedTuple):
 
     def conj(self) -> "Quaternion":
         """Conjugate: the imaginary part changes sign."""
-        return Quaternion(self.w, -self.x, -self.y, -self.z)
+        return _new(Quaternion, (self.w, -self.x, -self.y, -self.z))
 
     def norm_sq(self) -> float:
         w, x, y, z = self
@@ -73,9 +81,6 @@ class Quaternion(NamedTuple):
         w, x, y, z = self
         return math.hypot(w, x, y, z)
 
-    def im(self) -> "Quaternion":
-        return Quaternion(0.0, self.x, self.y, self.z)
-
     def im_norm(self) -> float:
         x, y, z = self.x, self.y, self.z
         return math.sqrt(x * x + y * y + z * z)
@@ -84,27 +89,29 @@ class Quaternion(NamedTuple):
 
     def __add__(self, other):
         if isinstance(other, Quaternion):
-            return Quaternion(self.w + other.w, self.x + other.x,
-                              self.y + other.y, self.z + other.z)
+            w1, x1, y1, z1 = self
+            w2, x2, y2, z2 = other
+            return _new(Quaternion, (w1 + w2, x1 + x2, y1 + y2, z1 + z2))
         if isinstance(other, (int, float)):
-            return Quaternion(self.w + other, self.x, self.y, self.z)
+            return _new(Quaternion, (self.w + other, self.x, self.y, self.z))
         return NotImplemented
 
     __radd__ = __add__
 
     def __sub__(self, other):
         if isinstance(other, Quaternion):
-            return Quaternion(self.w - other.w, self.x - other.x,
-                              self.y - other.y, self.z - other.z)
+            w1, x1, y1, z1 = self
+            w2, x2, y2, z2 = other
+            return _new(Quaternion, (w1 - w2, x1 - x2, y1 - y2, z1 - z2))
         if isinstance(other, (int, float)):
-            return Quaternion(self.w - other, self.x, self.y, self.z)
+            return _new(Quaternion, (self.w - other, self.x, self.y, self.z))
         return NotImplemented
 
     def __rsub__(self, other):
         return (-self).__add__(other)
 
     def __neg__(self) -> "Quaternion":
-        return Quaternion(-self.w, -self.x, -self.y, -self.z)
+        return _new(Quaternion, (-self.w, -self.x, -self.y, -self.z))
 
     def __pos__(self) -> "Quaternion":
         return self
@@ -113,15 +120,14 @@ class Quaternion(NamedTuple):
         if isinstance(other, Quaternion):
             w1, x1, y1, z1 = self
             w2, x2, y2, z2 = other
-            return Quaternion(
+            return _new(Quaternion, (
                 w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
                 w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
                 w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
-                w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
-            )
+                w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2))
         if isinstance(other, (int, float)):
-            return Quaternion(self.w * other, self.x * other,
-                              self.y * other, self.z * other)
+            w, x, y, z = self
+            return _new(Quaternion, (w * other, x * other, y * other, z * other))
         return NotImplemented
 
     # reals are central, so scalar * q equals q * scalar; quaternion * q
@@ -130,8 +136,8 @@ class Quaternion(NamedTuple):
 
     def __truediv__(self, other):
         if isinstance(other, (int, float)):
-            return Quaternion(self.w / other, self.x / other,
-                              self.y / other, self.z / other)
+            w, x, y, z = self
+            return _new(Quaternion, (w / other, x / other, y / other, z / other))
         if isinstance(other, Quaternion):
             raise TypeError(
                 "quaternion division is ambiguous; write p * q.inverse() "
@@ -139,11 +145,23 @@ class Quaternion(NamedTuple):
         return NotImplemented
 
     def inverse(self) -> "Quaternion":
-        """Multiplicative inverse conj(q) / |q|^2."""
-        n2 = self.norm_sq()
-        if n2 == 0.0:
-            raise DivisionByZero("cannot invert the zero quaternion")
-        return Quaternion(self.w / n2, -self.x / n2, -self.y / n2, -self.z / n2)
+        """Multiplicative inverse conj(q) / |q|^2.
+
+        Where |q|^2 leaves [N2_TINY, N2_HUGE), q is first scaled exactly by
+        a power of two, so 1/q keeps full precision wherever it fits a float.
+        """
+        w, x, y, z = self
+        n2 = w * w + x * x + y * y + z * z
+        if not N2_TINY <= n2 < N2_HUGE:
+            if not any(self):
+                raise DivisionByZero("cannot invert the zero quaternion")
+            if all(map(math.isfinite, self)):
+                e = math.frexp(max(map(abs, self)))[1]
+                try:
+                    return _ldexp_q(_ldexp_q(self, -e).inverse(), -e)
+                except OverflowError:
+                    raise NonFiniteResult(f"1/({self}) does not fit a float") from None
+        return _new(Quaternion, (w / n2, -x / n2, -y / n2, -z / n2))
 
     def unit(self) -> "Quaternion":
         n = abs(self)
@@ -177,6 +195,11 @@ class Quaternion(NamedTuple):
         if m is None:
             raise ValueError(f"not a quaternion literal: {text!r}")
         return cls(*(float(g) for g in m.groups()))
+
+
+def _ldexp_q(q: Quaternion, e: int) -> Quaternion:
+    """q * 2^e, scaled per component, so exact unless it leaves float range."""
+    return Quaternion(*(math.ldexp(x, e) for x in q))
 
 
 ZERO = Quaternion(0.0, 0.0, 0.0, 0.0)

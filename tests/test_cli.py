@@ -334,6 +334,21 @@ def test_halfspace_distance_at_the_ends_of_float_range(capsys, q1, q2, expected)
     assert (code, data) == (0, {"distance": expected})
 
 
+def test_cross_ratio_is_dilation_invariant_beyond_squared_norm_range(capsys):
+    # the same points at scale 1 give [0.5, -0.5, -0.5, -0.5]; at 1e160 the
+    # squared moduli overflowed and the inverses came out 0
+    code, data = invoke_quiet(capsys, "cross-ratio", "[0,0,0,0]", "[1e160,0,0,0]",
+                              "[0,1e160,0,0]", "[0,0,1e160,0]")
+    assert (code, data) == (0, [0.5, -0.5, -0.5, -0.5])
+
+
+def test_apply_of_a_huge_scalar_matrix_is_the_identity(capsys):
+    code, data = invoke_quiet(capsys, "apply",
+                              "[[1e160,0,0,0],[0,0,0,0],[0,0,0,0],[1e160,0,0,0]]",
+                              "[1,0,0,0]")
+    assert (code, data) == (0, {"result": [1, 0, 0, 0]})
+
+
 @pytest.mark.parametrize("grid", ["1", "0", "-3"])
 def test_witness_grid_below_two_is_a_domain_error(capsys, grid):
     code, data = invoke_quiet(capsys, "kobayashi-witness", "--grid", grid)
@@ -381,13 +396,7 @@ def _strict_json(text):
     return json.loads(text, parse_constant=refuse)
 
 
-@given(st.one_of(
-    st.tuples(st.just("det"), _mats),
-    st.tuples(st.sampled_from(["--disc", "--halfspace"]), _quats, _quats)))
-@settings(max_examples=60, deadline=None, derandomize=True)
-def test_cli_contract_one_document_and_an_exit_code(call):
-    head, *operands = call
-    argv = ([head] if head == "det" else ["distance", head]) + [json.dumps(x) for x in operands]
+def _assert_one_document_and_an_exit_code(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.run(argv)
@@ -395,6 +404,33 @@ def test_cli_contract_one_document_and_an_exit_code(call):
     data = _strict_json(out.getvalue())
     assert code in (0, 1, 2)
     assert ("error" in data) == (code != 0)
+
+
+@given(st.one_of(
+    st.tuples(st.just("det"), _mats),
+    st.tuples(st.sampled_from(["--disc", "--halfspace"]), _quats, _quats)))
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_cli_contract_one_document_and_an_exit_code(call):
+    head, *operands = call
+    argv = ([head] if head == "det" else ["distance", head]) + [json.dumps(x) for x in operands]
+    _assert_one_document_and_an_exit_code(argv)
+
+
+# operands at the ends of float range, where inverses need their rescue
+_extreme = st.sampled_from([0.0, 1.0, -1.0, 1e160, -1e160, 1e200, -1e200,
+                            1e-300, -1e-300, 1e-310, -1e-310])
+_extreme_quat = st.lists(_extreme, min_size=4, max_size=4)
+_extreme_point = st.one_of(st.just("inf"), _extreme_quat)
+
+
+@given(st.one_of(
+    st.tuples(st.just("apply"), st.lists(_extreme_quat, min_size=4, max_size=4),
+              _extreme_point),
+    st.tuples(st.just("cross-ratio"), *[_extreme_point] * 4)))
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_cli_contract_for_maps_and_cross_ratios(call):
+    head, *operands = call
+    _assert_one_document_and_an_exit_code([head] + [json.dumps(x) for x in operands])
 
 
 # -- cold start ----------------------------------------------------------

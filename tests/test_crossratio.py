@@ -75,6 +75,51 @@ def test_cross_ratio_single_infinite_slot():
     assert got.close_to((q(0.5) + ONE) * (q(0.5) - ONE).inverse(), tol=1e-12)
 
 
+def _written_out_cross_ratio(q1, q2, q3, q4):
+    """The reference product, each factor formed from the points."""
+    result = ONE
+    if q1 is not INFINITY and q3 is not INFINITY:
+        result = result * (q1 - q3)
+    if q1 is not INFINITY and q4 is not INFINITY:
+        result = result * (q1 - q4).inverse()
+    if q2 is not INFINITY and q4 is not INFINITY:
+        result = result * (q2 - q4)
+    if q2 is not INFINITY and q3 is not INFINITY:
+        result = result * (q2 - q3).inverse()
+    return result
+
+
+def _bits(p):
+    return tuple((v, math.copysign(1.0, v)) for v in p)
+
+
+def test_cross_ratio_matches_the_written_out_product():
+    rng = make_rng(71)
+    for n in range(300):
+        pts = [random_quaternion(rng, 2.0) for _ in range(4)]
+        if n % 4 == 0:  # real points with signed zeros, which ONE * d can flip
+            pts = [Quaternion(p.w, *(math.copysign(0.0, v) for v in rng.normal(size=3)))
+                   for p in pts]
+        for slot in (None, 0, 1, 2, 3):
+            args = [INFINITY if i == slot else p for i, p in enumerate(pts)]
+            assert _bits(cross_ratio(*args)) == _bits(_written_out_cross_ratio(*args))
+
+
+def test_coincidence_names_the_first_pair_in_order():
+    # pairs are checked (1,3), (1,4), (2,3), (2,4), (3,4); is_concyclic and
+    # separates check (1,2) before all of them
+    for pts, pair in (((ZERO, ONE, ZERO, ONE), "q1 and q3"),
+                      ((ZERO, ONE, I, ZERO), "q1 and q4"),
+                      ((ZERO, I, I, ONE), "q2 and q3"),
+                      ((J, K, I, I), "q3 and q4"),
+                      ((ZERO, ONE, INFINITY, ONE), "q2 and q4")):
+        with pytest.raises(CoincidentPoints, match=pair):
+            cross_ratio(*pts)
+    for check in (is_concyclic, separates):
+        with pytest.raises(CoincidentPoints, match="q1 and q2"):
+            check(ZERO, ZERO, INFINITY, INFINITY)
+
+
 # -- covariance laws -----------------------------------------------------
 
 

@@ -8,6 +8,7 @@ import pytest
 from qmobius.errors import (
     BothZero,
     ConstraintViolation,
+    NonFiniteResult,
     NonImaginaryShift,
     NotSp11,
     PoleInput,
@@ -50,6 +51,7 @@ from qmobius.sampling import (
     random_canonical,
     random_imaginary,
     random_invertible_matrix,
+    random_matrix,
     random_quaternion,
     random_slhplus,
     random_sp11,
@@ -87,6 +89,85 @@ def test_apply_spot_values():
 def test_apply_accepts_flt_and_matrix():
     f = FLT(Mat2H(ONE, ONE, ZERO, ONE))
     assert apply(f, ZERO) == f(ZERO) == ONE
+
+
+# -- apply on components, pinned to the operator expression -------------
+
+
+def _operator_apply(A, q):
+    """apply as the Quaternion operators spell it; apply must match it bit for bit."""
+    a, b, c, d = A
+    if q is INFINITY:
+        if abs(c) <= 1e-12 * (1.0 + abs(a) + abs(d)):
+            return INFINITY
+        return a * c.inverse()
+    den = c * q + d
+    if abs(den) <= 1e-12 * (1.0 + abs(c) * abs(q) + abs(d)):
+        return INFINITY
+    return (a * q + b) * den.inverse()
+
+
+def _outcome(f, A, q):
+    """The result with each zero's sign made visible, or the error type."""
+    try:
+        v = f(A, q)
+    except NonFiniteResult as exc:
+        return type(exc)
+    if v is INFINITY:
+        return v
+    return tuple((x, math.copysign(1.0, x)) for x in v)
+
+
+def _near_pole(rng, A):
+    """A probe 1e-13 to 1e-11 relative from the pole -c^-1 d."""
+    pole = -(A.c.inverse() * A.d)
+    t = 10.0 ** rng.uniform(-13.0, -11.0)
+    return pole + random_unit_quaternion(rng) * (t * (1.0 + abs(pole)))
+
+
+def _pin_cases():
+    rng = make_rng(2026)
+    for scale in (1.0, 1e150, 1e-150):
+        for _ in range(100):
+            M = random_matrix(rng, scale)
+            f = FLT(random_invertible_matrix(rng))
+            for A in (M, f):
+                m = A.matrix if isinstance(A, FLT) else A
+                yield A, random_quaternion(rng, 3.0), False
+                yield A, _near_pole(rng, m), True
+                yield A, INFINITY, False
+            lower = Mat2H(M.a, M.b, ZERO, M.d)  # c = 0
+            yield lower, random_quaternion(rng, 3.0), False
+            yield lower, INFINITY, False
+    for _ in range(100):
+        ints = [Quaternion(*(int(v) for v in rng.integers(-3, 4, size=4))) for _ in range(5)]
+        yield Mat2H(*ints[:4]), ints[4], False
+
+
+def test_apply_is_bit_identical_to_the_operator_expression():
+    near_pole = []
+    for A, q, near in _pin_cases():
+        got = _outcome(apply, A, q)
+        M = A.matrix if isinstance(A, FLT) else A
+        assert got == _outcome(_operator_apply, M, q), (A, q)
+        if near:
+            near_pole.append(got is INFINITY)
+    # the probes near a pole land on both sides of the pole decision
+    assert 0.2 < sum(near_pole) / len(near_pole) < 0.8
+
+
+def test_operators_keep_their_types():
+    p, r = q(1, 2, 3, 4), q(-1, 0.5, 2, 0)
+    for v in (p * r, p * 2.0, 2.0 * p, p + r, p + 1.0, p - r, p - 1.0, 1.0 - p,
+              -p, p.conj(), p / 2.0, p.inverse(), q(1e200).inverse(), apply(IDENT, p)):
+        assert type(v) is Quaternion
+    assert (p * r).x == (p * r)[1] == 0.5 - 2.0 + 0.0 - 8.0
+    assert p + r == Quaternion(0.0, 2.5, 5.0, 4.0) == (0.0, 2.5, 5.0, 4.0)
+    with pytest.raises(AttributeError):
+        (p + r).w = 1.0
+    A = random_invertible_matrix(make_rng(5))
+    assert type(A @ A) is Mat2H
+    assert (A @ IDENT) == A and (A @ A).a == A.a * A.a + A.b * A.c
 
 
 def test_flt_rejects_singular_matrix():

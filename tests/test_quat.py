@@ -1,12 +1,13 @@
 """Quaternion algebra: multiplication table, conjugation, inverses, slices."""
 
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from qmobius.errors import DivisionByZero, NotOnSphere, RealInput
+from qmobius.errors import DivisionByZero, NonFiniteResult, NotOnSphere, RealInput
 from qmobius.quat import (
     I,
     J,
@@ -123,6 +124,42 @@ def test_inverse_values():
 def test_inverse_of_zero_raises():
     with pytest.raises(DivisionByZero):
         ZERO.inverse()
+    with pytest.raises(DivisionByZero):
+        q(-0.0, 0.0, -0.0, 0.0).inverse()
+
+
+def _exact_inverse(p):
+    n2 = sum(Fraction(v) ** 2 for v in p)
+    return [float(Fraction(v) / n2) for v in p.conj()]
+
+
+@pytest.mark.parametrize("p", [
+    q(1e-160),  # |p|^2 underflowed to a subnormal: 1.1e-5 relative error
+    q(1e160),  # |p|^2 overflowed, which made the inverse 0
+    q(0, 0, 3e200, -4e200),
+    q(3e-170, 4e-170, -1e-171, 2e-175),
+    q(2e-308, 0, 1e-320),  # a subnormal component beside a normal one
+    q(0, -1e-308),  # a subnormal whose inverse is near the top of float range
+])
+def test_inverse_beyond_squared_norm_range_is_accurate(p):
+    # 1 ulp for one component; a sum of four squares rounds up to 4 times
+    bound = 1 if sum(v != 0.0 for v in p) == 1 else 4
+    for got, exact in zip(p.inverse(), _exact_inverse(p)):
+        assert abs(got - exact) <= bound * math.ulp(exact)
+
+
+def test_inverse_that_does_not_fit_a_float_is_non_finite():
+    # 1/3e-320 is about 3.3e319; it was DivisionByZero, as if p were 0
+    with pytest.raises(NonFiniteResult):
+        q(3e-320).inverse()
+    with pytest.raises(NonFiniteResult):
+        q(0, 0, 0, -4e-309).inverse()
+
+
+def test_inverse_of_non_finite_components_is_conj_over_norm_sq():
+    inf = math.inf
+    assert q(inf, 1).inverse()[1:] == (-0.0, -0.0, -0.0)
+    assert all(math.isnan(v) for v in q(math.nan, 1).inverse())
 
 
 @given(quaternions)
