@@ -11,11 +11,13 @@ transforms by conjugation, so its real part and imaginary norm are.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import hypot, nan
 
 from .errors import CoincidentPoints, DegenerateResult, NotConcyclic
 from .flt import (INFINITY, Dilation, ExtQuaternion, Generator, Inversion,
                   Rotation, Translation, generator_inverse)
-from .quat import ONE, Quaternion, _tols
+from .mat2h import qmul_planes
+from .quat import N2_HUGE, N2_TINY, ONE, Quaternion, _new, _tols
 
 
 def _coincident(p: Quaternion, q: Quaternion, atol: float) -> bool:
@@ -32,24 +34,41 @@ def cross_ratio(q1: ExtQuaternion, q2: ExtQuaternion, q3: ExtQuaternion,
     """
     atol, _ = _tols(tol)
     pts = (q1, q2, q3, q4)
-    if sum(1 for p in pts if p is INFINITY) > 1:
+    n_inf = (q1 is INFINITY) + (q2 is INFINITY) + (q3 is INFINITY) + (q4 is INFINITY)
+    if n_inf > 1:
         raise CoincidentPoints("at most one point may be infinite")
     if q1 is not INFINITY and q2 is not INFINITY and tuple(q1) == tuple(q2):
         return ONE
-    # each modulus and difference serves both the checks and the product
-    mods = [None if p is INFINITY else abs(p) for p in pts]
-    diffs = []
-    for i, j in ((0, 2), (0, 3), (1, 2), (1, 3), (2, 3)):
-        diff = None if mods[i] is None or mods[j] is None else pts[i] - pts[j]
-        if diff is not None and abs(diff) <= atol * (1.0 + max(mods[i], mods[j])):
+    # a point at infinity enters the coincidence checks as NaNs, which pass no gap test
+    (w1, x1, y1, z1), (w2, x2, y2, z2), (w3, x3, y3, z3), (w4, x4, y4, z4) = (
+        [(nan,) * 4 if p is INFINITY else p for p in pts] if n_inf else pts)
+    d13 = (w1 - w3, x1 - x3, y1 - y3, z1 - z3)
+    d14 = (w1 - w4, x1 - x4, y1 - y4, z1 - z4)
+    d23 = (w2 - w3, x2 - x3, y2 - y3, z2 - z3)
+    d24 = (w2 - w4, x2 - x4, y2 - y4, z2 - z4)
+    mods = (hypot(w1, x1, y1, z1), hypot(w2, x2, y2, z2),
+            hypot(w3, x3, y3, z3), hypot(w4, x4, y4, z4))
+    for (i, j), gap in zip(((0, 2), (0, 3), (1, 2), (1, 3), (2, 3)), (
+            hypot(*d13), hypot(*d14), hypot(*d23), hypot(*d24),
+            hypot(w3 - w4, x3 - x4, y3 - y4, z3 - z4))):
+        if gap <= atol * (1.0 + max(mods[i], mods[j])):
             raise CoincidentPoints(f"q{i + 1} and q{j + 1} coincide")
-        diffs.append(diff)
-    d13, d14, d23, d24, _ = diffs
-    result = ONE
-    for factor, invert in ((d13, False), (d14, True), (d24, False), (d23, True)):
-        if factor is not None:
-            result = result * (factor.inverse() if invert else factor)
-    return result
+    if n_inf:
+        result = ONE
+        for i, j, invert in ((0, 2, False), (0, 3, True), (1, 3, False), (1, 2, True)):
+            if pts[i] is not INFINITY and pts[j] is not INFINITY:
+                result = result * ((pts[i] - pts[j]).inverse() if invert else pts[i] - pts[j])
+        return result
+    # d13 d14^-1 d24 d23^-1 with the Quaternion operators' operations in their order,
+    # from ONE * d13 (which can flip a zero's sign) on: bit-identical to that product
+    (bw, bx, by, bz), (cw, cx, cy, cz) = d14, d23
+    n2, m2 = bw * bw + bx * bx + by * by + bz * bz, cw * cw + cx * cx + cy * cy + cz * cz
+    i14 = ((bw / n2, -bx / n2, -by / n2, -bz / n2) if N2_TINY <= n2 < N2_HUGE
+           else _new(Quaternion, d14).inverse())  # out of range it rescales
+    i23 = ((cw / m2, -cx / m2, -cy / m2, -cz / m2) if N2_TINY <= m2 < N2_HUGE
+           else _new(Quaternion, d23).inverse())
+    r = qmul_planes(qmul_planes(qmul_planes(ONE, d13), i14), d24)
+    return _new(Quaternion, qmul_planes(r, i23))
 
 
 def is_concyclic(q1: ExtQuaternion, q2: ExtQuaternion, q3: ExtQuaternion,

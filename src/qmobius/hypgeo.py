@@ -13,6 +13,11 @@ and on the half-space
 Neither form loses digits near the boundary, |q| -> 1 or Re q -> 0.  The
 Cayley map q -> (1 + q)(1 - q)^-1 carries the ball isometrically onto the
 half-space Re q > 0, where the line element is |dq| / (2 Re q).
+
+The end beyond x of the ball's line through y and x, the image of -u under the
+ball map sending 0 to x, is e(x, y) = (x - u)(1 - conj(x) u)^-1 for u = m / |m|,
+m = (y - x)(1 - conj(x) y)^-1.  geodesic_disc takes each end from its own base:
+from x near the sphere, the far end's denominator cancels to about 1 - |x|.
 """
 
 from __future__ import annotations
@@ -51,6 +56,17 @@ def _require_halfspace(q: Quaternion) -> None:
         raise OutOfDomain(f"{q} is not in the open half-space Re q > 0")
 
 
+def _require_distinct(q1: Quaternion, q2: Quaternion) -> Quaternion:
+    """q2 - q1, for two points of the ball that do not coincide."""
+    _require_ball(q1)
+    _require_ball(q2)
+    atol, _ = _tols(None)
+    diff = q2 - q1
+    if abs(diff) <= atol * (1.0 + max(abs(q1), abs(q2))):
+        raise CoincidentPoints("a line needs two distinct points")
+    return diff
+
+
 def normalizing_map(q1: Quaternion, q2: Quaternion) -> FLT:
     """The ball Moebius map sending q1 to 0 and q2 to a real t in (0, 1).
 
@@ -58,12 +74,7 @@ def normalizing_map(q1: Quaternion, q2: Quaternion) -> FLT:
     factors lam1 = |q2 - q1| (q2 - q1)^-1 and
     lam2 = (1 - conj(q1) q2) / |1 - conj(q1) q2|.
     """
-    _require_ball(q1)
-    _require_ball(q2)
-    atol, _ = _tols(None)
-    diff = q2 - q1
-    if abs(diff) <= atol * (1.0 + max(abs(q1), abs(q2))):
-        raise CoincidentPoints("normalizing map needs two distinct points")
+    diff = _require_distinct(q1, q2)
     lam1 = diff.inverse() * abs(diff)
     den = ONE - q1.conj() * q2
     lam2 = den * (1.0 / abs(den))
@@ -71,8 +82,12 @@ def normalizing_map(q1: Quaternion, q2: Quaternion) -> FLT:
     return MobiusCanonical(lam1, lam2.conj(), q1).to_flt()
 
 
-def _param_t(q1: Quaternion, q2: Quaternion) -> float:
-    return abs(q2 - q1) / abs(ONE - q1.conj() * q2)
+def _end_beyond(x: Quaternion, y: Quaternion) -> Quaternion:
+    """e(x, y) of the module docstring: the end beyond x of the line through y."""
+    xc = x.conj()
+    m = (y - x) * (ONE - xc * y).inverse()
+    u = m * (1.0 / abs(m))
+    return (x - u) * (ONE - xc * u).inverse()
 
 
 @dataclass(frozen=True)
@@ -90,10 +105,9 @@ class GeodesicDisc:
 def geodesic_disc(q1: Quaternion, q2: Quaternion,
                   tol: float | None = None) -> GeodesicDisc:
     atol, rtol = _tols(tol)
-    L = normalizing_map(q1, q2)
-    Linv = L.inverse()
-    q3 = apply(Linv, ONE)
-    q4 = apply(Linv, _MINUS_ONE)
+    _require_distinct(q1, q2)
+    q3 = _end_beyond(q2, q1)
+    q4 = _end_beyond(q1, q2)
     # the line is a diameter exactly when 0 lies on it, i.e. when
     # conj(q1) q2 is real
     diam = (q1.conj() * q2).im_norm() <= atol * (1.0 + abs(q1) * abs(q2))
@@ -147,11 +161,8 @@ def geodesic_sample_rows(q1: Quaternion, q2: Quaternion, n: int):
     import numpy as np
     if n < 2:
         raise TooFewSamples("need at least two sample points")
-    L = normalizing_map(q1, q2)
-    t = _param_t(q1, q2)
-    M = L.inverse().matrix
-    s = np.linspace(0.0, 1.0, n)
-    radii = np.tanh(s * math.atanh(t))
+    M = normalizing_map(q1, q2).inverse().matrix
+    radii = np.tanh(np.linspace(0.0, 1.0, n) * distance_disc(q1, q2))
     rows = np.stack(_apply_matrix_to_reals(M, radii), axis=1)
     rows[0] = q1
     rows[-1] = q2

@@ -15,8 +15,8 @@ import math
 from enum import Enum
 from typing import NamedTuple
 
-from .errors import InternalNumericError, Singular
-from .quat import N2_TINY, ONE, ZERO, Quaternion, _ldexp_q, _new, _tols, isclose
+from .errors import InternalNumericError, NonFiniteResult, Singular
+from .quat import N2_HUGE, N2_TINY, ONE, ZERO, Quaternion, _ldexp_q, _new, _tols, isclose
 
 
 class Mat2H(NamedTuple):
@@ -197,8 +197,19 @@ def inverse_form_b(A: Mat2H) -> Mat2H:
                  bi + bi * a * s * d * bi, -(bi * a * s))
 
 
+def _ldexp_m(A: Mat2H, e: int) -> Mat2H:
+    return Mat2H(*(_ldexp_q(q, e) for q in A))
+
+
 def inverse(A: Mat2H) -> Mat2H:
     scale = A.entry_scale()
+    # scale^2 out of [N2_TINY, N2_HUGE): judge A 2^-e, of scale in [1/2, 1); 0, inf, nan: e = 0
+    e = 0 if N2_TINY <= scale * scale < N2_HUGE else math.frexp(scale)[1]
+    if e:
+        try:
+            return _ldexp_m(inverse(_ldexp_m(A, -e)), -e)
+        except OverflowError:
+            raise NonFiniteResult(f"an inverse of scale 1/{scale:g} overflows") from None
     if det_h(A) <= SINGULAR_REL * scale * scale:
         raise Singular(f"matrix with det_h {det_h(A)} is numerically singular")
     # pivot on the larger entry of the first row: scale-invariant, and
@@ -210,8 +221,11 @@ def inverse(A: Mat2H) -> Mat2H:
 
 def normalize(A: Mat2H) -> Mat2H:
     """Scale A by a positive real so that det_h becomes 1."""
-    dh = det_h(A)
     scale = A.entry_scale()
+    e = 0 if N2_TINY <= scale * scale < N2_HUGE else math.frexp(scale)[1]
+    if e:  # as in inverse; normalize is projective
+        return normalize(_ldexp_m(A, -e))
+    dh = det_h(A)
     if dh <= SINGULAR_REL * scale * scale:
         raise Singular("cannot normalize a numerically singular matrix")
     return A.scalar_mul(1.0 / math.sqrt(dh))

@@ -24,7 +24,7 @@ from .flt import (FLT, Dilation, Inversion, MobiusCanonical, Rotation,
                   Translation, apply, apply_generator, canonical_det_check,
                   is_constant, is_infinity, jacobian)
 from .hypgeo import (cayley, cayley_inv, distance_disc, distance_halfspace,
-                     geodesic_sample, geodesic_sample_rows,
+                     geodesic_disc, geodesic_sample, geodesic_sample_rows,
                      integrated_length_disc, metric_disc, metric_halfspace)
 from .kobayashi import (kobayashi_image_modulus_sq, non_isometry_witness,
                         poincare_image_modulus_sq)
@@ -252,9 +252,10 @@ def spots_suite(rng, n: int) -> Suite:
 
 def distance_suite(rng, n: int) -> Suite:
     """The ball group and conjugation preserve the distance, and the ball
-    group the metric (by a central difference)."""
+    group the metric (by a central difference); half the log of the
+    cross-ratio against the geodesic's ends is the distance."""
     s = Suite(n_checked=n)
-    worst_dist = worst_conj = worst_fd = 0.0
+    worst_dist = worst_conj = worst_fd = worst_route = 0.0
     h = 1e-6
     for _ in range(n):
         g = FLT(smp.random_sp11(rng))
@@ -264,6 +265,9 @@ def distance_suite(rng, n: int) -> Suite:
         worst_dist = max(worst_dist, abs(distance_disc(g(p), g(q)) - d) / (1.0 + d))
         worst_conj = max(worst_conj,
                          abs(distance_disc(p.conj(), q.conj()) - d) / (1.0 + d))
+        geo = geodesic_disc(p, q)
+        route = 0.5 * math.log(cross_ratio(p, q, geo.q3, geo.q4).w)
+        worst_route = max(worst_route, abs(route - d) / (1.0 + d))
         base = smp.random_ball_point(rng, 0.8)
         v = smp.random_unit_quaternion(rng)
         push = (g(base + v * h) - g(base - v * h)) * (1.0 / (2.0 * h))
@@ -272,6 +276,7 @@ def distance_suite(rng, n: int) -> Suite:
     s.check("worst_distance", worst_dist, "<=", 1e-9)
     s.check("worst_conjugation", worst_conj, "<=", 1e-9)
     s.check("worst_metric_fd", worst_fd, "<=", 1e-5)
+    s.check("worst_cross_ratio_route", worst_route, "<=", 1e-9)
     return s
 
 

@@ -349,6 +349,27 @@ def test_apply_of_a_huge_scalar_matrix_is_the_identity(capsys):
     assert (code, data) == (0, {"result": [1, 0, 0, 0]})
 
 
+def _diag(v):
+    return [[v, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [v, 0, 0, 0]]
+
+
+def test_huge_scalar_matrix_is_invertible_and_normalizes(capsys):
+    # det_h and the squared entry scale are both inf at 1e160, so the
+    # singularity gate must judge the matrix scaled down by a power of two;
+    # decompose builds an FLT, which normalizes
+    mat = json.dumps(_diag(1e160))
+    assert invoke_quiet(capsys, "inv", mat) == (0, {"matrix": _diag(1e-160)})
+    assert invoke_quiet(capsys, "normalize", mat) == (0, {"matrix": _diag(1)})
+    assert invoke_quiet(capsys, "decompose", mat) == (0, {"generators": []})
+
+
+def test_huge_rank_one_matrix_stays_singular(capsys):
+    rank_one = "[[1e200,0,0,0],[1e200,0,0,0],[1e200,0,0,0],[1e200,0,0,0]]"
+    for cmd in ("inv", "normalize"):
+        code, data = invoke_quiet(capsys, cmd, rank_one)
+        assert (code, data["error"]) == (1, "Singular")
+
+
 @pytest.mark.parametrize("grid", ["1", "0", "-3"])
 def test_witness_grid_below_two_is_a_domain_error(capsys, grid):
     code, data = invoke_quiet(capsys, "kobayashi-witness", "--grid", grid)

@@ -1,6 +1,7 @@
 """Invariant distance, geodesics, metric densities, and the boundary map."""
 
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -32,6 +33,7 @@ from qmobius.sampling import (
     random_imaginary_unit,
     random_quaternion,
     random_sp11,
+    random_unit_quaternion,
 )
 
 HALF = Quaternion(0.5, 0.0, 0.0, 0.0)
@@ -128,6 +130,107 @@ def test_geodesic_ends_recover_distance():
         assert cr.w > 1.0
         assert 0.5 * math.log(cr.w) == pytest.approx(distance_disc(q1, q2),
                                                      rel=1e-9, abs=1e-9)
+
+
+def _dmul(p, q):
+    w1, x1, y1, z1 = p
+    w2, x2, y2, z2 = q
+    return (w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
+            w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
+            w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
+            w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2)
+
+
+def _dconj(p):
+    return (p[0], -p[1], -p[2], -p[3])
+
+
+def _dabs(p):
+    return sum(v * v for v in p).sqrt()
+
+
+def _ends_reference(q1, q2):
+    """L^-1(1) and L^-1(-1) for the normalizing map L of q1, q2, in 50-digit
+    decimal: L^-1(w) = phi(lam1^-1 w lam2^-1), phi(z) = (z + q1)(1 + conj(q1) z)^-1,
+    lam1^-1 = d / |d| for d = q2 - q1 and lam2^-1 = conj(g) / |g| for
+    g = 1 - conj(q1) q2."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        p1, p2 = (tuple(Decimal(v) for v in p) for p in (q1, q2))
+        one = (Decimal(1), Decimal(0), Decimal(0), Decimal(0))
+        d = tuple(b - a for a, b in zip(p1, p2))
+        g = tuple(a - b for a, b in zip(one, _dmul(_dconj(p1), p2)))
+        scale = _dabs(d) * _dabs(g)
+        z = tuple(v / scale for v in _dmul(d, _dconj(g)))
+        ends = []
+        for zs in (z, tuple(-v for v in z)):
+            num = tuple(a + b for a, b in zip(zs, p1))
+            den = tuple(a + b for a, b in zip(one, _dmul(_dconj(p1), zs)))
+            n2 = sum(v * v for v in den)
+            ends.append(_dmul(num, tuple(v / n2 for v in _dconj(den))))
+        return ends
+
+
+def _near_sphere(rng, direction):
+    """direction scaled to 1 - delta, delta log-uniform in [1e-9, 1e-3]."""
+    return direction * (1.0 - 10.0 ** rng.uniform(-9.0, -3.0))
+
+
+def _tangent(rng, n):
+    """A random unit quaternion orthogonal to the unit n, as a 4-vector."""
+    t = random_unit_quaternion(rng)
+    return (t - n * (t.w * n.w + t.x * n.x + t.y * n.y + t.z * n.z)).unit()
+
+
+def _end_errors(q1, q2, refs=None):
+    """Component-wise distance of geodesic_disc's ends from the references
+    (default: the 50-digit ends of q1, q2)."""
+    g = geodesic_disc(q1, q2)
+    with localcontext() as ctx:
+        ctx.prec = 50
+        return [max(abs(Decimal(a) - b) for a, b in zip(got, want))
+                for got, want in zip((g.q3, g.q4), refs or _ends_reference(q1, q2))]
+
+
+def test_geodesic_ends_near_the_sphere_match_the_normalizing_map():
+    rng = make_rng(88)
+    pairs = []
+    for _ in range(60):
+        u, v = random_unit_quaternion(rng), random_unit_quaternion(rng)
+        pairs.append((_near_sphere(rng, u), random_ball_point(rng)))
+        pairs.append((random_ball_point(rng), _near_sphere(rng, v)))
+        pairs.append((_near_sphere(rng, u), _near_sphere(rng, v)))
+        # nearly coincident at one depth: a step of 1e-8..1e-2 along the sphere
+        p = _near_sphere(rng, u)
+        step = _tangent(rng, u) * 10.0 ** rng.uniform(-8.0, -2.0)
+        pairs.append((p, (u + step).unit() * abs(p)))
+    worst = max(max(_end_errors(q1, q2)) for q1, q2 in pairs)
+    assert worst <= 2e-15, worst
+
+
+def test_geodesic_far_end_of_a_nearly_radial_line_is_backward_stable():
+    # two points near the sphere on a nearly radial line: the end beyond the
+    # deeper one lies across the ball and moves by up to about eps / delta^2
+    # when the inputs move by eps, so the bound is that measured movement of
+    # the 50-digit ends under relative input perturbations of eps
+    rng = make_rng(89)
+    eps = Decimal(2.0 ** -52)
+    for _ in range(40):
+        n = random_unit_quaternion(rng)
+        tilt = _tangent(rng, n) * 10.0 ** rng.uniform(-12.0, -3.0)
+        q1 = n * (1.0 - 10.0 ** rng.uniform(-9.0, -3.0))
+        q2 = (n + tilt).unit() * (1.0 - 10.0 ** rng.uniform(-9.0, -1.0))
+        refs = _ends_reference(q1, q2)
+        moved = [Decimal(0), Decimal(0)]
+        with localcontext() as ctx:
+            ctx.prec = 50
+            for _ in range(4):
+                shaken = [[Decimal(v) * (1 + eps * Decimal(rng.uniform(-1.0, 1.0)))
+                           for v in p] for p in (q1, q2)]
+                for k, (a, b) in enumerate(zip(_ends_reference(*shaken), refs)):
+                    moved[k] = max(moved[k], max(abs(x - y) for x, y in zip(a, b)))
+            for err, bound in zip(_end_errors(q1, q2, refs), moved):
+                assert err <= Decimal(2e-15) + 2 * bound, (q1, q2, err, bound)
 
 
 def test_geodesic_coincident_raises():
@@ -279,12 +382,22 @@ def test_geodesic_sample_rows_pinned_to_scalar_apply():
         n = 200
         rows = geodesic_sample_rows(q1, q2, n)
         Linv = normalizing_map(q1, q2).inverse()
-        t = abs(q2 - q1) / abs(ONE - q1.conj() * q2)
-        radii = np.tanh(np.linspace(0.0, 1.0, n) * math.atanh(t))
+        radii = np.tanh(np.linspace(0.0, 1.0, n) * distance_disc(q1, q2))
         for row, r in zip(rows[1:-1], radii[1:-1]):
             p = apply(Linv, q(r))
             assert np.abs(row - np.array(p)).max() <= 1e-15
         assert tuple(rows[0]) == q1 and tuple(rows[-1]) == q2
+
+
+def test_geodesic_sample_rows_near_the_sphere_are_equally_spaced():
+    # the segment's parameter t = tanh(D) rounds to 1 here, and atanh(t)
+    # fell short of D as it neared 1
+    q1, q2 = q(0.999), q(0, 1.0 - 1e-14)
+    D = distance_disc(q1, q2)
+    rows = geodesic_sample_rows(q1, q2, 3)
+    assert np.isfinite(rows).all() and ((rows * rows).sum(axis=1) < 1.0).all()
+    mid = Quaternion(*map(float, rows[1]))
+    assert abs(distance_disc(q1, mid) - D / 2.0) <= 1e-9 * (1.0 + D)
 
 
 def test_geodesic_sample_too_few():
@@ -419,6 +532,13 @@ def test_geodesic_halfspace_spot_values():
     for e in (g.e3, g.e4):
         assert not is_infinity(e)
         assert abs(e.w) <= 1e-9 * (1.0 + abs(e))
+
+
+def test_geodesic_halfspace_ends_near_the_boundary_stay_on_it():
+    g = geodesic_halfspace(q(1e-7, 1.0), q(1e-7, 0.0, 2.0, 0.5))
+    for e in (g.e3, g.e4):
+        assert not is_infinity(e)
+        assert abs(e.w) <= 1e-9 * (1.0 + abs(e)), e
 
 
 def test_cayley_is_an_isometry():
