@@ -6,9 +6,8 @@ from .errors import (BothZero, CoincidentPoints, ConstraintViolation,
                      InternalNumericError, NonFiniteResult, NonImaginaryShift,
                      NotConcyclic, NotOnSphere, NotSp11, OutOfDomain, PoleInput,
                      RealInput, Singular, TooFewSamples, ZeroD)
-from .quat import (I, J, K, ONE, ZERO, Quaternion, conjugate_sphere_check,
-                   get_tolerance, imaginary_unit, isclose, on_sphere,
-                   set_tolerance, slice_decompose)
+from .quat import (I, J, K, ONE, TOL, ZERO, Quaternion, conjugate_sphere_check,
+                   imaginary_unit, isclose, on_sphere, slice_decompose)
 from .mat2h import (CAYLEY, CAYLEY_INV, GroupTag, H_FORM, K_FORM, Mat2H,
                     cayley_conjugate, cayley_conjugate_inv, classify, det_h,
                     inverse, inverse_form_a, inverse_form_b, normalize)

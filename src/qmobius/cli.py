@@ -7,7 +7,7 @@ to 7 significant digits and keys keep a fixed order, so output is
 byte-stable for fixed inputs, tolerance and seed.
 
 Environment variables QMOBIUS_TOL and QMOBIUS_SEED supply defaults for
-the --tol and --seed flags.
+the --tol and --seed flags; either is checked as the flag would be.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from .hypgeo import (cayley, cayley_inv, distance_disc, distance_halfspace,
                      samples_to_json)
 from .kobayashi import non_isometry_witness
 from .mat2h import Mat2H, classify, det_h, inverse, normalize
-from .quat import Quaternion, get_tolerance, set_tolerance
+from .quat import Quaternion
 
 
 class _ParseError(Exception):
@@ -73,6 +73,16 @@ def _finite_number(text: str) -> float:
     return value
 
 
+def _tolerance(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value >= 0.0):
+        raise argparse.ArgumentTypeError(f"tolerance must be finite and >= 0, got {text}")
+    return value
+
+
 def _parse_json(text: str):
     """json.loads that refuses NaN, Infinity and numbers beyond float range."""
     try:
@@ -109,15 +119,14 @@ def _parse_mat(text: str) -> Mat2H:
 
 
 def build_parser() -> _Parser:
-    env_tol = os.environ.get("QMOBIUS_TOL")
-    env_seed = os.environ.get("QMOBIUS_SEED")
-
     parser = _Parser(prog="qmobius", description=__doc__)
-    parser.add_argument("--tol", type=float,
-                        default=float(env_tol) if env_tol else None,
-                        help="override both comparison tolerances")
+    # string defaults pass through type=, so bad environment values are parse errors
+    parser.add_argument("--tol", type=_tolerance,
+                        default=os.environ.get("QMOBIUS_TOL") or None,
+                        help="comparison tolerance of classify, canonical, "
+                             "cross-ratio, concyclic and geodesic")
     parser.add_argument("--seed", type=int,
-                        default=int(env_seed) if env_seed else 0,
+                        default=os.environ.get("QMOBIUS_SEED") or 0,
                         help="seed for randomized subcommands")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -192,10 +201,10 @@ def build_parser() -> _Parser:
 def _cmd_geodesic(args) -> int:
     q1 = _parse_quat(args.q1)
     q2 = _parse_quat(args.q2)
-    n = args.samples
+    n, tol = args.samples, args.tol
     if args.disc:
-        geo = geodesic_disc(q1, q2)
-        samples = geodesic_sample(q1, q2, n)
+        geo = geodesic_disc(q1, q2, tol)
+        samples = geodesic_sample(q1, q2, n, tol)
         if args.csv:
             sys.stdout.write(samples_to_csv(samples, digits=7))
             return 0
@@ -203,9 +212,9 @@ def _cmd_geodesic(args) -> int:
                "ends": [ext_to_json(geo.q3), ext_to_json(geo.q4)],
                "samples": samples_to_json(samples)})
         return 0
-    geo = geodesic_halfspace(q1, q2)
+    geo = geodesic_halfspace(q1, q2, tol)
     samples = [cayley(p) for p in
-               geodesic_sample(cayley_inv(q1), cayley_inv(q2), n)]
+               geodesic_sample(cayley_inv(q1), cayley_inv(q2), n, tol)]
     if args.csv:
         finite = [p for p in samples if isinstance(p, Quaternion)]
         sys.stdout.write(samples_to_csv(finite, digits=7))
@@ -246,7 +255,7 @@ def _dispatch(args) -> int:
         pts = [_parse_ext(args.q1), _parse_ext(args.q2),
                _parse_ext(args.q3), _parse_ext(args.q4)]
         flag = is_concyclic(*pts, tol=args.tol)
-        _emit({"concyclic": flag, "cross_ratio": cross_ratio(*pts).to_json()})
+        _emit({"concyclic": flag, "cross_ratio": cross_ratio(*pts, args.tol).to_json()})
     elif cmd == "distance":
         q1, q2 = _parse_quat(args.q1), _parse_quat(args.q2)
         value = distance_disc(q1, q2) if args.disc else distance_halfspace(q1, q2)
@@ -279,9 +288,6 @@ def run(argv) -> int:
     except _ParseError as exc:
         print(json.dumps({"error": "parse", "message": str(exc)}))
         return 2
-    saved = get_tolerance()
-    if args.tol is not None:
-        set_tolerance(args.tol, args.tol)
     try:
         return _dispatch(args)
     except _ParseError as exc:
@@ -290,8 +296,6 @@ def run(argv) -> int:
     except GeometryError as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}))
         return 1
-    finally:
-        set_tolerance(*saved)
 
 
 def main() -> None:

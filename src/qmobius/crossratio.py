@@ -17,11 +17,7 @@ from .errors import CoincidentPoints, DegenerateResult, NotConcyclic
 from .flt import (INFINITY, Dilation, ExtQuaternion, Generator, Inversion,
                   Rotation, Translation, generator_inverse)
 from .mat2h import qmul_planes
-from .quat import N2_HUGE, N2_TINY, ONE, Quaternion, _new, _tols
-
-
-def _coincident(p: Quaternion, q: Quaternion, atol: float) -> bool:
-    return abs(p - q) <= atol * (1.0 + max(abs(p), abs(q)))
+from .quat import N2_HUGE, N2_TINY, ONE, Quaternion, _new, _tols, coincident
 
 
 def cross_ratio(q1: ExtQuaternion, q2: ExtQuaternion, q3: ExtQuaternion,
@@ -32,7 +28,6 @@ def cross_ratio(q1: ExtQuaternion, q2: ExtQuaternion, q3: ExtQuaternion,
     The one permitted coincidence is q1 = q2 (exact), which returns 1 so
     that distance formulas degrade gracefully.
     """
-    atol, _ = _tols(tol)
     pts = (q1, q2, q3, q4)
     n_inf = (q1 is INFINITY) + (q2 is INFINITY) + (q3 is INFINITY) + (q4 is INFINITY)
     if n_inf > 1:
@@ -51,7 +46,7 @@ def cross_ratio(q1: ExtQuaternion, q2: ExtQuaternion, q3: ExtQuaternion,
     for (i, j), gap in zip(((0, 2), (0, 3), (1, 2), (1, 3), (2, 3)), (
             hypot(*d13), hypot(*d14), hypot(*d23), hypot(*d24),
             hypot(w3 - w4, x3 - x4, y3 - y4, z3 - z4))):
-        if gap <= atol * (1.0 + max(mods[i], mods[j])):
+        if coincident(gap, mods[i], mods[j], tol):
             raise CoincidentPoints(f"q{i + 1} and q{j + 1} coincide")
     if n_inf:
         result = ONE
@@ -71,6 +66,14 @@ def cross_ratio(q1: ExtQuaternion, q2: ExtQuaternion, q3: ExtQuaternion,
     return _new(Quaternion, qmul_planes(r, i23))
 
 
+def _distinct_cross_ratio(q1, q2, q3, q4, tol: float | None) -> Quaternion:
+    """cross_ratio, where q1 = q2 raises CoincidentPoints instead of giving 1."""
+    if q1 is not INFINITY and q2 is not INFINITY and coincident(
+            abs(q1 - q2), abs(q1), abs(q2), tol):
+        raise CoincidentPoints("q1 and q2 coincide")
+    return cross_ratio(q1, q2, q3, q4, tol)
+
+
 def is_concyclic(q1: ExtQuaternion, q2: ExtQuaternion, q3: ExtQuaternion,
                  q4: ExtQuaternion, tol: float | None = None) -> bool:
     """Whether the four (distinct) points lie on one circle or line.
@@ -78,9 +81,7 @@ def is_concyclic(q1: ExtQuaternion, q2: ExtQuaternion, q3: ExtQuaternion,
     This holds exactly when the cross-ratio is real.
     """
     atol, _ = _tols(tol)
-    if q1 is not INFINITY and q2 is not INFINITY and _coincident(q1, q2, atol):
-        raise CoincidentPoints("q1 and q2 coincide")
-    cr = cross_ratio(q1, q2, q3, q4, tol)
+    cr = _distinct_cross_ratio(q1, q2, q3, q4, tol)
     return cr.im_norm() <= atol * (1.0 + abs(cr))
 
 
@@ -89,9 +90,7 @@ def separates(q1: ExtQuaternion, q2: ExtQuaternion, q3: ExtQuaternion,
     """Whether the pairs (q1, q2) and (q3, q4) separate each other on
     their common circle; equivalent to a negative cross-ratio."""
     atol, _ = _tols(tol)
-    if q1 is not INFINITY and q2 is not INFINITY and _coincident(q1, q2, atol):
-        raise CoincidentPoints("q1 and q2 coincide")
-    cr = cross_ratio(q1, q2, q3, q4, tol)
+    cr = _distinct_cross_ratio(q1, q2, q3, q4, tol)
     if cr.im_norm() > atol * (1.0 + abs(cr)):
         raise NotConcyclic("the four points do not lie on a common circle")
     return cr.w < 0.0

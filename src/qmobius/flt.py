@@ -16,7 +16,7 @@ from . import mat2h as _m
 from .errors import (BothZero, CoincidentPoints, ConstraintViolation,
                      NonImaginaryShift, NotSp11, PoleInput, ZeroD)
 from .mat2h import SINGULAR_REL, GroupTag, Mat2H, classify, det_h, normalize
-from .quat import N2_HUGE, N2_TINY, ONE, ZERO, Quaternion, _new, _tols
+from .quat import N2_HUGE, N2_TINY, ONE, TOL, ZERO, Quaternion, _new, _tols, coincident
 
 
 class _Infinity:
@@ -326,16 +326,13 @@ def three_point_map(alpha: ExtQuaternion, beta: ExtQuaternion,
     (q - alpha)(q - beta)^-1; an infinite input drops the factors that
     contain it.
     """
-    atol, _ = _tols(tol)
     pts = (alpha, beta, gamma)
     if sum(1 for p in pts if p is INFINITY) > 1:
         raise CoincidentPoints("two of the three points are at infinity")
     finite = [p for p in pts if p is not INFINITY]
-    for i in range(len(finite)):
-        for j in range(i + 1, len(finite)):
-            p, q = finite[i], finite[j]
-            if abs(p - q) <= atol * (1.0 + max(abs(p), abs(q))):
-                raise CoincidentPoints("the three points must be distinct")
+    for i, p in enumerate(finite):
+        if any(coincident(abs(p - q), abs(p), abs(q), tol) for q in finite[i + 1:]):
+            raise CoincidentPoints("the three points must be distinct")
     if alpha is INFINITY:
         return FLT(Mat2H(ZERO, gamma - beta, ONE, -beta))
     if beta is INFINITY:
@@ -361,8 +358,7 @@ class MobiusCanonical:
     q0: Quaternion
 
     def __post_init__(self):
-        atol, rtol = _tols(None)
-        if abs(abs(self.alpha) - 1.0) > atol + rtol or abs(abs(self.beta) - 1.0) > atol + rtol:
+        if abs(abs(self.alpha) - 1.0) > 2.0 * TOL or abs(abs(self.beta) - 1.0) > 2.0 * TOL:
             raise ValueError("alpha and beta must be unit quaternions")
         if abs(self.q0) >= 1.0:
             raise ValueError("q0 must lie in the open unit ball")

@@ -18,6 +18,8 @@ The end beyond x of the ball's line through y and x, the image of -u under the
 ball map sending 0 to x, is e(x, y) = (x - u)(1 - conj(x) u)^-1 for u = m / |m|,
 m = (y - x)(1 - conj(x) y)^-1.  geodesic_disc takes each end from its own base:
 from x near the sphere, the far end's denominator cancels to about 1 - |x|.
+geodesic_sample_rows puts the point at distance artanh(r) from x, r in [0, 1),
+at (u r + x)(conj(x) u r + 1)^-1: normalizing_map's inverse, in closed form.
 """
 
 from __future__ import annotations
@@ -25,12 +27,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .crossratio import cross_ratio
-from .errors import (CoincidentPoints, InternalNumericError, OutOfDomain,
-                     TooFewSamples)
+from .errors import CoincidentPoints, OutOfDomain, TooFewSamples
 from .flt import FLT, INFINITY, ExtQuaternion, MobiusCanonical, apply
 from .mat2h import CAYLEY, Mat2H, _norm_sq, qmul_planes
-from .quat import ONE, Quaternion, _tols
+from .quat import ONE, Quaternion, _tols, coincident
 
 _MINUS_ONE = Quaternion(-1.0, 0.0, 0.0, 0.0)
 _CAYLEY_INV_M = Mat2H(ONE, _MINUS_ONE, ONE, ONE)  # q -> (q - 1)(q + 1)^-1
@@ -56,13 +56,12 @@ def _require_halfspace(q: Quaternion) -> None:
         raise OutOfDomain(f"{q} is not in the open half-space Re q > 0")
 
 
-def _require_distinct(q1: Quaternion, q2: Quaternion) -> Quaternion:
+def _require_distinct(q1: Quaternion, q2: Quaternion, tol: float | None) -> Quaternion:
     """q2 - q1, for two points of the ball that do not coincide."""
     _require_ball(q1)
     _require_ball(q2)
-    atol, _ = _tols(None)
     diff = q2 - q1
-    if abs(diff) <= atol * (1.0 + max(abs(q1), abs(q2))):
+    if coincident(abs(diff), abs(q1), abs(q2), tol):
         raise CoincidentPoints("a line needs two distinct points")
     return diff
 
@@ -74,7 +73,7 @@ def normalizing_map(q1: Quaternion, q2: Quaternion) -> FLT:
     factors lam1 = |q2 - q1| (q2 - q1)^-1 and
     lam2 = (1 - conj(q1) q2) / |1 - conj(q1) q2|.
     """
-    diff = _require_distinct(q1, q2)
+    diff = _require_distinct(q1, q2, None)
     lam1 = diff.inverse() * abs(diff)
     den = ONE - q1.conj() * q2
     lam2 = den * (1.0 / abs(den))
@@ -82,12 +81,17 @@ def normalizing_map(q1: Quaternion, q2: Quaternion) -> FLT:
     return MobiusCanonical(lam1, lam2.conj(), q1).to_flt()
 
 
+def _direction(x: Quaternion, y: Quaternion) -> Quaternion:
+    """u of the module docstring: m / |m|, where m is the image of y under
+    the ball map that sends x to 0."""
+    m = (y - x) * (ONE - x.conj() * y).inverse()
+    return m * (1.0 / abs(m))
+
+
 def _end_beyond(x: Quaternion, y: Quaternion) -> Quaternion:
     """e(x, y) of the module docstring: the end beyond x of the line through y."""
-    xc = x.conj()
-    m = (y - x) * (ONE - xc * y).inverse()
-    u = m * (1.0 / abs(m))
-    return (x - u) * (ONE - xc * u).inverse()
+    u = _direction(x, y)
+    return (x - u) * (ONE - x.conj() * u).inverse()
 
 
 @dataclass(frozen=True)
@@ -104,18 +108,13 @@ class GeodesicDisc:
 
 def geodesic_disc(q1: Quaternion, q2: Quaternion,
                   tol: float | None = None) -> GeodesicDisc:
-    atol, rtol = _tols(tol)
-    _require_distinct(q1, q2)
+    atol, _ = _tols(tol)
+    _require_distinct(q1, q2, tol)
     q3 = _end_beyond(q2, q1)
     q4 = _end_beyond(q1, q2)
     # the line is a diameter exactly when 0 lies on it, i.e. when
     # conj(q1) q2 is real
     diam = (q1.conj() * q2).im_norm() <= atol * (1.0 + abs(q1) * abs(q2))
-    if q1.norm_sq() > 0.01 and q2.norm_sq() > 0.01:
-        # redundant route: the reflected pair lies on the same circle
-        cr = cross_ratio(q1, q2, q1.conj().inverse(), q2.conj().inverse())
-        if cr.im_norm() > 1e-6 * (1.0 + abs(cr)):
-            raise InternalNumericError("reflected cross-ratio came out non-real")
     return GeodesicDisc(q1, q2, q3, q4, "Diameter" if diam else "Circle")
 
 
@@ -154,14 +153,17 @@ def _apply_matrix_to_reals(M: Mat2H, r) -> tuple:
     return qmul_planes(num, (dw / n2, -dx / n2, -dy / n2, -dz / n2))
 
 
-def geodesic_sample_rows(q1: Quaternion, q2: Quaternion, n: int):
+def geodesic_sample_rows(q1: Quaternion, q2: Quaternion, n: int,
+                         tol: float | None = None):
     """Component rows (n, 4) of n points along the line from q1 to q2,
     equally spaced in the invariant distance; endpoints are exact.  Bulk
     consumers can feed the rows straight to integrated_length_disc."""
     import numpy as np
     if n < 2:
         raise TooFewSamples("need at least two sample points")
-    M = normalizing_map(q1, q2).inverse().matrix
+    _require_distinct(q1, q2, tol)
+    u = _direction(q1, q2)
+    M = Mat2H(u, q1, q1.conj() * u, ONE)
     radii = np.tanh(np.linspace(0.0, 1.0, n) * distance_disc(q1, q2))
     rows = np.stack(_apply_matrix_to_reals(M, radii), axis=1)
     rows[0] = q1
@@ -169,9 +171,10 @@ def geodesic_sample_rows(q1: Quaternion, q2: Quaternion, n: int):
     return rows
 
 
-def geodesic_sample(q1: Quaternion, q2: Quaternion, n: int) -> list[Quaternion]:
+def geodesic_sample(q1: Quaternion, q2: Quaternion, n: int,
+                    tol: float | None = None) -> list[Quaternion]:
     """geodesic_sample_rows as a list of quaternions."""
-    return [Quaternion(*map(float, row)) for row in geodesic_sample_rows(q1, q2, n)]
+    return [Quaternion(*map(float, row)) for row in geodesic_sample_rows(q1, q2, n, tol)]
 
 
 def integrated_length_disc(path) -> float:

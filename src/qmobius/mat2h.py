@@ -16,7 +16,7 @@ from enum import Enum
 from typing import NamedTuple
 
 from .errors import InternalNumericError, NonFiniteResult, Singular
-from .quat import N2_HUGE, N2_TINY, ONE, ZERO, Quaternion, _ldexp_q, _new, _tols, isclose
+from .quat import N2_HUGE, N2_TINY, ONE, TOL, ZERO, Quaternion, _ldexp_q, _new, _tols, isclose
 
 
 class Mat2H(NamedTuple):
@@ -88,8 +88,7 @@ def det_h(A: Mat2H) -> float:
     if rad < 0.0:
         # the radicand is a square in exact arithmetic; tiny negatives are
         # cancellation noise, anything larger is a genuine bug
-        atol, rtol = _tols(None)
-        if -rad <= atol + rtol * t:
+        if -rad <= TOL + TOL * t:
             rad = 0.0
         else:
             raise InternalNumericError(
@@ -148,8 +147,7 @@ def _det_h_planes(a, b, c, d) -> tuple:
     rad = t - 2.0 * (pw * rw - px * rx - py * ry - pz * rz)
     neg = rad < 0.0
     if np.any(neg):
-        atol, rtol = _tols(None)
-        bound = atol + rtol * t
+        bound = TOL + TOL * t
         if np.any(-rad[neg] > bound[neg]):
             raise InternalNumericError(
                 "determinant radicand negative beyond tolerance")

@@ -14,31 +14,14 @@ from typing import NamedTuple
 
 from .errors import DivisionByZero, NonFiniteResult, NotOnSphere, RealInput
 
-DEFAULT_ATOL = 1e-9
-DEFAULT_RTOL = 1e-9
-
-_current = {"atol": DEFAULT_ATOL, "rtol": DEFAULT_RTOL}
-
-
-def set_tolerance(atol: float | None = None, rtol: float | None = None) -> None:
-    """Override the package-wide comparison tolerances.
-
-    None leaves the corresponding value unchanged.  Closeness everywhere
-    means |a - b| <= atol + rtol * max(|a|, |b|).
-    """
-    if atol is not None:
-        _current["atol"] = float(atol)
-    if rtol is not None:
-        _current["rtol"] = float(rtol)
-
-
-def get_tolerance() -> tuple[float, float]:
-    return _current["atol"], _current["rtol"]
+# the comparison tolerance of every predicate called with tol=None; a
+# predicate's tol= replaces it for that call, as both atol and rtol
+TOL = 1e-9
 
 
 def _tols(tol: float | None) -> tuple[float, float]:
     if tol is None:
-        return _current["atol"], _current["rtol"]
+        return TOL, TOL
     return float(tol), float(tol)
 
 
@@ -46,6 +29,12 @@ def isclose(a: float, b: float, tol: float | None = None) -> bool:
     """Combined absolute/relative closeness for real scalars."""
     atol, rtol = _tols(tol)
     return abs(a - b) <= atol + rtol * max(abs(a), abs(b))
+
+
+def coincident(gap: float, r1: float, r2: float, tol: float | None = None) -> bool:
+    """Whether two points of moduli r1, r2 at distance gap coincide:
+    gap <= tol max(r1, r2), relative so that a dilation never changes it."""
+    return gap <= (TOL if tol is None else tol) * max(r1, r2)
 
 
 # squared norms outside [2^-900, 2^900) have lost digits or come close to overflow

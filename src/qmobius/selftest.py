@@ -155,7 +155,8 @@ def homomorphism_suite(rng, n: int) -> Suite:
 
 def cross_ratio_suite(rng, n: int) -> Suite:
     """Translation, dilation, rotation and inversion laws of the
-    cross-ratio, and real cross-ratio if and only if concyclic."""
+    cross-ratio, real cross-ratio if and only if concyclic, and a real
+    cross-ratio for two ball points and their reflections in the sphere."""
     s = Suite()
     worst = 0.0
     for _ in range(n):
@@ -192,9 +193,17 @@ def cross_ratio_suite(rng, n: int) -> Suite:
             bad += 1
         if not has_im and not is_concyclic(*generic, tol=1e-5):
             bad += 1
-    s.n_checked = 3 * n
+    # 1/conj(q) is q reflected in the sphere; all four lie on the geodesic's circle
+    worst_reflected = 0.0
+    for _ in range(n):
+        q1, q2 = (smp.random_unit_quaternion(rng) * float(rng.uniform(0.1, 0.999))
+                  for _ in range(2))
+        cr = cross_ratio(q1, q2, q1.conj().inverse(), q2.conj().inverse())
+        worst_reflected = max(worst_reflected, cr.im_norm() / (1.0 + abs(cr)))
+    s.n_checked = 4 * n
     s.check("worst_rel", worst, "<=", 1e-9)
     s.check("concyclic_mismatches", bad, "<=", 0)
+    s.check("worst_reflected_im", worst_reflected, "<=", 1e-9)
     return s
 
 

@@ -13,7 +13,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qmobius import cli
-from qmobius.quat import get_tolerance
 
 IDENT = "[[1,0,0,0],[0,0,0,0],[0,0,0,0],[1,0,0,0]]"
 BOOST = "[[1,0,0,0],[0,1,0,0],[0,0,1,0],[0,0,0,1]]"  # [[1, i], [j, k]]
@@ -210,16 +209,60 @@ def test_seed_env_default(capsys, monkeypatch):
 
 
 def test_tol_flag_changes_comparisons(capsys):
-    base = get_tolerance()
     code, data = invoke_json(capsys, "--tol", "0.5", "classify",
                              "[[1,0,0,0],[0.1,0,0,0],[0,0,0,0],[1,0,0,0]]")
     assert code == 0
     assert "Sp11" in data["tags"]  # sloppy tolerance accepts the perturbation
-    assert get_tolerance() == base  # the flag stays inside its call
+    # the flag stays inside its call
     code, data = invoke_json(capsys, "classify",
                              "[[1,0,0,0],[0.1,0,0,0],[0,0,0,0],[1,0,0,0]]")
     assert code == 0
     assert "Sp11" not in data["tags"]
+
+
+# points 1e-10 apart coincide under the default tolerance, not under 1e-12;
+# concyclic has both pairs that close, as cross_ratio does not check q1, q2
+_NEAR = ("[0.5,0,0,0]", "[0.5000000001,0,0,0]")
+
+
+@pytest.mark.parametrize("tol, argv, error", [
+    ("1e-12", ("geodesic", "--disc", *_NEAR, "--samples", "3"), "CoincidentPoints"),
+    ("1e-12", ("geodesic", "--halfspace", *_NEAR, "--samples", "3"), "CoincidentPoints"),
+    ("1e-12", ("concyclic", *_NEAR, "[0,0.5,0,0]", "[0,0.5000000001,0,0]"),
+     "CoincidentPoints"),
+    ("1e-12", ("cross-ratio", "[0,0.5,0,0]", "[0,0,0.5,0]", *_NEAR), "CoincidentPoints"),
+    ("0.5", ("canonical", "[[1,0,0,0],[0.1,0,0,0],[0,0,0,0],[1,0,0,0]]"), "NotSp11"),
+])
+def test_tol_flag_reaches_every_call_that_takes_it(capsys, tol, argv, error):
+    code, data = invoke_json(capsys, *argv)
+    assert (code, data["error"]) == (1, error)
+    code, data = invoke_json(capsys, "--tol", tol, *argv)
+    assert code == 0, data
+
+
+def test_canonical_at_zero_tolerance(capsys):
+    # a / |a| is a unit only to rounding, so the unit check of the canonical
+    # parameters must not read the flag
+    a = [0.932368563706926, 0.361509144298016, 0, 0]
+    mat = json.dumps([a, [0, 0, 0, 0], [0, 0, 0, 0], a])
+    code, data = invoke_json(capsys, "--tol", "0", "canonical", mat)
+    assert (code, data) == (0, {"alpha": [0.9323686, 0.3615091, 0, 0],
+                                "beta": [0.9323686, 0.3615091, 0, 0],
+                                "q0": [0, 0, 0, 0]})
+
+
+@pytest.mark.parametrize("value", ["-1", "nan", "inf", "-inf", "1e400", "abc", ""])
+def test_bad_tol_is_a_parse_error(capsys, value):
+    code, data = invoke_quiet(capsys, "--tol", value, "classify", IDENT)
+    assert (code, data["error"]) == (2, "parse")
+
+
+@pytest.mark.parametrize("name, value", [("QMOBIUS_TOL", "abc"), ("QMOBIUS_TOL", "-1"),
+                                         ("QMOBIUS_SEED", "abc")])
+def test_bad_environment_default_is_a_parse_error(capsys, monkeypatch, name, value):
+    monkeypatch.setenv(name, value)
+    code, data = invoke_quiet(capsys, "classify", IDENT)
+    assert (code, data["error"]) == (2, "parse")
 
 
 # -- error paths ---------------------------------------------------------
@@ -342,6 +385,25 @@ def test_cross_ratio_is_dilation_invariant_beyond_squared_norm_range(capsys):
     assert (code, data) == (0, [0.5, -0.5, -0.5, -0.5])
 
 
+def test_tiny_distinct_points_do_not_coincide(capsys):
+    # the points are 1e-160 apart; coincidence is relative to their moduli
+    code, data = invoke_quiet(capsys, "cross-ratio", "[0,0,0,0]", "[1e-160,0,0,0]",
+                              "[0,1e-160,0,0]", "[0,0,1e-160,0]")
+    assert (code, data) == (0, [0.5, -0.5, -0.5, -0.5])
+
+
+@pytest.mark.parametrize("model, q1, q2", [
+    # det_h of the normalizing map is 1 - |q1|^2, under the singularity gate
+    ("--disc", "[0.99999999,0,0,0]", "[0,0.5,0,0]"),
+    # q1's Cayley image lies as close to the sphere
+    ("--halfspace", "[1e-9,0,0,0]", "[1,0.5,0,0]"),
+])
+def test_geodesic_samples_from_near_the_boundary(capsys, model, q1, q2):
+    code, data = invoke_quiet(capsys, "geodesic", model, q1, q2, "--samples", "5")
+    assert code == 0, data
+    assert len(data["samples"]) == 5 and data["samples"][-1] == json.loads(q2)
+
+
 def test_apply_of_a_huge_scalar_matrix_is_the_identity(capsys):
     code, data = invoke_quiet(capsys, "apply",
                               "[[1e160,0,0,0],[0,0,0,0],[0,0,0,0],[1e160,0,0,0]]",
@@ -417,24 +479,31 @@ def _strict_json(text):
     return json.loads(text, parse_constant=refuse)
 
 
-def _assert_one_document_and_an_exit_code(argv):
+# absent, three valid values, and three that are parse errors
+_tol_flags = st.sampled_from([[], ["--tol", "0"], ["--tol", "1e-12"], ["--tol", "0.5"],
+                              ["--tol", "-1"], ["--tol", "nan"], ["--tol", "inf"]])
+
+
+def _assert_one_document_and_an_exit_code(tol_flag, argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.run(argv)
+        code = cli.run(tol_flag + argv)
     assert err.getvalue() == ""
     data = _strict_json(out.getvalue())
     assert code in (0, 1, 2)
     assert ("error" in data) == (code != 0)
+    if tol_flag[1:] in (["-1"], ["nan"], ["inf"]):
+        assert (code, data["error"]) == (2, "parse")
 
 
-@given(st.one_of(
+@given(_tol_flags, st.one_of(
     st.tuples(st.just("det"), _mats),
     st.tuples(st.sampled_from(["--disc", "--halfspace"]), _quats, _quats)))
 @settings(max_examples=60, deadline=None, derandomize=True)
-def test_cli_contract_one_document_and_an_exit_code(call):
+def test_cli_contract_one_document_and_an_exit_code(tol_flag, call):
     head, *operands = call
     argv = ([head] if head == "det" else ["distance", head]) + [json.dumps(x) for x in operands]
-    _assert_one_document_and_an_exit_code(argv)
+    _assert_one_document_and_an_exit_code(tol_flag, argv)
 
 
 # operands at the ends of float range, where inverses need their rescue
@@ -444,14 +513,14 @@ _extreme_quat = st.lists(_extreme, min_size=4, max_size=4)
 _extreme_point = st.one_of(st.just("inf"), _extreme_quat)
 
 
-@given(st.one_of(
+@given(_tol_flags, st.one_of(
     st.tuples(st.just("apply"), st.lists(_extreme_quat, min_size=4, max_size=4),
               _extreme_point),
     st.tuples(st.just("cross-ratio"), *[_extreme_point] * 4)))
 @settings(max_examples=60, deadline=None, derandomize=True)
-def test_cli_contract_for_maps_and_cross_ratios(call):
+def test_cli_contract_for_maps_and_cross_ratios(tol_flag, call):
     head, *operands = call
-    _assert_one_document_and_an_exit_code([head] + [json.dumps(x) for x in operands])
+    _assert_one_document_and_an_exit_code(tol_flag, [head] + [json.dumps(x) for x in operands])
 
 
 # -- cold start ----------------------------------------------------------

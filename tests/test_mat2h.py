@@ -26,7 +26,7 @@ from qmobius.mat2h import (
     normalize,
     qmul_planes,
 )
-from qmobius.quat import I, J, K, ONE, ZERO, Quaternion, get_tolerance
+from qmobius.quat import TOL, I, J, K, ONE, ZERO, Quaternion
 from qmobius.sampling import (
     make_rng,
     random_invertible_matrix,
@@ -382,8 +382,7 @@ def test_cayley_conjugate_random_directions():
 
 def form_tags_by_products(A: Mat2H) -> set:
     """classify's form tags, from the products conj-transpose(A) F A."""
-    atol, rtol = get_tolerance()
-    thr = atol + rtol * (1.0 + max_entry(A) ** 2)
+    thr = TOL + TOL * (1.0 + max_entry(A) ** 2)
     return {tag for tag, form in ((GroupTag.SP11, H_FORM), (GroupTag.SL_HPLUS, K_FORM))
             if form_residual(A, form) <= thr}
 
@@ -394,7 +393,6 @@ def step(M: Mat2H, h: float, D: Mat2H) -> Mat2H:
 
 def test_classify_forms_match_the_products():
     rng = make_rng(23)
-    atol, rtol = get_tolerance()
     mats = [IDENT, -IDENT, H_FORM, K_FORM]
     mats += [random_matrix(rng, 2.0) for _ in range(100)]
     for _ in range(50):
@@ -405,7 +403,7 @@ def test_classify_forms_match_the_products():
             # steps: put it at 0.9 and at 1.1 of the threshold
             D = random_matrix(rng, 1.0)
             slope = form_residual(step(M, 1e-7, D), form) / 1e-7
-            thr = atol + rtol * (1.0 + max_entry(M) ** 2)
+            thr = TOL + TOL * (1.0 + max_entry(M) ** 2)
             inside, outside = (step(M, k * thr / slope, D) for k in (0.9, 1.1))
             assert form_tags_by_products(inside) == {tag}
             assert form_tags_by_products(outside) == set()

@@ -15,12 +15,11 @@ from qmobius.quat import (
     ONE,
     ZERO,
     Quaternion,
+    coincident,
     conjugate_sphere_check,
-    get_tolerance,
     imaginary_unit,
     isclose,
     on_sphere,
-    set_tolerance,
     slice_decompose,
 )
 
@@ -270,16 +269,23 @@ def test_conjugation_preserves_spheres(p, x, y, phi, theta):
     assert conjugate_sphere_check(p, x, y, point, tol=1e-6)
 
 
-# -- tolerance switches --------------------------------------------------
+# -- tolerances ----------------------------------------------------------
 
 
 def test_tolerance_override_and_restore():
-    base = get_tolerance()
-    try:
-        assert isclose(1.0, 1.0 + 1e-10)
-        set_tolerance(1e-14, 1e-14)
-        assert not isclose(1.0, 1.0 + 1e-10)
-        assert isclose(1.0, 1.0 + 1e-10, tol=1e-9)
-    finally:
-        set_tolerance(*base)
-    assert get_tolerance() == base
+    # tol= holds for its own call; the next call without it is back at TOL
+    assert isclose(1.0, 1.0 + 1e-10)
+    assert not isclose(1.0, 1.0 + 1e-10, tol=1e-14)
+    assert isclose(1.0, 1.0 + 1e-10, tol=1e-9)
+    assert isclose(1.0, 1.0 + 1e-10)
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1e-160, 1.0, 1e160, 1e300])
+def test_coincidence_is_dilation_invariant(scale):
+    p, r = q(scale), q(scale, scale)
+    assert not coincident(abs(p - r), abs(p), abs(r))
+    assert not coincident(abs(ZERO - p), 0.0, abs(p))
+    assert coincident(abs(p - p), abs(p), abs(p))
+    near = q(scale * (1.0 + 1e-12))
+    assert coincident(abs(p - near), abs(p), abs(near))
+    assert not coincident(abs(p - near), abs(p), abs(near), tol=1e-13)
