@@ -51,7 +51,7 @@ def ext_from_json(data) -> ExtQuaternion:
     return Quaternion.from_json(data)
 
 
-# |c q + d| below this scaled threshold counts as a pole
+# pole threshold, relative to |c||q| + |d| (at INFINITY, to |a| + |d|)
 _POLE_EPS = 1e-12
 
 
@@ -64,7 +64,7 @@ def apply(f, q: ExtQuaternion) -> ExtQuaternion:
     A = f.matrix if isinstance(f, FLT) else f
     a, b, c, d = A
     if q is INFINITY:
-        if abs(c) <= _POLE_EPS * (1.0 + abs(a) + abs(d)):
+        if abs(c) <= _POLE_EPS * (abs(a) + abs(d)):
             return INFINITY
         return a * c.inverse()
     # (a q + b)(c q + d)^-1 on components: each operation is the one the
@@ -75,7 +75,7 @@ def apply(f, q: ExtQuaternion) -> ExtQuaternion:
     ex = cw * qx + cx * qw + cy * qz - cz * qy + dx
     ey = cw * qy - cx * qz + cy * qw + cz * qx + dy
     ez = cw * qz + cx * qy - cy * qx + cz * qw + dz
-    scale = 1.0 + hypot(cw, cx, cy, cz) * hypot(qw, qx, qy, qz) + hypot(dw, dx, dy, dz)
+    scale = hypot(cw, cx, cy, cz) * hypot(qw, qx, qy, qz) + hypot(dw, dx, dy, dz)
     if hypot(ew, ex, ey, ez) <= _POLE_EPS * scale:
         return INFINITY
     (aw, ax, ay, az), (bw, bx, by, bz) = a, b

@@ -7,12 +7,17 @@ det_h below is the Dieudonne determinant, the nonnegative real
 
 which is multiplicative and vanishes exactly on the non-invertible
 matrices.  For real or complex entries it reduces to |ad - bc|.
+
+The scalar operations work on unpacked float components, with the
+operations of the Quaternion operators in their order, so each result is
+bit-identical to its operator expression (tests/test_mat2h.py pins this).
 """
 
 from __future__ import annotations
 
 import math
 from enum import Enum
+from math import hypot
 from typing import NamedTuple
 
 from .errors import InternalNumericError, NonFiniteResult, Singular
@@ -32,8 +37,8 @@ class Mat2H(NamedTuple):
     def __matmul__(self, other: "Mat2H") -> "Mat2H":
         a1, b1, c1, d1 = self
         a2, b2, c2, d2 = other
-        return _new(Mat2H, (a1 * a2 + b1 * c2, a1 * b2 + b1 * d2,
-                            c1 * a2 + d1 * c2, c1 * b2 + d1 * d2))
+        return _new(Mat2H, (_mul_add(a1, a2, b1, c2), _mul_add(a1, b2, b1, d2),
+                            _mul_add(c1, a2, d1, c2), _mul_add(c1, b2, d1, d2)))
 
     def transpose_conj(self) -> "Mat2H":
         """Conjugate transpose [[conj a, conj c], [conj b, conj d]]."""
@@ -46,7 +51,8 @@ class Mat2H(NamedTuple):
         return self.scalar_mul(-1.0)
 
     def entry_scale(self) -> float:
-        return max(abs(self.a), abs(self.b), abs(self.c), abs(self.d))
+        a, b, c, d = self
+        return max(hypot(*a), hypot(*b), hypot(*c), hypot(*d))
 
     def close_to(self, other: "Mat2H", tol: float | None = None) -> bool:
         atol, rtol = _tols(tol)
@@ -63,6 +69,16 @@ class Mat2H(NamedTuple):
         return cls(*(Quaternion.from_json(entry) for entry in data))
 
 
+def _mul_add(p: Quaternion, q: Quaternion, r: Quaternion, s: Quaternion) -> Quaternion:
+    """p q + r s."""
+    (pw, px, py, pz), (qw, qx, qy, qz), (rw, rx, ry, rz), (sw, sx, sy, sz) = p, q, r, s
+    return _new(Quaternion, (
+        (pw * qw - px * qx - py * qy - pz * qz) + (rw * sw - rx * sx - ry * sy - rz * sz),
+        (pw * qx + px * qw + py * qz - pz * qy) + (rw * sx + rx * sw + ry * sz - rz * sy),
+        (pw * qy - px * qz + py * qw + pz * qx) + (rw * sy - rx * sz + ry * sw + rz * sx),
+        (pw * qz + px * qy - py * qx + pz * qw) + (rw * sz + rx * sy - ry * sx + rz * sw)))
+
+
 def _row_exponent(p: Quaternion, q: Quaternion) -> int:
     """e with 2^(e-1) <= the largest component modulus of the row < 2^e."""
     return math.frexp(max(abs(x) for x in (*p, *q)))[1]
@@ -70,9 +86,11 @@ def _row_exponent(p: Quaternion, q: Quaternion) -> int:
 
 def det_h(A: Mat2H) -> float:
     """Dieudonne determinant; multiplicative and zero iff A is singular."""
-    a, b, c, d = A
-    t = a.norm_sq() * d.norm_sq() + c.norm_sq() * b.norm_sq()
+    (aw, ax, ay, az), (bw, bx, by, bz), (cw, cx, cy, cz), (dw, dx, dy, dz) = A
+    t = ((aw * aw + ax * ax + ay * ay + az * az) * (dw * dw + dx * dx + dy * dy + dz * dz)
+         + (cw * cw + cx * cx + cy * cy + cz * cz) * (bw * bw + bx * bx + by * by + bz * bz))
     if not N2_TINY <= t < math.inf:
+        a, b, c, d = A
         # every radicand term takes one factor from each row, so scaling
         # row i by 2^-e_i is exact and scales det_h by 2^-(e_1 + e_2); the
         # components are scaled directly, since 2^-e_i may not be a float
@@ -84,7 +102,17 @@ def det_h(A: Mat2H) -> float:
                 return math.ldexp(balanced, e1 + e2)
             except OverflowError:
                 return math.inf
-    rad = t - 2.0 * (c * a.conj() * b * d.conj()).w
+    # p = c conj(a), r = p b, and the real part of r conj(d); y (-z) is
+    # -(y z) bit for bit, since rounding is symmetric in sign
+    pw = cw * aw + cx * ax + cy * ay + cz * az
+    px = -cw * ax + cx * aw - cy * az + cz * ay
+    py = -cw * ay + cx * az + cy * aw - cz * ax
+    pz = -cw * az - cx * ay + cy * ax + cz * aw
+    rw = pw * bw - px * bx - py * by - pz * bz
+    rx = pw * bx + px * bw + py * bz - pz * by
+    ry = pw * by - px * bz + py * bw + pz * bx
+    rz = pw * bz + px * by - py * bx + pz * bw
+    rad = t - 2.0 * (rw * dw + rx * dx + ry * dy + rz * dz)
     if rad < 0.0:
         # the radicand is a square in exact arithmetic; tiny negatives are
         # cancellation noise, anything larger is a genuine bug
@@ -182,8 +210,8 @@ def inverse_form_a(A: Mat2H) -> Mat2H:
     a, b, c, d = A
     ai = a.inverse()
     s = (d - c * ai * b).inverse()
-    return Mat2H(ai + ai * b * s * c * ai, -(ai * b * s),
-                 -(s * c * ai), s)
+    u = ai * b * s  # the common left factor of two entries
+    return _new(Mat2H, (ai + u * c * ai, -u, -(s * c * ai), s))
 
 
 def inverse_form_b(A: Mat2H) -> Mat2H:
@@ -191,8 +219,8 @@ def inverse_form_b(A: Mat2H) -> Mat2H:
     a, b, c, d = A
     bi = b.inverse()
     s = (c - d * bi * a).inverse()
-    return Mat2H(-(s * d * bi), s,
-                 bi + bi * a * s * d * bi, -(bi * a * s))
+    u = bi * a * s  # the common left factor of two entries
+    return _new(Mat2H, (-(s * d * bi), s, bi + u * d * bi, -u))
 
 
 def _ldexp_m(A: Mat2H, e: int) -> Mat2H:
@@ -226,7 +254,9 @@ def normalize(A: Mat2H) -> Mat2H:
     dh = det_h(A)
     if dh <= SINGULAR_REL * scale * scale:
         raise Singular("cannot normalize a numerically singular matrix")
-    return A.scalar_mul(1.0 / math.sqrt(dh))
+    s = 1.0 / math.sqrt(dh)
+    return _new(Mat2H, tuple(_new(Quaternion, (w * s, x * s, y * s, z * s))
+                             for w, x, y, z in A))
 
 
 class GroupTag(Enum):

@@ -219,8 +219,8 @@ def slice_decompose(q: Quaternion,
     preferred I and raises RealInput.
     """
     atol, _ = _tols(tol)
-    n = q.im_norm()
-    if n <= atol * (1.0 + abs(q)):
+    n = math.hypot(q.x, q.y, q.z)
+    if n <= atol * abs(q):
         raise RealInput(f"{q} is real within tolerance; no unique slice")
     return q.w, n, Quaternion(0.0, q.x / n, q.y / n, q.z / n)
 

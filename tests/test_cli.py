@@ -411,6 +411,15 @@ def test_apply_of_a_huge_scalar_matrix_is_the_identity(capsys):
     assert (code, data) == (0, {"result": [1, 0, 0, 0]})
 
 
+@pytest.mark.parametrize("mat, point", [
+    # q -> q 1e160 sends 1e-160 to 1; the pole test is relative to the map's scale
+    ("[[1,0,0,0],[0,0,0,0],[0,0,0,0],[1e-160,0,0,0]]", "[1e-160,0,0,0]"),
+    ("[[1e-160,0,0,0],[0,0,0,0],[1e-160,0,0,0],[1e-160,0,0,0]]", '"inf"'),
+])
+def test_apply_at_tiny_scale_is_not_a_pole(capsys, mat, point):
+    assert invoke_quiet(capsys, "apply", mat, point) == (0, {"result": [1, 0, 0, 0]})
+
+
 def _diag(v):
     return [[v, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [v, 0, 0, 0]]
 

@@ -38,6 +38,8 @@ from qmobius.sampling import (
     random_unit_quaternion,
 )
 
+from pins import bits
+
 
 def q(w=0.0, x=0.0, y=0.0, z=0.0):
     return Quaternion(float(w), float(x), float(y), float(z))
@@ -89,10 +91,6 @@ def _written_out_cross_ratio(q1, q2, q3, q4):
     return result
 
 
-def _bits(p):
-    return tuple((v, math.copysign(1.0, v)) for v in p)
-
-
 def test_cross_ratio_matches_the_written_out_product():
     rng = make_rng(71)
     for n in range(300):
@@ -104,7 +102,7 @@ def test_cross_ratio_matches_the_written_out_product():
             pts = [p * 2.0 ** 520 for p in pts]
         for slot in (None, 0, 1, 2, 3):
             args = [INFINITY if i == slot else p for i, p in enumerate(pts)]
-            assert _bits(cross_ratio(*args)) == _bits(_written_out_cross_ratio(*args))
+            assert bits(cross_ratio(*args)) == bits(_written_out_cross_ratio(*args))
 
 
 def test_coincidence_names_the_first_pair_in_order():

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from qmobius.errors import Singular
+from qmobius.errors import InternalNumericError, Singular
 from qmobius.mat2h import (
     CAYLEY,
     CAYLEY_INV,
@@ -14,6 +14,7 @@ from qmobius.mat2h import (
     H_FORM,
     K_FORM,
     Mat2H,
+    SINGULAR_REL,
     cayley_conjugate,
     cayley_conjugate_inv,
     classify,
@@ -26,7 +27,7 @@ from qmobius.mat2h import (
     normalize,
     qmul_planes,
 )
-from qmobius.quat import TOL, I, J, K, ONE, ZERO, Quaternion
+from qmobius.quat import N2_HUGE, N2_TINY, TOL, I, J, K, ONE, ZERO, Quaternion, _ldexp_q
 from qmobius.sampling import (
     make_rng,
     random_invertible_matrix,
@@ -35,6 +36,8 @@ from qmobius.sampling import (
     random_slhplus,
     random_sp11,
 )
+
+from pins import outcome
 
 
 def q(w=0.0, x=0.0, y=0.0, z=0.0):
@@ -296,6 +299,97 @@ def test_normalize():
         assert det_h(normalize(A)) == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(Singular):
         normalize(Mat2H(I, I, ONE, ONE))
+
+
+# -- the scalar layer on components, pinned to the operator expressions ---
+
+
+def _operator_det_h(A):
+    a, b, c, d = A
+    t = a.norm_sq() * d.norm_sq() + c.norm_sq() * b.norm_sq()
+    if not N2_TINY <= t < math.inf:
+        e1 = math.frexp(max(abs(x) for x in (*a, *b)))[1]
+        e2 = math.frexp(max(abs(x) for x in (*c, *d)))[1]
+        if e1 or e2:
+            balanced = _operator_det_h(Mat2H(_ldexp_q(a, -e1), _ldexp_q(b, -e1),
+                                             _ldexp_q(c, -e2), _ldexp_q(d, -e2)))
+            try:
+                return math.ldexp(balanced, e1 + e2)
+            except OverflowError:
+                return math.inf
+    rad = t - 2.0 * (c * a.conj() * b * d.conj()).w
+    if rad < 0.0:
+        if -rad > TOL + TOL * t:
+            raise InternalNumericError("negative radicand")
+        rad = 0.0
+    return math.sqrt(rad)
+
+
+def _operator_matmul(A, B):
+    a1, b1, c1, d1 = A
+    a2, b2, c2, d2 = B
+    return Mat2H(a1 * a2 + b1 * c2, a1 * b2 + b1 * d2, c1 * a2 + d1 * c2, c1 * b2 + d1 * d2)
+
+
+def _operator_normalize(A):
+    scale = max(abs(A.a), abs(A.b), abs(A.c), abs(A.d))
+    if not N2_TINY <= scale * scale < N2_HUGE:
+        e = math.frexp(scale)[1]
+        return _operator_normalize(Mat2H(*(_ldexp_q(x, -e) for x in A)))
+    dh = _operator_det_h(A)
+    if dh <= SINGULAR_REL * scale * scale:
+        raise Singular("singular")
+    return A.scalar_mul(1.0 / math.sqrt(dh))
+
+
+def _operator_inverse_form_a(A):
+    a, b, c, d = A
+    ai = a.inverse()
+    s = (d - c * ai * b).inverse()
+    return Mat2H(ai + ai * b * s * c * ai, -(ai * b * s), -(s * c * ai), s)
+
+
+def _operator_inverse_form_b(A):
+    a, b, c, d = A
+    bi = b.inverse()
+    s = (c - d * bi * a).inverse()
+    return Mat2H(-(s * d * bi), s, bi + bi * a * s * d * bi, -(bi * a * s))
+
+
+def _signed_zeros(rng, A):
+    """A with about half its components replaced by zeros of random sign."""
+    return Mat2H(*(Quaternion(*(math.copysign(0.0, rng.normal()) if rng.random() < 0.5
+                                else v for v in e)) for e in A))
+
+
+def _layer_pin_cases():
+    """Random, rank-one, near-singular, signed-zero and split-scale
+    matrices at each scale; 1e+-150 and 1e+-200 take det_h's rescue."""
+    rng = make_rng(2027)
+    for scale in (1.0, 1e3, 1e-3, 1e150, 1e-150, 1e200, 1e-200):
+        for _ in range(30):
+            M = random_matrix(rng, scale)
+            k = random_quaternion(rng, 1.0)
+            rank_one = Mat2H(k * M.c, k * M.d, M.c, M.d)
+            yield M
+            yield rank_one
+            yield Mat2H(*(x + random_quaternion(rng, 1e-9 * scale) for x in rank_one))
+            yield _signed_zeros(rng, M)
+            yield Mat2H(M.a, M.b, M.c * (1.0 / scale), M.d * (1.0 / scale))
+
+
+def test_scalar_layer_is_bit_identical_to_the_operator_expressions():
+    cases = list(_layer_pin_cases())
+    pairs = ((det_h, _operator_det_h), (normalize, _operator_normalize),
+             (inverse_form_a, _operator_inverse_form_a),
+             (inverse_form_b, _operator_inverse_form_b))
+    for A, B in zip(cases, cases[1:] + cases[:1]):
+        for fast, reference in pairs:
+            assert outcome(fast, A) == outcome(reference, A), (fast.__name__, A)
+        assert outcome(Mat2H.__matmul__, A, B) == outcome(_operator_matmul, A, B), (A, B)
+    rescued = sum(not N2_TINY <= A.a.norm_sq() * A.d.norm_sq() + A.c.norm_sq()
+                  * A.b.norm_sq() < math.inf for A in cases)
+    assert rescued > len(cases) // 3
 
 
 # -- classification ------------------------------------------------------

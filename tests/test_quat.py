@@ -216,6 +216,16 @@ def test_slice_decompose_values():
 def test_slice_decompose_real_raises():
     with pytest.raises(RealInput):
         slice_decompose(q(5))
+    with pytest.raises(RealInput):
+        slice_decompose(ZERO)
+
+
+@pytest.mark.parametrize("p", [q(1e-12, 1e-12), q(1e-170, 2e-170, -3e-170, 5e-170)])
+def test_slice_decompose_is_scale_invariant(p):
+    # realness is judged relative to |p|, and |Im p| does not underflow
+    x, y, axis = slice_decompose(p)
+    assert y > 0.0 and axis.w == 0.0
+    assert abs(x + axis * y - p) <= 1e-15 * abs(p)
 
 
 @given(quaternions)
