@@ -45,7 +45,8 @@ class Mat2H(NamedTuple):
         return Mat2H(self.a.conj(), self.c.conj(), self.b.conj(), self.d.conj())
 
     def scalar_mul(self, t: float) -> "Mat2H":
-        return Mat2H(self.a * t, self.b * t, self.c * t, self.d * t)
+        return _new(Mat2H, tuple(_new(Quaternion, (w * t, x * t, y * t, z * t))
+                                 for w, x, y, z in self))
 
     def __neg__(self) -> "Mat2H":
         return self.scalar_mul(-1.0)
@@ -70,7 +71,8 @@ class Mat2H(NamedTuple):
 
 
 def _mul_add(p: Quaternion, q: Quaternion, r: Quaternion, s: Quaternion) -> Quaternion:
-    """p q + r s."""
+    """p q + r s, the products in Quaternion.__mul__'s order; written out,
+    since summing two qmul_planes results makes @ about a third slower."""
     (pw, px, py, pz), (qw, qx, qy, qz), (rw, rx, ry, rz), (sw, sx, sy, sz) = p, q, r, s
     return _new(Quaternion, (
         (pw * qw - px * qx - py * qy - pz * qz) + (rw * sw - rx * sx - ry * sy - rz * sz),
@@ -254,9 +256,7 @@ def normalize(A: Mat2H) -> Mat2H:
     dh = det_h(A)
     if dh <= SINGULAR_REL * scale * scale:
         raise Singular("cannot normalize a numerically singular matrix")
-    s = 1.0 / math.sqrt(dh)
-    return _new(Mat2H, tuple(_new(Quaternion, (w * s, x * s, y * s, z * s))
-                             for w, x, y, z in A))
+    return A.scalar_mul(1.0 / math.sqrt(dh))
 
 
 class GroupTag(Enum):

@@ -71,8 +71,8 @@ class Quaternion(NamedTuple):
         return math.hypot(w, x, y, z)
 
     def im_norm(self) -> float:
-        x, y, z = self.x, self.y, self.z
-        return math.sqrt(x * x + y * y + z * z)
+        # hypot, as in __abs__: no underflow or overflow of the squares
+        return math.hypot(self.x, self.y, self.z)
 
     # -- arithmetic -----------------------------------------------------
 
@@ -219,7 +219,7 @@ def slice_decompose(q: Quaternion,
     preferred I and raises RealInput.
     """
     atol, _ = _tols(tol)
-    n = math.hypot(q.x, q.y, q.z)
+    n = q.im_norm()
     if n <= atol * abs(q):
         raise RealInput(f"{q} is real within tolerance; no unique slice")
     return q.w, n, Quaternion(0.0, q.x / n, q.y / n, q.z / n)

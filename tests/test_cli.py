@@ -420,6 +420,14 @@ def test_apply_at_tiny_scale_is_not_a_pole(capsys, mat, point):
     assert invoke_quiet(capsys, "apply", mat, point) == (0, {"result": [1, 0, 0, 0]})
 
 
+def test_apply_whose_image_overflows_is_a_domain_error(capsys):
+    # 1e-310 is no pole of q -> q^-1 relative to the map's scale, and its
+    # image 1e310 is finite but does not fit a float
+    code, data = invoke_quiet(capsys, "apply", "[[0,0,0,0],[1,0,0,0],[1,0,0,0],[0,0,0,0]]",
+                              "[1e-310,0,0,0]")
+    assert (code, data["error"]) == (1, "NonFiniteResult")
+
+
 def _diag(v):
     return [[v, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [v, 0, 0, 0]]
 

@@ -339,7 +339,8 @@ def _operator_normalize(A):
     dh = _operator_det_h(A)
     if dh <= SINGULAR_REL * scale * scale:
         raise Singular("singular")
-    return A.scalar_mul(1.0 / math.sqrt(dh))
+    s = 1.0 / math.sqrt(dh)
+    return Mat2H(A.a * s, A.b * s, A.c * s, A.d * s)
 
 
 def _operator_inverse_form_a(A):
