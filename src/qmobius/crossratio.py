@@ -10,8 +10,8 @@ transforms by conjugation, so its real part and imaginary norm are.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import hypot, nan
+from typing import NamedTuple
 
 from .errors import CoincidentPoints, DegenerateResult, NotConcyclic
 from .flt import (INFINITY, Dilation, ExtQuaternion, Generator, Inversion,
@@ -96,8 +96,13 @@ def separates(q1: ExtQuaternion, q2: ExtQuaternion, q3: ExtQuaternion,
     return cr.w < 0.0
 
 
-@dataclass(frozen=True)
-class QuadricF3:
+class _Coefficients(NamedTuple):
+    alpha: float
+    beta: Quaternion
+    gamma: float
+
+
+class QuadricF3(_Coefficients):
     """The zero set of alpha |q|^2 + 2 Re(beta q) + gamma with alpha, gamma
     real: a sphere or 3-plane of H, the family preserved by Moebius maps.
 
@@ -105,13 +110,12 @@ class QuadricF3:
     the same quadric.
     """
 
-    alpha: float
-    beta: Quaternion
-    gamma: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.alpha == 0.0 and self.gamma == 0.0 and self.beta.norm_sq() == 0.0:
+    def __new__(cls, alpha: float, beta: Quaternion, gamma: float):
+        if alpha == 0.0 and gamma == 0.0 and beta.norm_sq() == 0.0:
             raise ValueError("quadric coefficients must not all vanish")
+        return super().__new__(cls, alpha, beta, gamma)
 
     def evaluate(self, q: Quaternion) -> float:
         return self.alpha * q.norm_sq() + 2.0 * (self.beta * q).w + self.gamma

@@ -8,9 +8,8 @@ leaves only a sign ambiguity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from math import hypot
-from typing import Union
+from math import frexp, hypot
+from typing import NamedTuple, Union
 
 from . import mat2h as _m
 from .errors import (BothZero, CoincidentPoints, ConstraintViolation,
@@ -134,8 +133,11 @@ def is_constant(A: Mat2H, tol: float | None = None) -> bool:
     squared entry scale, so the default gate matches the singularity
     gate of the inverse rather than the comparison tolerance.
     """
-    atol, _ = _tols(tol)
     scale = A.entry_scale()
+    e = 0 if N2_TINY <= scale * scale < N2_HUGE else frexp(scale)[1]
+    if e:  # as in normalize; the question is projective
+        return is_constant(_m._ldexp_m(A, -e), tol)
+    atol, _ = _tols(tol)
     thr = atol * (1.0 + scale)
     if abs(A.c) <= thr and abs(A.d) <= thr:
         raise BothZero("c = d = 0 leaves the map undefined everywhere")
@@ -147,33 +149,43 @@ def constant_value(A: Mat2H, tol: float | None = None) -> Quaternion:
     """The single value taken by a constant map (see is_constant)."""
     if not is_constant(A, tol):
         raise ValueError("matrix does not induce a constant map")
-    atol, _ = _tols(tol)
-    if abs(A.d) > atol * (1.0 + A.entry_scale()):
-        return A.b * A.d.inverse()
-    return A.a * A.c.inverse()
+    a, b, c, d = A  # divide by the larger of c, d: a choice blind to scale
+    return b * d.inverse() if abs(d) >= abs(c) else a * c.inverse()
 
 
 # -- generators ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Translation:
+# a generator equals only one of its own type: Translation(q) != Rotation(q)
+def _eq(self, other):
+    return type(self) is type(other) and tuple.__eq__(self, other)
+
+
+def _ne(self, other):
+    return not _eq(self, other)
+
+
+def _hash(self):
+    return hash((type(self), *self))
+
+
+class Translation(NamedTuple):
     b: Quaternion
+    __eq__, __ne__, __hash__ = _eq, _ne, _hash
 
 
-@dataclass(frozen=True)
-class Rotation:
+class Rotation(NamedTuple):
     a: Quaternion  # unit modulus; acts by left multiplication
+    __eq__, __ne__, __hash__ = _eq, _ne, _hash
 
 
-@dataclass(frozen=True)
-class Dilation:
+class Dilation(NamedTuple):
     r: float  # positive real factor
+    __eq__, __ne__, __hash__ = _eq, _ne, _hash
 
 
-@dataclass(frozen=True)
-class Inversion:
-    pass
+class Inversion(NamedTuple):
+    __eq__, __ne__, __hash__ = _eq, _ne, _hash
 
 
 Generator = Union[Translation, Rotation, Dilation, Inversion]
@@ -188,9 +200,7 @@ def apply_generator(g: Generator, q: ExtQuaternion) -> ExtQuaternion:
         return g.a * q
     if isinstance(g, Dilation):
         return q * g.r
-    if abs(q) <= _POLE_EPS:
-        return INFINITY
-    return q.inverse()
+    return q.inverse() if any(q) else INFINITY  # as in apply, only 0 is a pole
 
 
 def apply_generators(gens, q: ExtQuaternion) -> ExtQuaternion:
@@ -344,8 +354,13 @@ def three_point_map(alpha: ExtQuaternion, beta: ExtQuaternion,
     return FLT(Mat2H(mu, -(mu * alpha), ONE, -beta))
 
 
-@dataclass(frozen=True)
-class MobiusCanonical:
+class _Canonical(NamedTuple):
+    alpha: Quaternion
+    beta: Quaternion
+    q0: Quaternion
+
+
+class MobiusCanonical(_Canonical):
     """Canonical parameters of a Moebius transformation of the unit ball:
 
         g(q) = alpha (q - q0)(1 - conj(q0) q)^-1 beta^-1
@@ -353,15 +368,14 @@ class MobiusCanonical:
     with |alpha| = |beta| = 1 and |q0| < 1.  q0 is the point sent to 0.
     """
 
-    alpha: Quaternion
-    beta: Quaternion
-    q0: Quaternion
+    __slots__ = ()
 
-    def __post_init__(self):
-        if abs(abs(self.alpha) - 1.0) > 2.0 * TOL or abs(abs(self.beta) - 1.0) > 2.0 * TOL:
+    def __new__(cls, alpha: Quaternion, beta: Quaternion, q0: Quaternion):
+        if abs(abs(alpha) - 1.0) > 2.0 * TOL or abs(abs(beta) - 1.0) > 2.0 * TOL:
             raise ValueError("alpha and beta must be unit quaternions")
-        if abs(self.q0) >= 1.0:
+        if abs(q0) >= 1.0:
             raise ValueError("q0 must lie in the open unit ball")
+        return super().__new__(cls, alpha, beta, q0)
 
     def __call__(self, q: Quaternion) -> Quaternion:
         num = self.alpha * (q - self.q0)

@@ -25,7 +25,7 @@ at (u r + x)(conj(x) u r + 1)^-1: normalizing_map's inverse, in closed form.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import CoincidentPoints, OutOfDomain, TooFewSamples
 from .flt import FLT, INFINITY, ExtQuaternion, MobiusCanonical, apply
@@ -94,8 +94,7 @@ def _end_beyond(x: Quaternion, y: Quaternion) -> Quaternion:
     return (x - u) * (ONE - x.conj() * u).inverse()
 
 
-@dataclass(frozen=True)
-class GeodesicDisc:
+class GeodesicDisc(NamedTuple):
     """Non-Euclidean line of the ball through q1 and q2, with its two
     boundary ends; q3 lies beyond q2 and q4 beyond q1."""
 
@@ -199,8 +198,7 @@ def integrated_length_disc(path) -> float:
 # -- half-space model ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GeodesicHalfspace:
+class GeodesicHalfspace(NamedTuple):
     """Non-Euclidean line of the half-space through q1 and q2.  The ends
     e3, e4 lie on the boundary Re q = 0 or at infinity; e3 is beyond q2."""
 

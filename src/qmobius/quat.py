@@ -41,7 +41,7 @@ def coincident(gap: float, r1: float, r2: float, tol: float | None = None) -> bo
 N2_TINY, N2_HUGE = 2.0 ** -900, 2.0 ** 900
 
 _NUM = r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
-_QUAT_RE = _re.compile(rf"\s*({_NUM})\s*({_NUM})i\s*({_NUM})j\s*({_NUM})k\s*")
+_QUAT_RE = rf"\s*({_NUM})\s*({_NUM})i\s*({_NUM})j\s*({_NUM})k\s*"
 
 
 # the operators build results as namedtuple's _make does, skipping the
@@ -180,7 +180,7 @@ class Quaternion(NamedTuple):
 
     @classmethod
     def from_string(cls, text: str) -> "Quaternion":
-        m = _QUAT_RE.fullmatch(text)
+        m = _re.fullmatch(_QUAT_RE, text)  # compiled on first use, in re's cache
         if m is None:
             raise ValueError(f"not a quaternion literal: {text!r}")
         return cls(*(float(g) for g in m.groups()))

@@ -564,3 +564,21 @@ def test_scalar_commands_do_not_import_numpy():
     out = subprocess.run([sys.executable, "-c", _SCALAR_COMMANDS], env=env,
                          capture_output=True, text=True, check=True).stdout
     assert json.loads(out) == {"codes": [0] * 7, "numpy": False}
+
+
+_IMPORT_CLI = """
+import json, sys
+before = set(sys.modules)
+import qmobius.cli
+print(json.dumps(sorted({"dataclasses", "inspect", "numpy"} & (set(sys.modules) - before))))
+"""
+
+
+def test_cli_import_loads_no_dataclasses_inspect_or_numpy():
+    # dataclasses pulls in inspect, ast, dis and tokenize: about 16 ms of a
+    # cold process; modules that a site hook loaded first do not count
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", _IMPORT_CLI], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert json.loads(out) == []

@@ -5,9 +5,11 @@ import math
 import numpy as np
 import pytest
 
+from qmobius.crossratio import QuadricF3
 from qmobius.errors import (
     BothZero,
     ConstraintViolation,
+    NonFiniteResult,
     NonImaginaryShift,
     NotSp11,
     PoleInput,
@@ -222,6 +224,17 @@ def test_constant_rank_one_fuzz():
         assert not is_constant(random_invertible_matrix(rng, 2.0))
 
 
+@pytest.mark.parametrize("t", [1e-160, 1e160])
+def test_constant_is_projective_at_extreme_scales(t):
+    # scale^2 underflows or overflows here; the decision and the value are
+    # those of the matrix at scale 1
+    assert not is_constant(IDENT.scalar_mul(t))
+    k, c, d = q(0.5, 1, -0.25, 0.75), q(1, 2, 0, -1) * t, q(-0.5, 0, 3, 1) * t
+    for A in (Mat2H(k * c, k * d, c, d), Mat2H(k * c, ZERO, c, ZERO)):
+        assert is_constant(A)
+        assert constant_value(A).close_to(k, tol=1e-12)
+
+
 def test_constant_both_rows_zero_raises():
     with pytest.raises(BothZero):
         constant_value(Mat2H(ONE, ONE, ZERO, ZERO))
@@ -277,6 +290,43 @@ def test_apply_generator_spot_values():
     assert is_infinity(apply_generator(Inversion(), ZERO))
     assert apply_generator(Inversion(), INFINITY) == ZERO
     assert is_infinity(apply_generator(Translation(q(1)), INFINITY))
+
+
+def test_generator_pipeline_agrees_with_apply_at_the_pole():
+    # as for apply, only q = 0 is a pole of q -> q^-1; 1e-310 is none, and
+    # its image 1e310 does not fit a float
+    gens = decompose_generators(FLT(INVERSION_M))
+    assert gens == [Inversion()]
+    for route in (lambda p: apply(INVERSION_M, p), lambda p: apply_generators(gens, p)):
+        assert route(q(1e-13)).close_to(q(1e13), tol=1e-15)
+        with pytest.raises(NonFiniteResult):
+            route(q(1e-310))
+        assert route(ZERO) is INFINITY
+
+
+def test_records_compare_by_type_and_stay_frozen():
+    p = q(1, 2, 3, 4)
+    assert Translation(p) != Rotation(p) and not Translation(p) == Rotation(p)
+    assert Translation(p) != (p,) and (p,) != Translation(p)
+    assert Translation(p) == Translation(p) and not Translation(p) != Translation(p)
+    assert hash(Translation(p)) == hash(Translation(p))
+    assert len({Translation(p), Rotation(p), Translation(p)}) == 2
+    assert Inversion() == Inversion()
+    assert repr(Translation(p)) == "Translation(b=Quaternion(w=1.0, x=2.0, y=3.0, z=4.0))"
+    assert repr(Dilation(2.5)) == "Dilation(r=2.5)"
+    assert repr(Inversion()) == "Inversion()"
+    g, Q = MobiusCanonical(ONE, ONE, q(0.5)), QuadricF3(1.0, ZERO, -1.0)
+    for record, field in ((Translation(p), "b"), (g, "q0"), (Q, "gamma")):
+        with pytest.raises(AttributeError):
+            setattr(record, field, ZERO)
+        with pytest.raises(AttributeError):
+            record.extra = 0.0
+    with pytest.raises(ValueError, match="unit quaternions"):
+        MobiusCanonical(ONE * 2.0, ONE, ZERO)
+    with pytest.raises(ValueError, match="open unit ball"):
+        MobiusCanonical(ONE, ONE, ONE)
+    with pytest.raises(ValueError, match="must not all vanish"):
+        QuadricF3(0.0, ZERO, 0.0)
 
 
 def test_generator_matrix_matches_action():
