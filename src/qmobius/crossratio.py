@@ -14,9 +14,8 @@ from math import hypot, nan
 from typing import NamedTuple
 
 from .errors import CoincidentPoints, DegenerateResult, NotConcyclic
-from .flt import (INFINITY, Dilation, ExtQuaternion, Generator, Inversion,
-                  Rotation, Translation, generator_inverse)
-from .mat2h import qmul_planes
+from .flt import FLT, INFINITY, ExtQuaternion, generator_inverse, generator_matrix
+from .mat2h import Mat2H, qmul_planes
 from .quat import N2_HUGE, N2_TINY, ONE, Quaternion, _new, _tols, coincident
 
 
@@ -149,28 +148,21 @@ def on_quadric(q: Quaternion, Q: QuadricF3, tol: float | None = None) -> bool:
     return abs(Q.evaluate(q)) <= atol + rtol * (1.0 + scale)
 
 
-def _substitute(gen: Generator, Q: QuadricF3) -> QuadricF3:
-    """Coefficients obtained by substituting gen(q) for q; the zero set of
-    the result is the preimage of Q under gen."""
-    if isinstance(gen, Translation):
-        b = gen.b
-        return QuadricF3(Q.alpha,
-                         Q.beta + b.conj() * Q.alpha,
-                         Q.alpha * b.norm_sq() + 2.0 * (Q.beta * b).w + Q.gamma)
-    if isinstance(gen, Rotation):
-        return QuadricF3(Q.alpha, Q.beta * gen.a, Q.gamma)
-    if isinstance(gen, Dilation):
-        r = gen.r
-        return QuadricF3(r * r * Q.alpha, Q.beta * r, Q.gamma)
-    return QuadricF3(Q.gamma, Q.beta.conj(), Q.alpha)
+def transform_quadric(f, Q: QuadricF3, tol: float | None = None) -> QuadricF3:
+    """The image quadric f(Q) under a generator, an FLT or a Mat2H.
 
-
-def transform_quadric(g: Generator, Q: QuadricF3,
-                      tol: float | None = None) -> QuadricF3:
-    """The image quadric g(Q): substituting g^-1(q) carries the zero set
-    of Q onto the zero set of the result."""
+    Q is (q; 1)* H (q; 1) = 0 with H = [[alpha, conj beta], [beta, gamma]],
+    so with B a matrix of f^-1 the image is H' = B* H B.  A generator's B is
+    exact; a matrix's is its normalized inverse, so scaling it changes nothing.
+    """
+    if isinstance(f, Mat2H):
+        f = FLT(f)
+    B = (f.inverse().matrix if isinstance(f, FLT)
+         else generator_matrix(generator_inverse(f)))
+    H = Mat2H(ONE * Q.alpha, Q.beta.conj(), Q.beta, ONE * Q.gamma)
+    image = B.transpose_conj() @ H @ B
     try:
-        out = _substitute(generator_inverse(g), Q)
+        out = QuadricF3(image.a.w, image.c, image.d.w)
     except ValueError as exc:
         raise DegenerateResult(str(exc)) from exc
     atol, rtol = _tols(tol)

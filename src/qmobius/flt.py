@@ -15,7 +15,7 @@ from . import mat2h as _m
 from .errors import (BothZero, CoincidentPoints, ConstraintViolation,
                      NonImaginaryShift, NotSp11, PoleInput, ZeroD)
 from .mat2h import SINGULAR_REL, GroupTag, Mat2H, classify, det_h, normalize
-from .quat import N2_HUGE, N2_TINY, ONE, TOL, ZERO, Quaternion, _new, _tols, coincident
+from .quat import I, J, K, N2_HUGE, N2_TINY, ONE, TOL, ZERO, Quaternion, _new, _tols, coincident
 
 
 class _Infinity:
@@ -133,10 +133,10 @@ def is_constant(A: Mat2H, tol: float | None = None) -> bool:
     squared entry scale, so the default gate matches the singularity
     gate of the inverse rather than the comparison tolerance.
     """
+    # judge A 2^-e, of entry scale in [1/2, 1): the question is projective
+    e = frexp(A.entry_scale())[1]
+    A = _m._ldexp_m(A, -e)
     scale = A.entry_scale()
-    e = 0 if N2_TINY <= scale * scale < N2_HUGE else frexp(scale)[1]
-    if e:  # as in normalize; the question is projective
-        return is_constant(_m._ldexp_m(A, -e), tol)
     atol, _ = _tols(tol)
     thr = atol * (1.0 + scale)
     if abs(A.c) <= thr and abs(A.d) <= thr:
@@ -298,31 +298,26 @@ def decompose_generators(f: FLT) -> list:
 
 # -- differential -------------------------------------------------------
 
-_BASIS = (Quaternion(1.0, 0.0, 0.0, 0.0), Quaternion(0.0, 1.0, 0.0, 0.0),
-          Quaternion(0.0, 0.0, 1.0, 0.0), Quaternion(0.0, 0.0, 0.0, 1.0))
+_BASIS = (ONE, I, J, K)
 
 
-def jacobian(f, q: Quaternion, step: float | None = None):
-    """Real 4x4 differential of f at q by central finite differences.
+def jacobian(f, q: Quaternion):
+    """Real 4x4 differential at q of the map of f (an FLT or a raw Mat2H).
 
-    Column l holds the derivative along the l-th coordinate direction.
-    Conformality of the map shows up as transpose(J) J being a positive
-    multiple of the identity.
+    Differentiating f(q)(c q + d) = a q + b gives the exact differential
+    df_q(h) = (a - f(q) c) h (c q + d)^-1; column l holds it at the l-th
+    basis quaternion.  Conformality of the map shows up as transpose(J) J
+    being a positive multiple of the identity.
     """
     import numpy as np
-    if is_infinity(q):
+    if q is INFINITY:
         raise PoleInput("cannot differentiate at the infinite point")
-    h = step if step is not None else 1e-6 * (1.0 + abs(q))
-    if apply(f, q) is INFINITY:
+    p = apply(f, q)
+    if p is INFINITY:
         raise PoleInput(f"{q} is a pole of the map")
-    cols = []
-    for e in _BASIS:
-        fp = apply(f, q + e * h)
-        fm = apply(f, q - e * h)
-        if fp is INFINITY or fm is INFINITY:
-            raise PoleInput(f"difference stencil at {q} crosses a pole")
-        cols.append([(p - m) / (2.0 * h) for p, m in zip(fp, fm)])
-    return np.array(cols, dtype=float).T
+    a, _, c, d = f.matrix if isinstance(f, FLT) else f
+    left, right = a - p * c, (c * q + d).inverse()
+    return np.array([tuple(left * e * right) for e in _BASIS]).T
 
 
 # -- distinguished constructions ---------------------------------------

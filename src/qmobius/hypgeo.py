@@ -29,11 +29,8 @@ from typing import NamedTuple
 
 from .errors import CoincidentPoints, OutOfDomain, TooFewSamples
 from .flt import FLT, INFINITY, ExtQuaternion, MobiusCanonical, apply
-from .mat2h import CAYLEY, Mat2H, _norm_sq, qmul_planes
+from .mat2h import CAYLEY, CAYLEY_INV, Mat2H, _norm_sq, qmul_planes
 from .quat import ONE, Quaternion, _tols, coincident
-
-_MINUS_ONE = Quaternion(-1.0, 0.0, 0.0, 0.0)
-_CAYLEY_INV_M = Mat2H(ONE, _MINUS_ONE, ONE, ONE)  # q -> (q - 1)(q + 1)^-1
 
 
 def cayley(q: ExtQuaternion) -> ExtQuaternion:
@@ -43,7 +40,7 @@ def cayley(q: ExtQuaternion) -> ExtQuaternion:
 
 def cayley_inv(q: ExtQuaternion) -> ExtQuaternion:
     """(q - 1)(q + 1)^-1: inverse of cayley."""
-    return apply(_CAYLEY_INV_M, q)
+    return apply(CAYLEY_INV, q)
 
 
 def _require_ball(q: Quaternion) -> None:

@@ -31,7 +31,7 @@ from .kobayashi import (kobayashi_image_modulus_sq, non_isometry_witness,
 from .mat2h import (GroupTag, Mat2H, cayley_conjugate, cayley_conjugate_inv,
                     classify, det_h, det_h_many, inverse, inverse_form_a,
                     inverse_form_b, mat_mul_many, normalize)
-from .quat import ONE, ZERO, Quaternion
+from .quat import I, J, K, ONE, ZERO, Quaternion
 
 _HOLDS = {"<=": operator.le, ">=": operator.ge, ">": operator.gt}
 
@@ -207,20 +207,25 @@ def cross_ratio_suite(rng, n: int) -> Suite:
     return s
 
 
-def _random_generator(rng):
-    k = rng.integers(0, 4)
+def _random_map(rng):
+    """One of the four generators, a matrix or a ball map as an FLT."""
+    k = rng.integers(0, 6)
     if k == 0:
         return Translation(smp.random_quaternion(rng, 1.5))
     if k == 1:
         return Rotation(smp.random_unit_quaternion(rng))
     if k == 2:
         return Dilation(float(rng.uniform(0.2, 3.0)))
-    return Inversion()
+    if k == 3:
+        return Inversion()
+    if k == 4:
+        return smp.random_invertible_matrix(rng, 1.5)
+    return FLT(smp.random_sp11(rng))
 
 
 def quadric_suite(rng, n: int) -> Suite:
-    """A generator carries a point of a sphere or 3-plane onto the pushed
-    forward quadric."""
+    """A generator or a whole map carries a point of a sphere or 3-plane
+    onto the pushed forward quadric."""
     s = Suite()
     bad = 0
     while s.n_checked < n:
@@ -230,12 +235,12 @@ def quadric_suite(rng, n: int) -> Suite:
         else:
             Q = smp.random_plane_quadric(rng)
             p = smp.random_point_on_plane(rng, Q)
-        g = _random_generator(rng)
-        image = apply_generator(g, p)
+        f = _random_map(rng)
+        image = apply(f, p) if isinstance(f, (FLT, Mat2H)) else apply_generator(f, p)
         if not isinstance(image, Quaternion):
             s.n_skipped += 1
             continue
-        if not on_quadric(image, transform_quadric(g, Q), tol=1e-7):
+        if not on_quadric(image, transform_quadric(f, Q), tol=1e-7):
             bad += 1
         s.n_checked += 1
     s.check("off_quadric", bad, "<=", 0)
@@ -408,20 +413,28 @@ def triangle_suite(rng, n: int) -> Suite:
 
 
 def conformal_suite(rng, n: int) -> Suite:
-    """J^T J of an induced map is a multiple of the identity."""
+    """The differential agrees with a central difference of apply, and
+    J^T J of an induced map is a multiple of the identity."""
     s = Suite()
-    worst = 0.0
+    worst = worst_cd = 0.0
     while s.n_checked < n:
         A = normalize(smp.random_invertible_matrix(rng, 1.5))
         q = smp.random_quaternion(rng, 1.5)
         if abs(A.c * q + A.d) < 0.4:
             s.n_skipped += 1
             continue
-        J = jacobian(FLT(A), q)
-        M = J.T @ J
+        D = jacobian(A, q)
+        # D is a similarity h -> L h R whatever L and R are, so only this
+        # independent route ties it to the map
+        h = 1e-6 * (1.0 + abs(q))
+        cd = np.array([tuple(apply(A, q + e * h) - apply(A, q - e * h))
+                       for e in (ONE, I, J, K)]).T / (2.0 * h)
+        worst_cd = max(worst_cd, float(np.max(np.abs(D - cd) / (1.0 + np.max(np.abs(D))))))
+        M = D.T @ D
         lam2 = float(np.trace(M)) / 4.0
         worst = max(worst, float(np.max(np.abs(M - lam2 * np.eye(4)))))
         s.n_checked += 1
+    s.check("worst_central_difference", worst_cd, "<=", 1e-8)
     s.check("worst_offscale", worst, "<=", 1e-4)
     return s
 

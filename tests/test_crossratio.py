@@ -20,9 +20,11 @@ from qmobius.flt import (
     Inversion,
     Rotation,
     Translation,
+    apply,
     apply_generator,
     is_infinity,
 )
+from qmobius.mat2h import CAYLEY
 from qmobius.quat import I, J, K, ONE, ZERO, Quaternion
 from qmobius.sampling import (
     make_rng,
@@ -34,6 +36,7 @@ from qmobius.sampling import (
     random_point_on_sphere,
     random_quaternion,
     random_separated_points,
+    random_sp11,
     random_sphere_quadric,
     random_unit_quaternion,
 )
@@ -303,6 +306,46 @@ def test_transform_unit_sphere_spot_values():
     assert spun.proportional_to(UNIT_SPHERE)
 
 
+def test_cayley_carries_the_unit_sphere_onto_the_boundary_plane():
+    # the paper's Cayley map: boundary of the ball onto Re q = 0
+    for f in (CAYLEY, FLT(CAYLEY)):
+        assert transform_quadric(f, UNIT_SPHERE).proportional_to(QuadricF3(0.0, ONE, 0.0))
+
+
+def test_ball_maps_keep_the_unit_sphere():
+    rng = make_rng(61)
+    inner = QuadricF3(1.0, ZERO, -0.25)  # |q| = 1/2 moves, with its points
+    for _ in range(50):
+        M = random_sp11(rng)
+        assert transform_quadric(M, UNIT_SPHERE).proportional_to(UNIT_SPHERE)
+        p = random_unit_quaternion(rng) * 0.5
+        assert on_quadric(apply(M, p), transform_quadric(M, inner), tol=1e-9)
+
+
+@pytest.mark.parametrize("s", [1e6, 1e-6, 1e150, 1e-150, 1e160, 1e-160])
+def test_transform_is_blind_to_the_matrix_scale(s):
+    rng = make_rng(62)
+    for _ in range(20):
+        M = random_invertible_matrix(rng, 1.5)
+        Q, center, radius = random_sphere_quadric(rng)
+        ref = transform_quadric(M, Q)
+        image = apply(M, random_point_on_sphere(rng, center, radius))
+        assert is_infinity(image) or on_quadric(image, ref, tol=1e-7)
+        for f in (M.scalar_mul(s), FLT(M.scalar_mul(s)), M.scalar_mul(-s)):
+            assert transform_quadric(f, Q).proportional_to(ref, tol=1e-12)
+
+
+def test_far_generators_transform_exactly():
+    # a matrix inverse would gate these generators out as numerically singular
+    far = ONE * 1e4
+    shifted = transform_quadric(Translation(far), UNIT_SPHERE)
+    assert shifted.proportional_to(QuadricF3(1.0, -far, 1e8 - 1.0), tol=1e-15)
+    assert on_quadric(far + I, shifted)
+    grown = transform_quadric(Dilation(1e7), UNIT_SPHERE)
+    assert grown.proportional_to(QuadricF3(1.0, ZERO, -1e14), tol=1e-15)
+    assert on_quadric(J * 1e7, grown)
+
+
 def test_transform_plane_through_origin_inverts_to_itself():
     plane = QuadricF3(0.0, I, 0.0)  # Re(i q) = 0
     image = transform_quadric(Inversion(), plane)
@@ -320,8 +363,12 @@ def test_pushforward_moves_points_with_the_set():
         else:
             Q = random_plane_quadric(rng)
             p = random_point_on_plane(rng, Q)
-        pick = rng.integers(0, 4)
-        if pick == 0:
+        pick = rng.integers(0, 6)
+        if pick == 4:
+            g = random_invertible_matrix(rng, 1.5)
+        elif pick == 5:
+            g = FLT(random_sp11(rng))
+        elif pick == 0:
             g = Translation(random_quaternion(rng, 2.0))
         elif pick == 1:
             g = Rotation(random_unit_quaternion(rng))
@@ -331,7 +378,7 @@ def test_pushforward_moves_points_with_the_set():
             if abs(p) < 0.05:
                 continue
             g = Inversion()
-        image = apply_generator(g, p)
+        image = apply(g, p) if pick >= 4 else apply_generator(g, p)
         if is_infinity(image):
             continue
         assert on_quadric(image, transform_quadric(g, Q), tol=1e-7)

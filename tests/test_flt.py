@@ -224,10 +224,10 @@ def test_constant_rank_one_fuzz():
         assert not is_constant(random_invertible_matrix(rng, 2.0))
 
 
-@pytest.mark.parametrize("t", [1e-160, 1e160])
+@pytest.mark.parametrize("t", [1e-160, 1e-100, 1e-10, 1e-5, 1e5, 1e160])
 def test_constant_is_projective_at_extreme_scales(t):
-    # scale^2 underflows or overflows here; the decision and the value are
-    # those of the matrix at scale 1
+    # at every scale, including those where scale^2 underflows or overflows,
+    # the decision and the value are those of the matrix at scale 1
     assert not is_constant(IDENT.scalar_mul(t))
     k, c, d = q(0.5, 1, -0.25, 0.75), q(1, 2, 0, -1) * t, q(-0.5, 0, 3, 1) * t
     for A in (Mat2H(k * c, k * d, c, d), Mat2H(k * c, ZERO, c, ZERO)):
@@ -403,20 +403,34 @@ def test_decompose_fuzz():
 
 
 def test_jacobian_identity():
-    Jm = jacobian(FLT.identity(), q(0.3, -0.1, 0.2, 0.5))
-    assert np.allclose(Jm, np.eye(4), atol=1e-9)
+    assert np.array_equal(jacobian(FLT.identity(), q(0.3, -0.1, 0.2, 0.5)), np.eye(4))
 
 
 def test_jacobian_inversion_is_orthogonal_at_unit_point():
     Jm = jacobian(FLT(INVERSION_M), I)
-    assert np.allclose(Jm.T @ Jm, np.eye(4), atol=1e-7)
+    assert np.allclose(Jm.T @ Jm, np.eye(4), rtol=0.0, atol=1e-15)
+
+
+def test_jacobian_takes_a_raw_matrix_at_any_scale():
+    rng = make_rng(47)
+    for _ in range(20):
+        M = random_invertible_matrix(rng, 1.5)
+        p = random_quaternion(rng, 1.5)
+        ref = jacobian(FLT(M), p)
+        for t in (1.0, -3.0, 1e-160, 1e160):
+            assert np.allclose(jacobian(M.scalar_mul(t), p), ref, rtol=1e-12, atol=1e-12)
+
+
+def test_jacobian_has_no_step_option():
+    with pytest.raises(TypeError):
+        jacobian(FLT.identity(), ONE, step=1e-3)
 
 
 def test_jacobian_canonical_dilation_coefficient():
     g = MobiusCanonical(ONE, ONE, q(0.5)).to_flt()
     Jm = jacobian(g, ZERO)
     lam_sq = (1.0 - 0.25) ** 2
-    assert np.allclose(Jm.T @ Jm, lam_sq * np.eye(4), atol=1e-7)
+    assert np.allclose(Jm.T @ Jm, lam_sq * np.eye(4), rtol=0.0, atol=1e-15)
 
 
 def test_jacobian_pole_raises():

@@ -25,6 +25,7 @@ from qmobius.hypgeo import (
     samples_to_csv,
     samples_to_json,
 )
+from qmobius.mat2h import Mat2H
 from qmobius.quat import I, J, K, ONE, ZERO, Quaternion
 from qmobius.sampling import (
     make_rng,
@@ -35,6 +36,8 @@ from qmobius.sampling import (
     random_sp11,
     random_unit_quaternion,
 )
+
+from pins import outcome
 
 HALF = Quaternion(0.5, 0.0, 0.0, 0.0)
 T_SKEW = 4.0 / math.sqrt(34.0)  # |j/2 - i/2| / |1 - conj(i/2) j/2|
@@ -459,6 +462,17 @@ def test_cayley_spot_values():
     assert cayley_inv(ONE).close_to(ZERO, tol=1e-15)
     assert cayley_inv(q(0.6, 0.8)).close_to(I * 0.5, tol=1e-12)
     assert cayley_inv(INFINITY) == ONE
+
+
+def test_cayley_inv_is_bit_identical_to_the_unhalved_matrix():
+    # CAYLEY_INV is half of this matrix; halving every entry is exact
+    reference = Mat2H(ONE, Quaternion(-1.0, 0.0, 0.0, 0.0), ONE, ONE)
+    rng = make_rng(70)
+    points = [INFINITY, ZERO, ONE, -ONE, I, -ZERO]
+    points += [random_quaternion(rng, 1.0) * 10.0 ** float(rng.uniform(-300.0, 300.0))
+               for _ in range(2000)]
+    for p in points:
+        assert outcome(cayley_inv, p) == outcome(apply, reference, p)
 
 
 def test_cayley_maps_ball_to_halfspace():
