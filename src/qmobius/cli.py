@@ -24,8 +24,8 @@ from .flt import (FLT, apply, decompose_generators, ext_from_json, ext_to_json,
                   generator_to_json, to_canonical_disc)
 from .hypgeo import (cayley, cayley_inv, distance_disc, distance_halfspace,
                      geodesic_disc, geodesic_halfspace, geodesic_sample,
-                     metric_disc, metric_halfspace, samples_to_csv,
-                     samples_to_json)
+                     geodesic_sample_halfspace, metric_disc, metric_halfspace,
+                     samples_to_csv, samples_to_json)
 from .kobayashi import non_isometry_witness
 from .mat2h import Mat2H, classify, det_h, inverse, normalize
 from .quat import Quaternion
@@ -204,24 +204,17 @@ def _cmd_geodesic(args) -> int:
     n, tol = args.samples, args.tol
     if args.disc:
         geo = geodesic_disc(q1, q2, tol)
+        ends = geo.q3, geo.q4
         samples = geodesic_sample(q1, q2, n, tol)
-        if args.csv:
-            sys.stdout.write(samples_to_csv(samples, digits=7))
-            return 0
-        _emit({"kind": geo.kind,
-               "ends": [ext_to_json(geo.q3), ext_to_json(geo.q4)],
-               "samples": samples_to_json(samples)})
-        return 0
-    geo = geodesic_halfspace(q1, q2, tol)
-    samples = [cayley(p) for p in
-               geodesic_sample(cayley_inv(q1), cayley_inv(q2), n, tol)]
+    else:
+        geo = geodesic_halfspace(q1, q2, tol)
+        ends = geo.e3, geo.e4
+        samples = geodesic_sample_halfspace(q1, q2, n, tol)
     if args.csv:
-        finite = [p for p in samples if isinstance(p, Quaternion)]
-        sys.stdout.write(samples_to_csv(finite, digits=7))
+        sys.stdout.write(samples_to_csv(samples, digits=7))
         return 0
-    _emit({"kind": geo.kind,
-           "ends": [ext_to_json(geo.e3), ext_to_json(geo.e4)],
-           "samples": [ext_to_json(p) for p in samples]})
+    _emit({"kind": geo.kind, "ends": [ext_to_json(e) for e in ends],
+           "samples": samples_to_json(samples)})
     return 0
 
 

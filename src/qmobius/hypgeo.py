@@ -20,6 +20,14 @@ m = (y - x)(1 - conj(x) y)^-1.  geodesic_disc takes each end from its own base:
 from x near the sphere, the far end's denominator cancels to about 1 - |x|.
 geodesic_sample_rows puts the point at distance artanh(r) from x, r in [0, 1),
 at (u r + x)(conj(x) u r + 1)^-1: normalizing_map's inverse, in closed form.
+
+In the half-space, with x = Re q and v = Im q, the line through q1 and q2 is the
+half-line over v1 when v1 = v2, else the semicircle of center v1 + y0 e and
+radius R = hypot(x1, y0), e = (v2 - v1) / L, L = |v2 - v1|,
+y0 = (L + (x2 - x1)(x2 + x1) / L) / 2.  Its ends v1 + s e, s3 = y0 + R beyond q2
+and s4 = y0 - R, have Re 0; the cancelling one is -x1^2 over the other.  At
+tan(phi / 2) = e^sigma it passes v1 + (y0 - R tanh sigma) e + R / cosh sigma:
+ds = -dsigma / 2 and sinh sigma1 = y0 / x1 at q1.
 """
 
 from __future__ import annotations
@@ -27,10 +35,10 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .errors import CoincidentPoints, OutOfDomain, TooFewSamples
+from .errors import CoincidentPoints, NonFiniteResult, OutOfDomain, TooFewSamples
 from .flt import FLT, INFINITY, ExtQuaternion, MobiusCanonical, apply
 from .mat2h import CAYLEY, CAYLEY_INV, Mat2H, _norm_sq, qmul_planes
-from .quat import ONE, Quaternion, _tols, coincident
+from .quat import N2_HUGE, N2_TINY, ONE, Quaternion, _new, _tols, coincident
 
 
 def cayley(q: ExtQuaternion) -> ExtQuaternion:
@@ -78,17 +86,31 @@ def normalizing_map(q1: Quaternion, q2: Quaternion) -> FLT:
     return MobiusCanonical(lam1, lam2.conj(), q1).to_flt()
 
 
+def _over_gap(num, x, y) -> tuple:
+    """num * (ONE - x.conj() * y).inverse() on components, with the
+    operators' operations in their order; inverse rescales out of range."""
+    xw, xx, xy, xz = x
+    pw, px, py, pz = qmul_planes((xw, -xx, -xy, -xz), y)
+    w, i, j, k = gap = (1.0 - pw, 0.0 - px, 0.0 - py, 0.0 - pz)
+    n2 = w * w + i * i + j * j + k * k
+    if N2_TINY <= n2 < N2_HUGE:
+        return qmul_planes(num, (w / n2, -i / n2, -j / n2, -k / n2))
+    return qmul_planes(num, _new(Quaternion, gap).inverse())
+
+
 def _direction(x: Quaternion, y: Quaternion) -> Quaternion:
     """u of the module docstring: m / |m|, where m is the image of y under
     the ball map that sends x to 0."""
-    m = (y - x) * (ONE - x.conj() * y).inverse()
-    return m * (1.0 / abs(m))
+    m = _over_gap((y[0] - x[0], y[1] - x[1], y[2] - x[2], y[3] - x[3]), x, y)
+    s = 1.0 / math.hypot(*m)
+    return _new(Quaternion, (m[0] * s, m[1] * s, m[2] * s, m[3] * s))
 
 
 def _end_beyond(x: Quaternion, y: Quaternion) -> Quaternion:
     """e(x, y) of the module docstring: the end beyond x of the line through y."""
     u = _direction(x, y)
-    return (x - u) * (ONE - x.conj() * u).inverse()
+    return _new(Quaternion, _over_gap(
+        (x[0] - u[0], x[1] - u[1], x[2] - u[2], x[3] - u[3]), x, u))
 
 
 class GeodesicDisc(NamedTuple):
@@ -197,7 +219,8 @@ def integrated_length_disc(path) -> float:
 
 class GeodesicHalfspace(NamedTuple):
     """Non-Euclidean line of the half-space through q1 and q2.  The ends
-    e3, e4 lie on the boundary Re q = 0 or at infinity; e3 is beyond q2."""
+    e3, e4 lie on the boundary Re q = 0 or at infinity (a half-line's upper
+    end, or an arc's end that does not fit a float); e3 is beyond q2."""
 
     q1: Quaternion
     q2: Quaternion
@@ -206,15 +229,74 @@ class GeodesicHalfspace(NamedTuple):
     kind: str  # "HalfLine" | "Arc"
 
 
-def geodesic_halfspace(q1: Quaternion, q2: Quaternion,
-                       tol: float | None = None) -> GeodesicHalfspace:
+def _arc(q1: Quaternion, q2: Quaternion, tol: float | None):
+    """(e, y0, R, s3, s4) of the module docstring for two distinct points of
+    the half-space; None for a half-line, also one whose y0 overflows."""
     _require_halfspace(q1)
     _require_halfspace(q2)
-    disc = geodesic_disc(cayley_inv(q1), cayley_inv(q2), tol)
-    e3 = cayley(disc.q3)
-    e4 = cayley(disc.q4)
-    kind = "HalfLine" if (e3 is INFINITY or e4 is INFINITY) else "Arc"
-    return GeodesicHalfspace(q1, q2, e3, e4, kind)
+    if coincident(abs(q2 - q1), abs(q1), abs(q2), tol):
+        raise CoincidentPoints("a line needs two distinct points")
+    d = (q2.x - q1.x, q2.y - q1.y, q2.z - q1.z)
+    L = math.hypot(*d)
+    if L == 0.0:
+        return None
+    if L == math.inf:
+        raise NonFiniteResult("the gap between the imaginary parts does not fit a float")
+    x1, x2 = q1.w, q2.w
+    r = (x2 - x1) / L
+    y0 = 0.5 * (L + (r * x2 + r * x1))
+    if abs(y0) == math.inf:
+        return None
+    R = math.hypot(x1, y0)
+    far = y0 + math.copysign(R, y0)  # the end on y0's side: no cancellation
+    if abs(far) < math.inf:
+        near = -(x1 / far) * x1  # (y0 + R)(y0 - R) = -x1^2
+    else:  # the same at half scale
+        near = -(x1 / (0.5 * y0 + math.copysign(0.5 * R, y0))) * (0.5 * x1)
+    s3, s4 = (near, far) if far < 0.0 else (far, near)
+    return (d[0] / L, d[1] / L, d[2] / L), y0, R, s3, s4
+
+
+def _arc_point(q1: Quaternion, arc, sigma: float) -> ExtQuaternion:
+    """The point of the arc at sigma, its offset taken from the end on its
+    side; sigma = -inf, +inf give the ends s3, s4 themselves."""
+    e, _, R, s3, s4 = arc
+    g = math.exp(-abs(sigma))
+    c = 0.5 + 0.5 * g * g
+    off = s4 + R * g * g / c if sigma > 0.0 else s3 - R * g * g / c
+    p = (R * g / c, q1.x + off * e[0], q1.y + off * e[1], q1.z + off * e[2])
+    return _new(Quaternion, p) if all(map(math.isfinite, p)) else INFINITY
+
+
+def geodesic_halfspace(q1: Quaternion, q2: Quaternion,
+                       tol: float | None = None) -> GeodesicHalfspace:
+    arc = _arc(q1, q2, tol)
+    if arc is None:
+        foot = _new(Quaternion, (0.0, q1.x, q1.y, q1.z))
+        e3, e4 = (INFINITY, foot) if q2.w > q1.w else (foot, INFINITY)
+        return GeodesicHalfspace(q1, q2, e3, e4, "HalfLine")
+    e3, e4 = _arc_point(q1, arc, -math.inf), _arc_point(q1, arc, math.inf)
+    return GeodesicHalfspace(q1, q2, e3, e4, "Arc")
+
+
+def geodesic_sample_halfspace(q1: Quaternion, q2: Quaternion, n: int,
+                              tol: float | None = None) -> list[Quaternion]:
+    """n points along the half-space line from q1 to q2, equally spaced in
+    the invariant distance (sigma = sigma1 - 2s); endpoints are exact."""
+    if n < 2:
+        raise TooFewSamples("need at least two sample points")
+    arc = _arc(q1, q2, tol)
+    step = 2.0 * distance_halfspace(q1, q2) / (n - 1)
+    if arc is None:  # Re q = Re q1 e^(+-2s) over the foot of q1
+        x1, x, y, z = q1
+        sign = 1.0 if q2.w > x1 else -1.0
+        inner = [Quaternion(x1 * math.exp(sign * k * step), x, y, z) for k in range(1, n - 1)]
+    else:
+        sigma1 = math.asinh(arc[1] / q1.w)
+        inner = [_arc_point(q1, arc, sigma1 - k * step) for k in range(1, n - 1)]
+    if any(p is INFINITY or p.w == 0.0 for p in inner):  # over- or underflowed
+        raise NonFiniteResult("a sample of the line does not fit a float")
+    return [q1, *inner, q2]
 
 
 def distance_halfspace(q1: Quaternion, q2: Quaternion) -> float:

@@ -24,8 +24,9 @@ from .flt import (FLT, Dilation, Inversion, MobiusCanonical, Rotation,
                   Translation, apply, apply_generator, canonical_det_check,
                   is_constant, is_infinity, jacobian)
 from .hypgeo import (cayley, cayley_inv, distance_disc, distance_halfspace,
-                     geodesic_disc, geodesic_sample, geodesic_sample_rows,
-                     integrated_length_disc, metric_disc, metric_halfspace)
+                     geodesic_disc, geodesic_halfspace, geodesic_sample,
+                     geodesic_sample_rows, integrated_length_disc, metric_disc,
+                     metric_halfspace)
 from .kobayashi import (kobayashi_image_modulus_sq, non_isometry_witness,
                         poincare_image_modulus_sq)
 from .mat2h import (GroupTag, Mat2H, cayley_conjugate, cayley_conjugate_inv,
@@ -322,19 +323,26 @@ def integrated_suite(rng, n: int) -> Suite:
 
 def cayley_suite(rng, n: int) -> Suite:
     """The Cayley map: spot values, isometry from the ball onto the
-    half-space, and conjugation between the two groups both ways."""
+    half-space, the half-space line ends as Cayley images of the ball's,
+    and conjugation between the two groups both ways."""
     s = Suite()
     s.check("spot_zero", abs(cayley(ZERO) - ONE), "<=", 1e-12)
     s.check("spot_one_finite", not is_infinity(cayley(ONE)), "<=", 0)
     s.check("spot_half_i", abs(cayley(Quaternion(0.0, 0.5, 0.0, 0.0))
                                - Quaternion(0.6, 0.8, 0.0, 0.0)), "<=", 1e-12)
-    worst_iso = 0.0
+    worst_iso = worst_ends = 0.0
     for _ in range(n):
         p = smp.random_ball_point(rng, 0.9)
         q = smp.random_ball_point(rng, 0.9)
         d = distance_disc(p, q)
-        w = distance_halfspace(cayley(p), cayley(q))
-        worst_iso = max(worst_iso, abs(w - d) / (1.0 + d))
+        u, v = cayley(p), cayley(q)
+        worst_iso = max(worst_iso, abs(distance_halfspace(u, v) - d) / (1.0 + d))
+        # the closed-form ends against the Cayley images of the ball's ends
+        line, ball = geodesic_halfspace(u, v), geodesic_disc(cayley_inv(u), cayley_inv(v))
+        for e, f in ((line.e3, cayley(ball.q3)), (line.e4, cayley(ball.q4))):
+            worst_ends = max(worst_ends, abs(e - f) / (1.0 + abs(e))
+                             if not (is_infinity(e) or is_infinity(f))
+                             else 0.0 if e is f else math.inf)
     worst_conj = 0.0
     for _ in range(n // 2):
         A = smp.random_sp11(rng)
@@ -353,6 +361,7 @@ def cayley_suite(rng, n: int) -> Suite:
         worst_conj = max(worst_conj, max(abs(x - y) for x, y in back))
     s.n_checked = 3 + n + n // 2
     s.check("worst_isometry", worst_iso, "<=", 1e-9)
+    s.check("worst_ends", worst_ends, "<=", 1e-9)
     s.check("worst_conjugation", worst_conj, "<=", 1e-9)
     return s
 

@@ -404,6 +404,22 @@ def test_geodesic_samples_from_near_the_boundary(capsys, model, q1, q2):
     assert len(data["samples"]) == 5 and data["samples"][-1] == json.loads(q2)
 
 
+def test_halfspace_geodesic_samples_stay_inside_with_exact_endpoints(capsys):
+    # both points at Re q = 1e-12: every sample keeps Re q > 0, and the
+    # endpoints print exactly as given
+    code, data = invoke_quiet(capsys, "geodesic", "--halfspace", "[1e-12,0,0,0]",
+                              "[1e-12,1,0,0]", "--samples", "5")
+    assert code == 0, data
+    assert data["samples"][0] == [1e-12, 0, 0, 0]
+    assert data["samples"][-1] == [1e-12, 1, 0, 0]
+    assert all(p[0] > 0 for p in data["samples"])
+    assert data["ends"] == [[0, 1, 0, 0], [0, -1e-24, 0, 0]]
+    code, out = invoke(capsys, "geodesic", "--halfspace", "[1e-12,0,0,0]",
+                       "[1e-12,1,0,0]", "--samples", "5", "--csv")
+    rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+    assert code == 0 and len(rows) == 5 and all(float(r[0]) > 0 for r in rows)
+
+
 def test_apply_of_a_huge_scalar_matrix_is_the_identity(capsys):
     code, data = invoke_quiet(capsys, "apply",
                               "[[1e160,0,0,0],[0,0,0,0],[0,0,0,0],[1e160,0,0,0]]",

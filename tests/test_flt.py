@@ -453,6 +453,12 @@ def test_conformality_fuzz():
         JtJ = Jm.T @ Jm
         lam_sq = float(np.trace(JtJ)) / 4.0
         assert np.abs(JtJ - lam_sq * np.eye(4)).max() <= 1e-4
+        # any h -> L h R passes the check above; the map's own central
+        # difference ties J to the order of the factors
+        h = 1e-6 * (1.0 + abs(p))
+        cd = np.array([tuple(apply(f, p + e * h) - apply(f, p - e * h))
+                       for e in (ONE, I, J, K)]).T / (2.0 * h)
+        assert np.abs(Jm - cd).max() <= 1e-8 * (1.0 + np.abs(Jm).max())
         done += 1
 
 

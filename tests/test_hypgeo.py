@@ -7,9 +7,11 @@ import numpy as np
 import pytest
 
 from qmobius.crossratio import cross_ratio, is_concyclic
-from qmobius.errors import CoincidentPoints, OutOfDomain, TooFewSamples
+from qmobius.errors import CoincidentPoints, NonFiniteResult, OutOfDomain, TooFewSamples
 from qmobius.flt import INFINITY, apply, is_infinity, to_canonical_disc
 from qmobius.hypgeo import (
+    _direction,
+    _end_beyond,
     cayley,
     cayley_inv,
     distance_disc,
@@ -17,6 +19,7 @@ from qmobius.hypgeo import (
     geodesic_disc,
     geodesic_halfspace,
     geodesic_sample,
+    geodesic_sample_halfspace,
     geodesic_sample_rows,
     integrated_length_disc,
     metric_disc,
@@ -26,7 +29,7 @@ from qmobius.hypgeo import (
     samples_to_json,
 )
 from qmobius.mat2h import Mat2H
-from qmobius.quat import I, J, K, ONE, ZERO, Quaternion
+from qmobius.quat import I, J, K, N2_HUGE, N2_TINY, ONE, ZERO, Quaternion
 from qmobius.sampling import (
     make_rng,
     random_ball_point,
@@ -239,6 +242,40 @@ def test_geodesic_far_end_of_a_nearly_radial_line_is_backward_stable():
 def test_geodesic_coincident_raises():
     with pytest.raises(CoincidentPoints):
         geodesic_disc(HALF, HALF)
+
+
+def _operator_direction(x, y):
+    """_direction in the Quaternion operators, the reference of its pin."""
+    m = (y - x) * (ONE - x.conj() * y).inverse()
+    return m * (1.0 / abs(m))
+
+
+def _operator_end_beyond(x, y):
+    u = _operator_direction(x, y)
+    return (x - u) * (ONE - x.conj() * u).inverse()
+
+
+def test_ball_ends_are_bit_identical_to_the_operator_forms():
+    rng = make_rng(90)
+    pairs = [(random_ball_point(rng), random_ball_point(rng)) for _ in range(300)]
+    for _ in range(200):  # 1 - |q| log-uniform down to 1e-15
+        u, v = random_unit_quaternion(rng), random_unit_quaternion(rng)
+        pairs.append((u * (1.0 - 10.0 ** rng.uniform(-15.0, -1.0)), random_ball_point(rng)))
+        pairs.append((random_ball_point(rng) * 1e-300, v * (1.0 - 10.0 ** rng.uniform(-15.0, -1.0))))
+        pairs.append((random_ball_point(rng) * 1e-300, random_ball_point(rng) * 1e-300))
+    signed = [q(0.0, -0.0, 0.0, -0.0), q(-0.0, 0.5, -0.0, 0.0), q(0.25, -0.0, -0.0, -0.0),
+              q(-0.0, -0.0, -0.0, 0.5), q(0.0, 0.0, -0.3, -0.0)]
+    pairs += [(a, b) for a in signed for b in signed if a != b]
+    # |1 - conj(x) y|^2 above N2_HUGE, below N2_TINY, and 0: the rescue branch
+    rescue = [(q(1e70, 0, 0, 0), q(0, 1e70, 0, 0)), (q(-1e70, 2e70, 0, 0), q(3e70, 0, 1e70, 0)),
+              (ONE, q(1, 1e-140, 0, 0)), (ONE, q(1, 0, 0, -1e-160)), (q(2), HALF)]
+    for x, y in rescue:
+        gap = ONE - x.conj() * y
+        assert not N2_TINY <= gap.norm_sq() < N2_HUGE
+    pairs += rescue + [(y, x) for x, y in rescue]
+    for x, y in pairs:
+        assert outcome(_direction, x, y) == outcome(_operator_direction, x, y), (x, y)
+        assert outcome(_end_beyond, x, y) == outcome(_operator_end_beyond, x, y), (x, y)
 
 
 # -- distance in the ball ------------------------------------------------
@@ -552,7 +589,143 @@ def test_geodesic_halfspace_ends_near_the_boundary_stay_on_it():
     g = geodesic_halfspace(q(1e-7, 1.0), q(1e-7, 0.0, 2.0, 0.5))
     for e in (g.e3, g.e4):
         assert not is_infinity(e)
-        assert abs(e.w) <= 1e-9 * (1.0 + abs(e)), e
+        assert e.w == 0.0, e
+
+
+EPS = 2.0 ** -52
+
+
+def _semicircle_reference(q1, q2):
+    """x1, v1, e, y0, R of the line through q1, q2, in 60-digit decimal from
+    its own derivation: the center v1 + y0 e is as far from q1 as from q2."""
+    x1, x2 = Decimal(q1.w), Decimal(q2.w)
+    v1 = [Decimal(t) for t in q1[1:]]
+    d = [Decimal(b) - a for a, b in zip(v1, q2[1:])]
+    L = sum(t * t for t in d).sqrt()
+    y0 = (L * L + x2 * x2 - x1 * x1) / (2 * L)
+    return x1, v1, [t / L for t in d], y0, (x1 * x1 + y0 * y0).sqrt()
+
+
+def _halfspace_pairs(rng, re, scale, n=60):
+    """n pairs with Re q = re * U(1/2, 2) and Im q in [-1, 1]^3, all times
+    scale; every other q1 is real, so that the end near it is tiny."""
+    def point(im=1.0):
+        return q(re * rng.uniform(0.5, 2.0), *rng.uniform(-im, im, size=3)) * scale
+    return [(point(k % 2), point()) for k in range(n)]
+
+
+_RE_SCALES = [(1e-1, 1.0), (1e-4, 1.0), (1e-8, 1.0), (1e-12, 1.0),
+              (1.0, 1e150), (1.0, 1e-150), (1e-12, 1e150), (1e-12, 1e-150)]
+
+
+@pytest.mark.parametrize("re, scale", _RE_SCALES)
+def test_geodesic_halfspace_ends_match_exact_references(re, scale):
+    # each end v1 + s e within a few eps of |v1| + |end|: the cancelling
+    # offset, -x1^2 over the other, keeps its relative digits
+    rng = make_rng(91)
+    with localcontext() as ctx:
+        ctx.prec = 60
+        for q1, q2 in _halfspace_pairs(rng, re, scale):
+            g = geodesic_halfspace(q1, q2)
+            assert g.kind == "Arc"
+            _, v1, e, y0, R = _semicircle_reference(q1, q2)
+            for got, s in ((g.e3, y0 + R), (g.e4, y0 - R)):
+                assert got.w == 0.0
+                want = [a + s * b for a, b in zip(v1, e)]
+                size = max(map(abs, v1)) + max(map(abs, want))
+                err = max(abs(Decimal(a) - b) for a, b in zip(got[1:], want))
+                assert err <= 4 * Decimal(EPS) * size, (q1, q2, err / size)
+
+
+def _asinh(t):
+    return (t + (t * t + 1).sqrt()).ln()
+
+
+@pytest.mark.parametrize("re, scale", _RE_SCALES)
+def test_geodesic_sample_halfspace_matches_exact_references(re, scale):
+    # the reference walks tan(phi/2) = t1 e^(-2s) from q1, t1 = x1 / (R - y0);
+    # Re keeps its relative digits down to the boundary and Im its digits
+    # relative to |v1| + |sample|, each to a few eps per unit of distance,
+    # the error of the log-parameter the samples are spaced in
+    rng = make_rng(92)
+    n = 9
+    with localcontext() as ctx:
+        ctx.prec = 60
+        for q1, q2 in _halfspace_pairs(rng, re, scale, n=30):
+            pts = geodesic_sample_halfspace(q1, q2, n)
+            assert pts[0] == q1 and pts[-1] == q2 and len(pts) == n
+            x1, v1, e, y0, R = _semicircle_reference(q1, q2)
+            gap = sum((Decimal(a) - Decimal(b)) ** 2 for a, b in zip(q1, q2)).sqrt()
+            delta = _asinh(gap / (2 * (x1 * Decimal(q2.w)).sqrt()))
+            t1 = x1 / (R - y0)
+            for k, p in enumerate(pts[1:-1], start=1):
+                t = t1 * (-2 * k * delta / (n - 1)).exp()
+                re_want = 2 * R * t / (1 + t * t)
+                off = y0 + R * (1 - t * t) / (1 + t * t)
+                im_want = [a + off * b for a, b in zip(v1, e)]
+                assert p.w > 0.0
+                assert abs(Decimal(p.w) - re_want) <= 4 * Decimal(EPS) * (1 + delta) * re_want
+                size = max(map(abs, v1)) + max(re_want, *map(abs, im_want))
+                err = max(abs(Decimal(a) - b) for a, b in zip(p[1:], im_want))
+                assert err <= 4 * Decimal(EPS) * (1 + delta) * size, (q1, q2, k)
+
+
+def test_geodesic_sample_halfspace_is_equally_spaced():
+    rng = make_rng(93)
+    for q1, q2 in _halfspace_pairs(rng, 1.0, 1.0, n=40):
+        pts = geodesic_sample_halfspace(q1, q2, 7)
+        total = distance_halfspace(q1, q2)
+        for a, b in zip(pts, pts[1:]):
+            assert distance_halfspace(a, b) == pytest.approx(total / 6.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("lo, hi", [(q(1, 0.5, -2, 0), q(4, 0.5, -2, 0)),
+                                    (q(1e-300, 0, 0, 1e-300), q(1e300, 0, 0, 1e-300))])
+def test_halfline_orientation_and_samples(lo, hi):
+    foot = q(0, *lo[1:])
+    up, down = geodesic_halfspace(lo, hi), geodesic_halfspace(hi, lo)
+    assert (up.kind, down.kind) == ("HalfLine", "HalfLine")
+    assert up.e3 is INFINITY and up.e4 == foot
+    assert down.e3 == foot and down.e4 is INFINITY
+    # Re q = Re q1 e^(+-2s): the geometric mean sits halfway, either way
+    for a, b in ((lo, hi), (hi, lo)):
+        mid = geodesic_sample_halfspace(a, b, 3)[1]
+        assert mid[1:] == lo[1:]
+        assert mid.w == pytest.approx(math.sqrt(lo.w) * math.sqrt(hi.w), rel=1e-13)
+
+
+def test_geodesic_halfspace_overflowing_and_huge_ends():
+    # the center offset y0 = 3 / 1e-310 overflows: the end beyond q2 is INFINITY
+    g = geodesic_halfspace(ONE, q(2, 1e-310))
+    assert (g.kind, g.e3, g.e4) == ("HalfLine", INFINITY, ZERO)
+    # a near-vertical pair is an arc with a huge finite end, s3 = 3e300
+    g = geodesic_halfspace(ONE, q(2, 1e-300))
+    assert g.kind == "Arc"
+    assert g.e3.w == 0.0 and g.e3.x == pytest.approx(3e300, rel=1e-15)
+    assert g.e4.x == pytest.approx(-1.0 / 3e300, rel=1e-15)
+    # the end beyond q2, s3 = y0 + R = 1.84e308, does not fit a float; the
+    # other, s4 = -x1^2 / s3, is taken at half scale
+    g = geodesic_halfspace(q(1e308), q(1e308, 1.3e308))
+    assert (g.kind, g.e3) == ("Arc", INFINITY)
+    y0 = 0.65e308
+    R = math.hypot(1e308, y0)
+    assert g.e4.w == 0.0 and g.e4.x == pytest.approx(y0 - R, rel=1e-14)
+    # nor does the gap between the imaginary parts
+    with pytest.raises(NonFiniteResult):
+        geodesic_halfspace(q(1, 1e308), q(1, -1e308))
+    # sinh sigma1 = y0 / x1 = 5e309 overflows: no sample lands on Re q = 0
+    with pytest.raises(NonFiniteResult):
+        geodesic_sample_halfspace(q(1e-300), q(1e-300, 1e10), 5)
+
+
+def test_geodesic_halfspace_coincidence_is_judged_on_the_points():
+    p = q(1e-160, 1e-160)
+    with pytest.raises(CoincidentPoints):
+        geodesic_halfspace(p, p * (1.0 + 1e-12))
+    g = geodesic_halfspace(p, p * (1.0 + 1e-12), tol=1e-13)
+    assert g.kind == "Arc"
+    with pytest.raises(CoincidentPoints):
+        geodesic_sample_halfspace(p, p * (1.0 + 1e-12), 3)
 
 
 def test_cayley_is_an_isometry():
