@@ -24,10 +24,9 @@ from .crossratio import (QuadricF3, cross_ratio, is_concyclic, on_quadric,
                          separates, transform_quadric)
 from .hypgeo import (GeodesicDisc, GeodesicHalfspace, cayley, cayley_inv,
                      distance_disc, distance_halfspace, geodesic_disc,
-                     geodesic_halfspace, geodesic_sample,
-                     geodesic_sample_halfspace, integrated_length_disc,
-                     metric_disc, metric_halfspace, normalizing_map,
-                     samples_to_csv, samples_to_json)
+                     geodesic_halfspace, geodesic_sample_halfspace,
+                     geodesic_sample_rows, integrated_length_disc, metric_disc,
+                     metric_halfspace, normalizing_map)
 from .kobayashi import (from_c2, kobayashi_from_origin,
                         kobayashi_image_modulus_sq, non_isometry_witness,
                         poincare_image_modulus_sq, to_c2)

@@ -23,9 +23,8 @@ from .crossratio import cross_ratio, is_concyclic
 from .flt import (FLT, apply, decompose_generators, ext_from_json, ext_to_json,
                   generator_to_json, to_canonical_disc)
 from .hypgeo import (cayley, cayley_inv, distance_disc, distance_halfspace,
-                     geodesic_disc, geodesic_halfspace, geodesic_sample,
-                     geodesic_sample_halfspace, metric_disc, metric_halfspace,
-                     samples_to_csv, samples_to_json)
+                     geodesic_disc, geodesic_halfspace, geodesic_sample_halfspace,
+                     geodesic_sample_rows, metric_disc, metric_halfspace)
 from .kobayashi import non_isometry_witness
 from .mat2h import Mat2H, classify, det_h, inverse, normalize
 from .quat import Quaternion
@@ -83,37 +82,16 @@ def _tolerance(text: str) -> float:
     return value
 
 
-def _parse_json(text: str):
-    """json.loads that refuses NaN, Infinity and numbers beyond float range."""
+def _parse(text: str, from_json):
+    """from_json of the JSON literal text; NaN, Infinity, numbers beyond
+    float range and whatever from_json refuses are parse errors."""
     try:
-        return json.loads(text, parse_constant=_finite_number,
+        data = json.loads(text, parse_constant=_finite_number,
                           parse_float=_finite_number, parse_int=_finite_number)
     except json.JSONDecodeError as exc:
         raise _ParseError(f"invalid JSON operand {text!r}: {exc}") from exc
-
-
-def _parse_quat(text: str) -> Quaternion:
-    data = _parse_json(text)
     try:
-        return Quaternion.from_json(data)
-    except (ValueError, TypeError) as exc:
-        raise _ParseError(str(exc)) from exc
-
-
-def _parse_ext(text: str):
-    data = _parse_json(text)
-    if data == "inf":
-        return ext_from_json(data)
-    try:
-        return Quaternion.from_json(data)
-    except (ValueError, TypeError) as exc:
-        raise _ParseError(str(exc)) from exc
-
-
-def _parse_mat(text: str) -> Mat2H:
-    data = _parse_json(text)
-    try:
-        return Mat2H.from_json(data)
+        return from_json(data)
     except (ValueError, TypeError) as exc:
         raise _ParseError(str(exc)) from exc
 
@@ -129,139 +107,90 @@ def build_parser() -> _Parser:
                         default=os.environ.get("QMOBIUS_SEED") or 0,
                         help="seed for randomized subcommands")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("det", help="Dieudonne determinant of a matrix")
-    p.add_argument("mat")
-
-    p = sub.add_parser("inv", help="matrix inverse")
-    p.add_argument("mat")
-
-    p = sub.add_parser("normalize", help="scale a matrix to det 1")
-    p.add_argument("mat")
-
-    p = sub.add_parser("classify", help="group membership tags")
-    p.add_argument("mat")
-
-    p = sub.add_parser("apply", help="evaluate the induced map at a point")
-    p.add_argument("mat")
-    p.add_argument("point")
-
-    p = sub.add_parser("decompose", help="factor a map into generators")
-    p.add_argument("mat")
-
-    p = sub.add_parser("canonical", help="canonical ball-map parameters")
-    p.add_argument("mat")
-
-    p = sub.add_parser("cross-ratio", help="cross-ratio of four points")
-    for name in ("q1", "q2", "q3", "q4"):
-        p.add_argument(name)
-
-    p = sub.add_parser("concyclic", help="do four points share a circle")
-    for name in ("q1", "q2", "q3", "q4"):
-        p.add_argument(name)
-
-    p = sub.add_parser("distance", help="invariant distance between two points")
-    grp = p.add_mutually_exclusive_group(required=True)
-    grp.add_argument("--disc", action="store_true")
-    grp.add_argument("--halfspace", action="store_true")
-    p.add_argument("q1")
-    p.add_argument("q2")
-
-    p = sub.add_parser("geodesic", help="line through two points, with samples")
-    grp = p.add_mutually_exclusive_group(required=True)
-    grp.add_argument("--disc", action="store_true")
-    grp.add_argument("--halfspace", action="store_true")
-    p.add_argument("q1")
-    p.add_argument("q2")
-    p.add_argument("--samples", type=int, default=50)
-    p.add_argument("--csv", action="store_true",
-                   help="emit the ball samples as CSV instead of JSON")
-
-    p = sub.add_parser("cayley", help="ball/half-space boundary map")
-    p.add_argument("--inverse", action="store_true")
-    p.add_argument("point")
-
-    p = sub.add_parser("metric", help="length of a tangent vector")
-    grp = p.add_mutually_exclusive_group(required=True)
-    grp.add_argument("--disc", action="store_true")
-    grp.add_argument("--halfspace", action="store_true")
-    p.add_argument("point")
-    p.add_argument("tangent")
-
-    p = sub.add_parser("kobayashi-witness",
-                       help="gap between the two ball metrics")
-    p.add_argument("--grid", type=int, default=20)
-
-    p = sub.add_parser("selftest", help="run the seeded invariant suites")
-    p.add_argument("--iters", type=int, default=200)
-
+    for name, text, *operands in (
+            ("det", "Dieudonne determinant of a matrix", "mat"),
+            ("inv", "matrix inverse", "mat"),
+            ("normalize", "scale a matrix to det 1", "mat"),
+            ("classify", "group membership tags", "mat"),
+            ("apply", "evaluate the induced map at a point", "mat", "point"),
+            ("decompose", "factor a map into generators", "mat"),
+            ("canonical", "canonical ball-map parameters", "mat"),
+            ("cross-ratio", "cross-ratio of four points", "q1", "q2", "q3", "q4"),
+            ("concyclic", "do four points share a circle", "q1", "q2", "q3", "q4"),
+            ("distance", "invariant distance between two points", "q1", "q2"),
+            ("geodesic", "line through two points, with samples", "q1", "q2"),
+            ("cayley", "ball/half-space boundary map", "point"),
+            ("metric", "length of a tangent vector", "point", "tangent"),
+            ("kobayashi-witness", "gap between the two ball metrics"),
+            ("selftest", "run the seeded invariant suites")):
+        p = sub.add_parser(name, help=text)
+        if name in ("distance", "geodesic", "metric"):
+            grp = p.add_mutually_exclusive_group(required=True)
+            grp.add_argument("--disc", action="store_true")
+            grp.add_argument("--halfspace", action="store_true")
+        for operand in operands:
+            p.add_argument(operand)
+    sub.choices["geodesic"].add_argument("--samples", type=int, default=50)
+    sub.choices["geodesic"].add_argument("--csv", action="store_true",
+                                         help="emit the samples as CSV instead of JSON")
+    sub.choices["cayley"].add_argument("--inverse", action="store_true")
+    sub.choices["kobayashi-witness"].add_argument("--grid", type=int, default=20)
+    sub.choices["selftest"].add_argument("--iters", type=int, default=200)
     return parser
-
-
-def _cmd_geodesic(args) -> int:
-    q1 = _parse_quat(args.q1)
-    q2 = _parse_quat(args.q2)
-    n, tol = args.samples, args.tol
-    if args.disc:
-        geo = geodesic_disc(q1, q2, tol)
-        ends = geo.q3, geo.q4
-        samples = geodesic_sample(q1, q2, n, tol)
-    else:
-        geo = geodesic_halfspace(q1, q2, tol)
-        ends = geo.e3, geo.e4
-        samples = geodesic_sample_halfspace(q1, q2, n, tol)
-    if args.csv:
-        sys.stdout.write(samples_to_csv(samples, digits=7))
-        return 0
-    _emit({"kind": geo.kind, "ends": [ext_to_json(e) for e in ends],
-           "samples": samples_to_json(samples)})
-    return 0
 
 
 def _dispatch(args) -> int:
     cmd = args.command
+    A = _parse(args.mat, Mat2H.from_json) if "mat" in args else None
     if cmd == "det":
-        _emit({"det": det_h(_parse_mat(args.mat))})
+        _emit({"det": det_h(A)})
     elif cmd == "inv":
-        _emit({"matrix": inverse(_parse_mat(args.mat)).to_json()})
+        _emit({"matrix": inverse(A).to_json()})
     elif cmd == "normalize":
-        _emit({"matrix": normalize(_parse_mat(args.mat)).to_json()})
+        _emit({"matrix": normalize(A).to_json()})
     elif cmd == "classify":
-        tags = classify(_parse_mat(args.mat), args.tol)
+        tags = classify(A, args.tol)
         _emit({"tags": [t.value for t in sorted(tags, key=lambda t: t.value)]})
     elif cmd == "apply":
-        result = apply(_parse_mat(args.mat), _parse_ext(args.point))
-        _emit({"result": ext_to_json(result)})
+        _emit({"result": ext_to_json(apply(A, _parse(args.point, ext_from_json)))})
     elif cmd == "decompose":
-        f = FLT(_parse_mat(args.mat))
         _emit({"generators": [generator_to_json(g)
-                              for g in decompose_generators(f)]})
+                              for g in decompose_generators(FLT(A))]})
     elif cmd == "canonical":
-        g = to_canonical_disc(_parse_mat(args.mat), args.tol)
+        g = to_canonical_disc(A, args.tol)
         _emit({"alpha": g.alpha.to_json(), "beta": g.beta.to_json(),
                "q0": g.q0.to_json()})
     elif cmd == "cross-ratio":
-        cr = cross_ratio(_parse_ext(args.q1), _parse_ext(args.q2),
-                         _parse_ext(args.q3), _parse_ext(args.q4), args.tol)
-        _emit(cr.to_json())
+        pts = [_parse(t, ext_from_json) for t in (args.q1, args.q2, args.q3, args.q4)]
+        _emit(cross_ratio(*pts, args.tol).to_json())
     elif cmd == "concyclic":
-        pts = [_parse_ext(args.q1), _parse_ext(args.q2),
-               _parse_ext(args.q3), _parse_ext(args.q4)]
+        pts = [_parse(t, ext_from_json) for t in (args.q1, args.q2, args.q3, args.q4)]
         flag = is_concyclic(*pts, tol=args.tol)
         _emit({"concyclic": flag, "cross_ratio": cross_ratio(*pts, args.tol).to_json()})
     elif cmd == "distance":
-        q1, q2 = _parse_quat(args.q1), _parse_quat(args.q2)
+        q1, q2 = (_parse(t, Quaternion.from_json) for t in (args.q1, args.q2))
         value = distance_disc(q1, q2) if args.disc else distance_halfspace(q1, q2)
         _emit({"distance": value})
     elif cmd == "geodesic":
-        return _cmd_geodesic(args)
+        q1, q2 = (_parse(t, Quaternion.from_json) for t in (args.q1, args.q2))
+        if args.disc:
+            geo = geodesic_disc(q1, q2, args.tol)
+            ends = geo.q3, geo.q4
+            samples = geodesic_sample_rows(q1, q2, args.samples, args.tol).tolist()
+        else:
+            geo = geodesic_halfspace(q1, q2, args.tol)
+            ends = geo.e3, geo.e4
+            samples = geodesic_sample_halfspace(q1, q2, args.samples, args.tol)
+        if args.csv:
+            print("\n".join(["w,x,y,z", *(",".join(f"{v:.7g}" for v in p) for p in samples)]))
+        else:
+            _emit({"kind": geo.kind, "ends": [ext_to_json(e) for e in ends], "samples": samples})
     elif cmd == "cayley":
-        point = _parse_ext(args.point)
+        point = _parse(args.point, ext_from_json)
         result = cayley_inv(point) if args.inverse else cayley(point)
         _emit({"result": ext_to_json(result)})
     elif cmd == "metric":
-        q = _parse_quat(args.point)
-        tau = _parse_quat(args.tangent)
+        q, tau = (_parse(t, Quaternion.from_json) for t in (args.point, args.tangent))
         value = metric_disc(q, tau) if args.disc else metric_halfspace(q, tau)
         _emit({"metric": value})
     elif cmd == "kobayashi-witness":

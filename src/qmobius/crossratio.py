@@ -10,13 +10,13 @@ transforms by conjugation, so its real part and imaginary norm are.
 
 from __future__ import annotations
 
-from math import hypot, nan
+from math import hypot, inf, isfinite, nan
 from typing import NamedTuple
 
 from .errors import CoincidentPoints, DegenerateResult, NotConcyclic
 from .flt import FLT, INFINITY, ExtQuaternion, generator_inverse, generator_matrix
 from .mat2h import Mat2H, qmul_planes
-from .quat import N2_HUGE, N2_TINY, ONE, Quaternion, _new, _tols, coincident
+from .quat import N2_HUGE, N2_TINY, ONE, Quaternion, _new, _tol, coincident
 
 
 def cross_ratio(q1: ExtQuaternion, q2: ExtQuaternion, q3: ExtQuaternion,
@@ -42,10 +42,16 @@ def cross_ratio(q1: ExtQuaternion, q2: ExtQuaternion, q3: ExtQuaternion,
     d24 = (w2 - w4, x2 - x4, y2 - y4, z2 - z4)
     mods = (hypot(w1, x1, y1, z1), hypot(w2, x2, y2, z2),
             hypot(w3, x3, y3, z3), hypot(w4, x4, y4, z4))
-    for (i, j), gap in zip(((0, 2), (0, 3), (1, 2), (1, 3), (2, 3)), (
-            hypot(*d13), hypot(*d14), hypot(*d23), hypot(*d24),
-            hypot(w3 - w4, x3 - x4, y3 - y4, z3 - z4))):
-        if coincident(gap, mods[i], mods[j], tol):
+    gaps = (hypot(*d13), hypot(*d14), hypot(*d23), hypot(*d24),
+            hypot(w3 - w4, x3 - x4, y3 - y4, z3 - z4))
+    if (inf in mods or inf in gaps) and all(
+            isfinite(v) for p in pts if p is not INFINITY for v in p):
+        # a dilation changes neither the cross-ratio nor a coincidence:
+        # where a length overflows, both are taken at half scale
+        return cross_ratio(*(p if p is INFINITY else p * 0.5 for p in pts), tol)
+    t = _tol(tol)
+    for (i, j), gap in zip(((0, 2), (0, 3), (1, 2), (1, 3), (2, 3)), gaps):
+        if gap <= t * max(mods[i], mods[j]):  # coincident's rule, on moduli taken once
             raise CoincidentPoints(f"q{i + 1} and q{j + 1} coincide")
     if n_inf:
         result = ONE
@@ -67,8 +73,7 @@ def cross_ratio(q1: ExtQuaternion, q2: ExtQuaternion, q3: ExtQuaternion,
 
 def _distinct_cross_ratio(q1, q2, q3, q4, tol: float | None) -> Quaternion:
     """cross_ratio, where q1 = q2 raises CoincidentPoints instead of giving 1."""
-    if q1 is not INFINITY and q2 is not INFINITY and coincident(
-            abs(q1 - q2), abs(q1), abs(q2), tol):
+    if q1 is not INFINITY and q2 is not INFINITY and coincident(q1, q2, tol):
         raise CoincidentPoints("q1 and q2 coincide")
     return cross_ratio(q1, q2, q3, q4, tol)
 
@@ -79,18 +84,18 @@ def is_concyclic(q1: ExtQuaternion, q2: ExtQuaternion, q3: ExtQuaternion,
 
     This holds exactly when the cross-ratio is real.
     """
-    atol, _ = _tols(tol)
+    t = _tol(tol)
     cr = _distinct_cross_ratio(q1, q2, q3, q4, tol)
-    return cr.im_norm() <= atol * (1.0 + abs(cr))
+    return cr.im_norm() <= t * (1.0 + abs(cr))
 
 
 def separates(q1: ExtQuaternion, q2: ExtQuaternion, q3: ExtQuaternion,
               q4: ExtQuaternion, tol: float | None = None) -> bool:
     """Whether the pairs (q1, q2) and (q3, q4) separate each other on
     their common circle; equivalent to a negative cross-ratio."""
-    atol, _ = _tols(tol)
+    t = _tol(tol)
     cr = _distinct_cross_ratio(q1, q2, q3, q4, tol)
-    if cr.im_norm() > atol * (1.0 + abs(cr)):
+    if cr.im_norm() > t * (1.0 + abs(cr)):
         raise NotConcyclic("the four points do not lie on a common circle")
     return cr.w < 0.0
 
@@ -123,12 +128,12 @@ class QuadricF3(_Coefficients):
         return max(abs(self.alpha), abs(self.beta), abs(self.gamma))
 
     def proportional_to(self, other: "QuadricF3", tol: float | None = None) -> bool:
-        atol, rtol = _tols(tol)
+        t = _tol(tol)
         u = (self.alpha, *self.beta, self.gamma)
         v = (other.alpha, *other.beta, other.gamma)
-        su = max(abs(t) for t in u)
-        sv = max(abs(t) for t in v)
-        thr = atol + rtol * su * sv
+        su = max(map(abs, u))
+        sv = max(map(abs, v))
+        thr = t + t * su * sv
         return all(abs(u[i] * v[j] - u[j] * v[i]) <= thr
                    for i in range(6) for j in range(i + 1, 6))
 
@@ -143,9 +148,9 @@ class QuadricF3(_Coefficients):
 
 
 def on_quadric(q: Quaternion, Q: QuadricF3, tol: float | None = None) -> bool:
-    atol, rtol = _tols(tol)
+    t = _tol(tol)
     scale = abs(Q.alpha) * q.norm_sq() + 2.0 * abs(Q.beta) * abs(q) + abs(Q.gamma)
-    return abs(Q.evaluate(q)) <= atol + rtol * (1.0 + scale)
+    return abs(Q.evaluate(q)) <= t + t * (1.0 + scale)
 
 
 def transform_quadric(f, Q: QuadricF3, tol: float | None = None) -> QuadricF3:
@@ -165,8 +170,8 @@ def transform_quadric(f, Q: QuadricF3, tol: float | None = None) -> QuadricF3:
         out = QuadricF3(image.a.w, image.c, image.d.w)
     except ValueError as exc:
         raise DegenerateResult(str(exc)) from exc
-    atol, rtol = _tols(tol)
-    thr = atol + rtol * Q.coefficient_scale()
+    t = _tol(tol)
+    thr = t + t * Q.coefficient_scale()
     if out.coefficient_scale() <= thr:
         raise DegenerateResult("transformed quadric has no equation")
     return out

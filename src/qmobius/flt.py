@@ -15,7 +15,7 @@ from . import mat2h as _m
 from .errors import (BothZero, CoincidentPoints, ConstraintViolation,
                      NonImaginaryShift, NotSp11, PoleInput, ZeroD)
 from .mat2h import SINGULAR_REL, GroupTag, Mat2H, classify, det_h, normalize
-from .quat import I, J, K, N2_HUGE, N2_TINY, ONE, TOL, ZERO, Quaternion, _new, _tols, coincident
+from .quat import I, J, K, N2_HUGE, N2_TINY, ONE, TOL, ZERO, Quaternion, _new, _tol, coincident
 
 
 class _Infinity:
@@ -137,8 +137,8 @@ def is_constant(A: Mat2H, tol: float | None = None) -> bool:
     e = frexp(A.entry_scale())[1]
     A = _m._ldexp_m(A, -e)
     scale = A.entry_scale()
-    atol, _ = _tols(tol)
-    thr = atol * (1.0 + scale)
+    t = _tol(tol)
+    thr = t * (1.0 + scale)
     if abs(A.c) <= thr and abs(A.d) <= thr:
         raise BothZero("c = d = 0 leaves the map undefined everywhere")
     gate = SINGULAR_REL if tol is None else tol
@@ -336,7 +336,7 @@ def three_point_map(alpha: ExtQuaternion, beta: ExtQuaternion,
         raise CoincidentPoints("two of the three points are at infinity")
     finite = [p for p in pts if p is not INFINITY]
     for i, p in enumerate(finite):
-        if any(coincident(abs(p - q), abs(p), abs(q), tol) for q in finite[i + 1:]):
+        if any(coincident(p, q, tol) for q in finite[i + 1:]):
             raise CoincidentPoints("the three points must be distinct")
     if alpha is INFINITY:
         return FLT(Mat2H(ZERO, gamma - beta, ONE, -beta))
@@ -428,11 +428,11 @@ def isotropy_at_infinity(b: Quaternion, d: Quaternion,
 
     Requires d != 0 and purely imaginary b d^-1.
     """
-    atol, rtol = _tols(tol)
-    if abs(d) <= atol:
+    t = _tol(tol)
+    if abs(d) <= t:
         raise ZeroD("d must be nonzero")
     v = b * d.inverse()
-    if abs(v.w) > atol + rtol * (1.0 + abs(v)):
+    if abs(v.w) > t + t * (1.0 + abs(v)):
         raise NonImaginaryShift("b d^-1 must be purely imaginary")
     s = 1.0 / d.norm_sq()
     return FLT(Mat2H(d * s, b, ZERO, d))
@@ -446,13 +446,13 @@ def halfspace_general(alpha: Quaternion, beta: Quaternion, gamma: Quaternion,
             [|alpha|^-2 alpha,       beta]],
     subject to alpha != 0 and purely imaginary gamma and beta alpha^-1.
     """
-    atol, rtol = _tols(tol)
-    if abs(alpha) <= atol:
+    t = _tol(tol)
+    if abs(alpha) <= t:
         raise ConstraintViolation("alpha must be nonzero")
-    if abs(gamma.w) > atol + rtol * (1.0 + abs(gamma)):
+    if abs(gamma.w) > t + t * (1.0 + abs(gamma)):
         raise ConstraintViolation("gamma must be purely imaginary")
     v = beta * alpha.inverse()
-    if abs(v.w) > atol + rtol * (1.0 + abs(v)):
+    if abs(v.w) > t + t * (1.0 + abs(v)):
         raise ConstraintViolation("beta alpha^-1 must be purely imaginary")
     s = 1.0 / alpha.norm_sq()
     return FLT(Mat2H(gamma * alpha * s, gamma * beta + alpha,

@@ -18,8 +18,9 @@ The end beyond x of the ball's line through y and x, the image of -u under the
 ball map sending 0 to x, is e(x, y) = (x - u)(1 - conj(x) u)^-1 for u = m / |m|,
 m = (y - x)(1 - conj(x) y)^-1.  geodesic_disc takes each end from its own base:
 from x near the sphere, the far end's denominator cancels to about 1 - |x|.
-geodesic_sample_rows puts the point at distance artanh(r) from x, r in [0, 1),
-at (u r + x)(conj(x) u r + 1)^-1: normalizing_map's inverse, in closed form.
+geodesic_sample_rows takes each sample from its nearer end by the same rule:
+the point at distance artanh(r) from x toward y, r in [0, 1), is
+(u r + x)(conj(x) u r + 1)^-1, normalizing_map's inverse in closed form.
 
 In the half-space, with x = Re q and v = Im q, the line through q1 and q2 is the
 half-line over v1 when v1 = v2, else the semicircle of center v1 + y0 e and
@@ -27,7 +28,9 @@ radius R = hypot(x1, y0), e = (v2 - v1) / L, L = |v2 - v1|,
 y0 = (L + (x2 - x1)(x2 + x1) / L) / 2.  Its ends v1 + s e, s3 = y0 + R beyond q2
 and s4 = y0 - R, have Re 0; the cancelling one is -x1^2 over the other.  At
 tan(phi / 2) = e^sigma it passes v1 + (y0 - R tanh sigma) e + R / cosh sigma:
-ds = -dsigma / 2 and sinh sigma1 = y0 / x1 at q1.
+ds = -dsigma / 2 and sinh sigma1 = y0 / x1 at q1.  geodesic_sample_halfspace
+also takes each sample from its nearer end, at Re = x1 cosh sigma1 / cosh sigma,
+so that nothing leaves float range before the sample itself does.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from typing import NamedTuple
 from .errors import CoincidentPoints, NonFiniteResult, OutOfDomain, TooFewSamples
 from .flt import FLT, INFINITY, ExtQuaternion, MobiusCanonical, apply
 from .mat2h import CAYLEY, CAYLEY_INV, Mat2H, _norm_sq, qmul_planes
-from .quat import N2_HUGE, N2_TINY, ONE, Quaternion, _new, _tols, coincident
+from .quat import N2_HUGE, N2_TINY, ONE, Quaternion, _new, _tol, coincident
 
 
 def cayley(q: ExtQuaternion) -> ExtQuaternion:
@@ -65,10 +68,9 @@ def _require_distinct(q1: Quaternion, q2: Quaternion, tol: float | None) -> Quat
     """q2 - q1, for two points of the ball that do not coincide."""
     _require_ball(q1)
     _require_ball(q2)
-    diff = q2 - q1
-    if coincident(abs(diff), abs(q1), abs(q2), tol):
+    if coincident(q1, q2, tol):
         raise CoincidentPoints("a line needs two distinct points")
-    return diff
+    return q2 - q1
 
 
 def normalizing_map(q1: Quaternion, q2: Quaternion) -> FLT:
@@ -126,13 +128,13 @@ class GeodesicDisc(NamedTuple):
 
 def geodesic_disc(q1: Quaternion, q2: Quaternion,
                   tol: float | None = None) -> GeodesicDisc:
-    atol, _ = _tols(tol)
+    t = _tol(tol)
     _require_distinct(q1, q2, tol)
     q3 = _end_beyond(q2, q1)
     q4 = _end_beyond(q1, q2)
     # the line is a diameter exactly when 0 lies on it, i.e. when
     # conj(q1) q2 is real
-    diam = (q1.conj() * q2).im_norm() <= atol * (1.0 + abs(q1) * abs(q2))
+    diam = (q1.conj() * q2).im_norm() <= t * (1.0 + abs(q1) * abs(q2))
     return GeodesicDisc(q1, q2, q3, q4, "Diameter" if diam else "Circle")
 
 
@@ -174,33 +176,31 @@ def _apply_matrix_to_reals(M: Mat2H, r) -> tuple:
 def geodesic_sample_rows(q1: Quaternion, q2: Quaternion, n: int,
                          tol: float | None = None):
     """Component rows (n, 4) of n points along the line from q1 to q2,
-    equally spaced in the invariant distance; endpoints are exact.  Bulk
-    consumers can feed the rows straight to integrated_length_disc."""
+    equally spaced in the invariant distance; endpoints are exact.  Each
+    point is taken from its nearer end.  Bulk consumers can feed the rows
+    straight to integrated_length_disc."""
     import numpy as np
     if n < 2:
         raise TooFewSamples("need at least two sample points")
     _require_distinct(q1, q2, tol)
-    u = _direction(q1, q2)
-    M = Mat2H(u, q1, q1.conj() * u, ONE)
     radii = np.tanh(np.linspace(0.0, 1.0, n) * distance_disc(q1, q2))
-    rows = np.stack(_apply_matrix_to_reals(M, radii), axis=1)
+    h = (n + 1) // 2
+    rows = np.empty((n, 4))
+    # read backwards, the rows from h on lie at the distances radii[:n - h] from q2
+    for x, y, part in ((q1, q2, rows[:h]), (q2, q1, rows[:h - 1:-1])):
+        u = _direction(x, y)
+        M = Mat2H(u, x, x.conj() * u, ONE)
+        np.stack(_apply_matrix_to_reals(M, radii[:len(part)]), axis=1, out=part)
     rows[0] = q1
     rows[-1] = q2
     return rows
-
-
-def geodesic_sample(q1: Quaternion, q2: Quaternion, n: int,
-                    tol: float | None = None) -> list[Quaternion]:
-    """geodesic_sample_rows as a list of quaternions."""
-    return [Quaternion(*map(float, row)) for row in geodesic_sample_rows(q1, q2, n, tol)]
 
 
 def integrated_length_disc(path) -> float:
     """Composite-midpoint length of a sampled ball path under the
     invariant line element |dq| / (1 - |q|^2)."""
     import numpy as np
-    arr = np.asarray(path if isinstance(path, np.ndarray)
-                     else [tuple(p) for p in path], dtype=float)
+    arr = np.asarray(path, dtype=float)
     if arr.ndim != 2 or arr.shape[1] != 4:
         raise ValueError("path must be a sequence of quaternions")
     if len(arr) < 2:
@@ -234,7 +234,7 @@ def _arc(q1: Quaternion, q2: Quaternion, tol: float | None):
     the half-space; None for a half-line, also one whose y0 overflows."""
     _require_halfspace(q1)
     _require_halfspace(q2)
-    if coincident(abs(q2 - q1), abs(q1), abs(q2), tol):
+    if coincident(q1, q2, tol):
         raise CoincidentPoints("a line needs two distinct points")
     d = (q2.x - q1.x, q2.y - q1.y, q2.z - q1.z)
     L = math.hypot(*d)
@@ -244,7 +244,7 @@ def _arc(q1: Quaternion, q2: Quaternion, tol: float | None):
         raise NonFiniteResult("the gap between the imaginary parts does not fit a float")
     x1, x2 = q1.w, q2.w
     r = (x2 - x1) / L
-    y0 = 0.5 * (L + (r * x2 + r * x1))
+    y0 = 0.5 * L + (0.5 * r * x2 + 0.5 * r * x1)  # halved first: no overflow before y0's
     if abs(y0) == math.inf:
         return None
     R = math.hypot(x1, y0)
@@ -257,14 +257,16 @@ def _arc(q1: Quaternion, q2: Quaternion, tol: float | None):
     return (d[0] / L, d[1] / L, d[2] / L), y0, R, s3, s4
 
 
-def _arc_point(q1: Quaternion, arc, sigma: float) -> ExtQuaternion:
-    """The point of the arc at sigma, its offset taken from the end on its
-    side; sigma = -inf, +inf give the ends s3, s4 themselves."""
-    e, _, R, s3, s4 = arc
+def _arc_point(q1: Quaternion, arc, sigma: float, re: float = 0.0) -> ExtQuaternion:
+    """The point of the arc at sigma, with real part re, its offset taken from
+    the end on its side; sigma = -inf, +inf give the ends s3, s4 themselves."""
+    e, y0, R, s3, s4 = arc
     g = math.exp(-abs(sigma))
     c = 0.5 + 0.5 * g * g
     off = s4 + R * g * g / c if sigma > 0.0 else s3 - R * g * g / c
-    p = (R * g / c, q1.x + off * e[0], q1.y + off * e[1], q1.z + off * e[2])
+    if abs(off) == math.inf:  # that end does not fit a float; nothing cancels on its side
+        off = y0 - R * math.tanh(sigma)
+    p = (re, q1.x + off * e[0], q1.y + off * e[1], q1.z + off * e[2])
     return _new(Quaternion, p) if all(map(math.isfinite, p)) else INFINITY
 
 
@@ -279,22 +281,54 @@ def geodesic_halfspace(q1: Quaternion, q2: Quaternion,
     return GeodesicHalfspace(q1, q2, e3, e4, "Arc")
 
 
+def _times_exp(x: float, t: float, f: float = 1.0) -> float:
+    """x e^t f for f in [1/2, 2], in logs where e^t comes near the ends of
+    float range; x meets the rest last, so it overflows only if x e^t f does."""
+    if abs(t) < 700.0:
+        return x * (math.exp(t) * f)
+    return math.exp(math.log(x) + t + math.log(f))
+
+
+def _walk(qa: Quaternion, qb: Quaternion, ts, tol: float | None) -> list:
+    """The points of the line from qa toward qb at distances t / 2 from qa,
+    for t in ts, at sigma = a - t; Re is Re qa cosh a / cosh(a - t)."""
+    arc = _arc(qa, qb, tol)
+    xa = qa.w
+    if arc is None:  # Re q = Re qa e^(+-t) over the foot of qa
+        sign = 1.0 if qb.w > xa else -1.0
+        return [_new(Quaternion, (_times_exp(xa, sign * t), *qa[1:])) for t in ts]
+    y0 = arc[1]
+    if abs(y0 / xa) < math.inf:  # sinh a = y0 / xa
+        a = math.asinh(y0 / xa)
+    else:  # asinh r = log 2|r| to rounding
+        a = math.copysign(math.log(2.0) + math.log(abs(y0)) - math.log(xa), y0)
+    ca = 1.0 + math.exp(-2.0 * abs(a))
+    pts = []
+    for t in ts:
+        b = a - t
+        # cosh a / cosh b = e^(|a| - |b|) (1 + e^-2|a|) / (1 + e^-2|b|), where
+        # |a| - |b| is +-t, free of a's rounding, when a and b share a sign
+        d = abs(a) - abs(b) if a * b < 0.0 else math.copysign(t, a + b)
+        re = _times_exp(xa, d, ca / (1.0 + math.exp(-2.0 * abs(b))))
+        pts.append(_arc_point(qa, arc, b, re))
+    return pts
+
+
 def geodesic_sample_halfspace(q1: Quaternion, q2: Quaternion, n: int,
                               tol: float | None = None) -> list[Quaternion]:
     """n points along the half-space line from q1 to q2, equally spaced in
-    the invariant distance (sigma = sigma1 - 2s); endpoints are exact."""
+    the invariant distance; endpoints are exact.  Each point is taken from
+    its nearer end, so a point is returned whenever it fits a float."""
     if n < 2:
         raise TooFewSamples("need at least two sample points")
-    arc = _arc(q1, q2, tol)
     step = 2.0 * distance_halfspace(q1, q2) / (n - 1)
-    if arc is None:  # Re q = Re q1 e^(+-2s) over the foot of q1
-        x1, x, y, z = q1
-        sign = 1.0 if q2.w > x1 else -1.0
-        inner = [Quaternion(x1 * math.exp(sign * k * step), x, y, z) for k in range(1, n - 1)]
-    else:
-        sigma1 = math.asinh(arc[1] / q1.w)
-        inner = [_arc_point(q1, arc, sigma1 - k * step) for k in range(1, n - 1)]
-    if any(p is INFINITY or p.w == 0.0 for p in inner):  # over- or underflowed
+    h = (n + 1) // 2
+    try:
+        inner = (_walk(q1, q2, [k * step for k in range(1, h)], tol)
+                 + _walk(q2, q1, [k * step for k in range(n - 1 - h, 0, -1)], tol))
+    except OverflowError:  # a Re taken in logs beyond float range
+        inner = [INFINITY]
+    if any(p is INFINITY or not 0.0 < p.w < math.inf for p in inner):
         raise NonFiniteResult("a sample of the line does not fit a float")
     return [q1, *inner, q2]
 
@@ -313,18 +347,3 @@ def distance_halfspace(q1: Quaternion, q2: Quaternion) -> float:
         return (math.log(2.0) + math.log(abs(q1 * 0.5 - q2 * 0.5))
                 - 0.5 * (math.log(q1.w) + math.log(q2.w)))
     return math.asinh(x)
-
-
-# -- serialization helpers ----------------------------------------------
-
-
-def samples_to_json(points) -> list[list[float]]:
-    return [[p.w, p.x, p.y, p.z] for p in points]
-
-
-def samples_to_csv(points, digits: int = 17) -> str:
-    lines = ["w,x,y,z"]
-    fmt = f"{{:.{digits}g}}"
-    for p in points:
-        lines.append(",".join(fmt.format(v) for v in p))
-    return "\n".join(lines) + "\n"

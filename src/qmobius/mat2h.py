@@ -21,7 +21,7 @@ from math import hypot
 from typing import NamedTuple
 
 from .errors import InternalNumericError, NonFiniteResult, Singular
-from .quat import N2_HUGE, N2_TINY, ONE, TOL, ZERO, Quaternion, _ldexp_q, _new, _tols, isclose
+from .quat import N2_HUGE, N2_TINY, ONE, TOL, ZERO, Quaternion, _ldexp_q, _new, _tol, isclose
 
 
 class Mat2H(NamedTuple):
@@ -56,8 +56,8 @@ class Mat2H(NamedTuple):
         return max(hypot(*a), hypot(*b), hypot(*c), hypot(*d))
 
     def close_to(self, other: "Mat2H", tol: float | None = None) -> bool:
-        atol, rtol = _tols(tol)
-        thr = atol + rtol * max(self.entry_scale(), other.entry_scale())
+        t = _tol(tol)
+        thr = t + t * max(self.entry_scale(), other.entry_scale())
         return all(abs(p - q) <= thr for p, q in zip(self, other))
 
     def to_json(self) -> list[list[float]]:
@@ -284,19 +284,19 @@ def classify(A: Mat2H, tol: float | None = None) -> set[GroupTag]:
     (SLHplus) is decided on the distinct entries of conj-transpose(A) F A,
     F the form, taken in closed form.
     """
-    atol, rtol = _tols(tol)
+    t = _tol(tol)
     tags: set[GroupTag] = set()
     scale = A.entry_scale()
     dh = det_h(A)
 
-    if dh > atol:
+    if dh > t:
         tags.add(GroupTag.GL2H)
     if isclose(dh, 1.0, tol):
         tags.add(GroupTag.SL2H)
 
     a, b, c, d = A
     ac, cc = a.conj(), c.conj()
-    thr = atol + rtol * (1.0 + scale * scale)
+    thr = t + t * (1.0 + scale * scale)
     if (abs(a.norm_sq() - c.norm_sq() - 1.0) <= thr
             and abs(ac * b - cc * d) <= thr
             and abs(b.norm_sq() - d.norm_sq() + 1.0) <= thr):
@@ -306,9 +306,9 @@ def classify(A: Mat2H, tol: float | None = None) -> set[GroupTag]:
             and abs(2.0 * (d.conj() * b).w) <= thr):
         tags.add(GroupTag.SL_HPLUS)
 
-    thr1 = atol + rtol * (1.0 + scale)
+    thr1 = t + t * (1.0 + scale)
     if (abs(b) <= thr1 and abs(c) <= thr1 and abs(a - d) <= thr1
-            and a.im_norm() <= thr1 and abs(a) > atol):
+            and a.im_norm() <= thr1 and abs(a) > t):
         tags.add(GroupTag.CENTER_GL)
         if A.close_to(Mat2H.identity(), tol) or A.close_to(-Mat2H.identity(), tol):
             tags.add(GroupTag.CENTER_SL)

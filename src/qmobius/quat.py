@@ -15,26 +15,31 @@ from typing import NamedTuple
 from .errors import DivisionByZero, NonFiniteResult, NotOnSphere, RealInput
 
 # the comparison tolerance of every predicate called with tol=None; a
-# predicate's tol= replaces it for that call, as both atol and rtol
+# predicate's tol= replaces it for that call, in each threshold t + t x
 TOL = 1e-9
 
 
-def _tols(tol: float | None) -> tuple[float, float]:
-    if tol is None:
-        return TOL, TOL
-    return float(tol), float(tol)
+def _tol(tol: float | None) -> float:
+    return TOL if tol is None else float(tol)
 
 
 def isclose(a: float, b: float, tol: float | None = None) -> bool:
     """Combined absolute/relative closeness for real scalars."""
-    atol, rtol = _tols(tol)
-    return abs(a - b) <= atol + rtol * max(abs(a), abs(b))
+    t = _tol(tol)
+    return abs(a - b) <= t + t * max(abs(a), abs(b))
 
 
-def coincident(gap: float, r1: float, r2: float, tol: float | None = None) -> bool:
-    """Whether two points of moduli r1, r2 at distance gap coincide:
-    gap <= tol max(r1, r2), relative so that a dilation never changes it."""
-    return gap <= (TOL if tol is None else tol) * max(r1, r2)
+def coincident(p, q, tol: float | None = None) -> bool:
+    """Whether the points p, q coincide: |p - q| <= tol max(|p|, |q|),
+    relative so that a dilation never changes it.  So where a modulus
+    overflows, the pair is decided at half scale."""
+    pw, px, py, pz = p
+    qw, qx, qy, qz = q
+    r = max(math.hypot(pw, px, py, pz), math.hypot(qw, qx, qy, qz))
+    if r == math.inf and all(map(math.isfinite, (*p, *q))):
+        return coincident((0.5 * pw, 0.5 * px, 0.5 * py, 0.5 * pz),
+                          (0.5 * qw, 0.5 * qx, 0.5 * qy, 0.5 * qz), tol)
+    return math.hypot(pw - qw, px - qx, py - qy, pz - qz) <= _tol(tol) * r
 
 
 # squared norms outside [2^-900, 2^900) have lost digits or come close to overflow
@@ -161,8 +166,8 @@ class Quaternion(NamedTuple):
     # -- comparison and formats ----------------------------------------
 
     def close_to(self, other: "Quaternion", tol: float | None = None) -> bool:
-        atol, rtol = _tols(tol)
-        return abs(self - other) <= atol + rtol * max(abs(self), abs(other))
+        t = _tol(tol)
+        return abs(self - other) <= t + t * max(abs(self), abs(other))
 
     def to_json(self) -> list[float]:
         return [self.w, self.x, self.y, self.z]
@@ -218,9 +223,8 @@ def slice_decompose(q: Quaternion,
     The decomposition is unique for non-real q; real input has no
     preferred I and raises RealInput.
     """
-    atol, _ = _tols(tol)
     n = q.im_norm()
-    if n <= atol * abs(q):
+    if n <= _tol(tol) * abs(q):
         raise RealInput(f"{q} is real within tolerance; no unique slice")
     return q.w, n, Quaternion(0.0, q.x / n, q.y / n, q.z / n)
 

@@ -24,9 +24,8 @@ from .flt import (FLT, Dilation, Inversion, MobiusCanonical, Rotation,
                   Translation, apply, apply_generator, canonical_det_check,
                   is_constant, is_infinity, jacobian)
 from .hypgeo import (cayley, cayley_inv, distance_disc, distance_halfspace,
-                     geodesic_disc, geodesic_halfspace, geodesic_sample,
-                     geodesic_sample_rows, integrated_length_disc, metric_disc,
-                     metric_halfspace)
+                     geodesic_disc, geodesic_halfspace, geodesic_sample_rows,
+                     integrated_length_disc, metric_disc, metric_halfspace)
 from .kobayashi import (kobayashi_image_modulus_sq, non_isometry_witness,
                         poincare_image_modulus_sq)
 from .mat2h import (GroupTag, Mat2H, cayley_conjugate, cayley_conjugate_inv,
@@ -306,17 +305,11 @@ def integrated_suite(rng, n: int) -> Suite:
             pairs.append((p, q))
         else:
             s.n_skipped += 1
-    # the list and rows variants must agree before the bulk pass is trusted
-    agree = 0.0
-    for p, q in pairs[:1]:
-        agree = abs(integrated_length_disc(geodesic_sample(p, q, 500))
-                    - integrated_length_disc(geodesic_sample_rows(p, q, 500)))
     worst = 0.0
     for p, q in pairs:
         length = integrated_length_disc(geodesic_sample_rows(p, q, 10_000))
         d = distance_disc(p, q)
         worst = max(worst, abs(length - d) / d)
-    s.check("rows_agree", agree, "<=", 1e-12)
     s.check("worst_rel", worst, "<=", 1e-5)
     return s
 

@@ -13,6 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qmobius import cli
+from qmobius.flt import INFINITY, ext_from_json
+from qmobius.mat2h import Mat2H
+from qmobius.quat import Quaternion
 
 IDENT = "[[1,0,0,0],[0,0,0,0],[0,0,0,0],[1,0,0,0]]"
 BOOST = "[[1,0,0,0],[0,1,0,0],[0,0,1,0],[0,0,0,1]]"  # [[1, i], [j, k]]
@@ -143,12 +146,24 @@ def test_geodesic_json(capsys):
 
 
 def test_geodesic_csv(capsys):
+    # either model, in 7 significant digits
     code, out = invoke(capsys, "geodesic", "--disc", "[0,0,0,0]", "[0.5,0,0,0]",
                        "--samples", "3", "--csv")
+    assert (code, out) == (0, "w,x,y,z\n0,0,0,0\n0.2679492,0,0,0\n0.5,0,0,0\n")
+    code, out = invoke(capsys, "geodesic", "--halfspace", "[2,0,0,0]", "[8,0,0,0]",
+                       "--samples", "3", "--csv")
+    assert (code, out) == (0, "w,x,y,z\n2,0,0,0\n4,0,0,0\n8,0,0,0\n")
+
+
+def test_ball_samples_mirror_across_the_line(capsys):
+    # the two points are mirror images, each 1e-10 inside the sphere: the 4th
+    # sample is the 2nd with its halves swapped, each taken from its nearer end
+    # (from q1 alone, the 4th printed [1.193514e-06, -7.216367e-07, ...])
+    code, data = invoke_quiet(capsys, "geodesic", "--disc", "[0.6,0.7999999999,0,0]",
+                              "[0,0,0.6,0.7999999999]", "--samples", "5")
     assert code == 0
-    lines = out.strip().splitlines()
-    assert lines[0] == "w,x,y,z"
-    assert len(lines) == 4
+    assert data["samples"][1] == [0.5999936, 0.7999915, 3.394075e-11, 4.525434e-11]
+    assert data["samples"][3] == [3.394075e-11, 4.525434e-11, 0.5999936, 0.7999915]
 
 
 def test_cayley(capsys):
@@ -418,6 +433,47 @@ def test_halfspace_geodesic_samples_stay_inside_with_exact_endpoints(capsys):
                        "[1e-12,1,0,0]", "--samples", "5", "--csv")
     rows = [line.split(",") for line in out.strip().splitlines()[1:]]
     assert code == 0 and len(rows) == 5 and all(float(r[0]) > 0 for r in rows)
+
+
+@pytest.mark.parametrize("q2", ["[1e300,0,0,0]", "[1e300,1,0,0]"])
+def test_halfspace_samples_far_apart_print_with_exact_endpoints(capsys, q2):
+    # the far end of the walk from q1 overflowed math.exp with a traceback
+    for a, b in (("[1e-300,0,0,0]", q2), (q2, "[1e-300,0,0,0]")):
+        code, data = invoke_quiet(capsys, "geodesic", "--halfspace", a, b, "--samples", "5")
+        assert code == 0, data
+        samples = data["samples"]
+        assert samples[0] == json.loads(a) and samples[-1] == json.loads(b)
+        assert all(p[0] > 0 for p in samples)
+
+
+def test_points_whose_modulus_overflows_do_not_coincide(capsys):
+    # |q2| = 1.8e308 overflowed to inf, under which every gap coincided
+    p, r = "[1.5e308,0,0,0]", "[1.5e308,1e308,0,0]"
+    code, data = invoke_quiet(capsys, "cross-ratio", p, r, "[0,0,1,0]", "[0,0,0,1]")
+    assert code == 0, data
+    code, data = invoke_quiet(capsys, "geodesic", "--halfspace", p, r, "--samples", "3")
+    assert code == 0, data
+    assert data["samples"] == [[1.5e308, 0, 0, 0], [1.581139e308, 5e307, 0, 0],
+                               [1.5e308, 1e308, 0, 0]]
+
+
+def test_one_operand_parser_for_every_kind():
+    # points, points that may be "inf", and matrices share one parser; its
+    # documents are those each kind printed before
+    assert cli._parse('"inf"', ext_from_json) is INFINITY
+    assert cli._parse("[1,2,3,4]", ext_from_json) == Quaternion(1, 2, 3, 4)
+    assert cli._parse(IDENT, Mat2H.from_json) == Mat2H.identity()
+    for text, from_json, message in (
+            ('"inf"', Quaternion.from_json, "quaternion JSON must be a 4-number array"),
+            ('["0",0,0,0]', ext_from_json,
+             "quaternion entries must be numbers, got ['0', 0.0, 0.0, 0.0]"),
+            ("[1,2]", Mat2H.from_json, "matrix JSON must be a 4-element array of quaternions"),
+            ("[1,2,NaN,0]", Quaternion.from_json, "non-finite operand NaN"),
+            ("nonsense", Mat2H.from_json,
+             "invalid JSON operand 'nonsense': Expecting value: line 1 column 1 (char 0)")):
+        with pytest.raises(cli._ParseError) as info:
+            cli._parse(text, from_json)
+        assert str(info.value) == message
 
 
 def test_apply_of_a_huge_scalar_matrix_is_the_identity(capsys):

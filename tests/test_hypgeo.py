@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from qmobius.crossratio import cross_ratio, is_concyclic
-from qmobius.errors import CoincidentPoints, NonFiniteResult, OutOfDomain, TooFewSamples
-from qmobius.flt import INFINITY, apply, is_infinity, to_canonical_disc
+from qmobius.errors import (CoincidentPoints, GeometryError, NonFiniteResult, OutOfDomain,
+                            TooFewSamples)
+from qmobius.flt import INFINITY, apply, is_infinity, three_point_map, to_canonical_disc
 from qmobius.hypgeo import (
     _direction,
     _end_beyond,
@@ -18,15 +19,12 @@ from qmobius.hypgeo import (
     distance_halfspace,
     geodesic_disc,
     geodesic_halfspace,
-    geodesic_sample,
     geodesic_sample_halfspace,
     geodesic_sample_rows,
     integrated_length_disc,
     metric_disc,
     metric_halfspace,
     normalizing_map,
-    samples_to_csv,
-    samples_to_json,
 )
 from qmobius.mat2h import Mat2H
 from qmobius.quat import I, J, K, N2_HUGE, N2_TINY, ONE, ZERO, Quaternion
@@ -155,9 +153,9 @@ def _dabs(p):
     return sum(v * v for v in p).sqrt()
 
 
-def _ends_reference(q1, q2):
-    """L^-1(1) and L^-1(-1) for the normalizing map L of q1, q2, in 50-digit
-    decimal: L^-1(w) = phi(lam1^-1 w lam2^-1), phi(z) = (z + q1)(1 + conj(q1) z)^-1,
+def _line_reference(q1, q2, ws):
+    """L^-1(w) for the real w in ws, L the normalizing map of q1, q2, in
+    50-digit decimal: L^-1(w) = phi(lam1^-1 w lam2^-1), phi(z) = (z + q1)(1 + conj(q1) z)^-1,
     lam1^-1 = d / |d| for d = q2 - q1 and lam2^-1 = conj(g) / |g| for
     g = 1 - conj(q1) q2."""
     with localcontext() as ctx:
@@ -168,13 +166,19 @@ def _ends_reference(q1, q2):
         g = tuple(a - b for a, b in zip(one, _dmul(_dconj(p1), p2)))
         scale = _dabs(d) * _dabs(g)
         z = tuple(v / scale for v in _dmul(d, _dconj(g)))
-        ends = []
-        for zs in (z, tuple(-v for v in z)):
+        points = []
+        for w in ws:
+            zs = tuple(w * v for v in z)
             num = tuple(a + b for a, b in zip(zs, p1))
             den = tuple(a + b for a, b in zip(one, _dmul(_dconj(p1), zs)))
             n2 = sum(v * v for v in den)
-            ends.append(_dmul(num, tuple(v / n2 for v in _dconj(den))))
-        return ends
+            points.append(_dmul(num, tuple(v / n2 for v in _dconj(den))))
+        return points
+
+
+def _ends_reference(q1, q2):
+    """The ends L^-1(1), beyond q2, and L^-1(-1), beyond q1."""
+    return _line_reference(q1, q2, (1, -1))
 
 
 def _near_sphere(rng, direction):
@@ -392,41 +396,44 @@ def test_metric_integrates_to_distance_along_radius():
 # -- sampling and integrated length -------------------------------------
 
 
+def _quats(rows):
+    return [Quaternion(*map(float, row)) for row in rows]
+
+
 def test_geodesic_sample_spot_values():
-    assert geodesic_sample(ZERO, HALF, 2) == [ZERO, HALF]
-    pts = geodesic_sample(ZERO, HALF, 3)
+    assert _quats(geodesic_sample_rows(ZERO, HALF, 2)) == [ZERO, HALF]
+    pts = _quats(geodesic_sample_rows(ZERO, HALF, 3))
     assert pts[1].close_to(q(2.0 - math.sqrt(3.0)), tol=1e-12)
 
 
 def test_geodesic_sample_equipartitions():
-    pts = geodesic_sample(I * 0.5, J * 0.5, 5)
-    assert len(pts) == 5
+    rows = geodesic_sample_rows(I * 0.5, J * 0.5, 5)
+    assert rows.shape == (5, 4)
+    pts = _quats(rows)
     assert pts[0] == I * 0.5 and pts[-1] == J * 0.5
     total = distance_disc(I * 0.5, J * 0.5)
     for a, b in zip(pts, pts[1:]):
         assert distance_disc(a, b) == pytest.approx(total / 4.0, rel=1e-9, abs=1e-12)
 
 
-def test_geodesic_sample_rows_match_list():
-    rows = geodesic_sample_rows(I * 0.5, J * 0.5, 7)
-    pts = geodesic_sample(I * 0.5, J * 0.5, 7)
-    assert rows.shape == (7, 4)
-    for row, p in zip(rows, pts):
-        assert Quaternion(*(float(t) for t in row)) == p
-
-
 def test_geodesic_sample_rows_pinned_to_scalar_apply():
+    # the first half is the image of tanh(s) under q1's normalizing map, the
+    # second that of tanh(D - s) under q2's, with D - s read off in reverse
     rng = make_rng(75)
     for _ in range(5):
         q1, q2 = random_ball_point(rng), random_ball_point(rng)
-        n = 200
-        rows = geodesic_sample_rows(q1, q2, n)
-        Linv = normalizing_map(q1, q2).inverse()
-        radii = np.tanh(np.linspace(0.0, 1.0, n) * distance_disc(q1, q2))
-        for row, r in zip(rows[1:-1], radii[1:-1]):
-            p = apply(Linv, q(r))
-            assert np.abs(row - np.array(p)).max() <= 1e-15
-        assert tuple(rows[0]) == q1 and tuple(rows[-1]) == q2
+        for n in (200, 201):
+            rows = geodesic_sample_rows(q1, q2, n)
+            radii = np.tanh(np.linspace(0.0, 1.0, n) * distance_disc(q1, q2))
+            h = (n + 1) // 2
+            halves = ((normalizing_map(q1, q2), range(1, h), radii),
+                      (normalizing_map(q2, q1), range(h, n - 1), radii[::-1]))
+            for L, ks, r in halves:
+                Linv = L.inverse()
+                for k in ks:
+                    p = apply(Linv, q(r[k]))
+                    assert np.abs(rows[k] - np.array(p)).max() <= 1e-15
+            assert tuple(rows[0]) == q1 and tuple(rows[-1]) == q2
 
 
 def test_geodesic_sample_rows_near_the_sphere_are_equally_spaced():
@@ -440,9 +447,47 @@ def test_geodesic_sample_rows_near_the_sphere_are_equally_spaced():
     assert abs(distance_disc(q1, mid) - D / 2.0) <= 1e-9 * (1.0 + D)
 
 
+def _asinh(t):
+    return (t + (t * t + 1).sqrt()).ln()
+
+
+@pytest.mark.parametrize("delta", [1e-2, 1e-4, 1e-6, 1e-8, 1e-10, 1e-12, 1e-13])
+def test_geodesic_sample_rows_near_the_sphere_match_exact_references(delta):
+    # the reference puts sample k at L^-1(tanh(k D / (n - 1))), all from q1, in
+    # 50 digits.  Moving an end q by eps moves a sample p by at most
+    # eps (1 - |p|^2) / (1 - |q|^2), and rounding r = tanh s' moves it by
+    # eps (1 - |p|^2) cosh^2 s', s' its distance from the end it is taken from.
+    # Taken from q1 alone, the far half ran over its bound by up to 3e9 here.
+    rng = make_rng(94)
+    eps = Decimal(2.0 ** -52)
+    for j in range(30):
+        q1 = random_unit_quaternion(rng) * (1.0 - delta)
+        q2 = (random_unit_quaternion(rng) * (1.0 - delta) if j % 2
+              else random_ball_point(rng))
+        for n in (8, 9):
+            rows = geodesic_sample_rows(q1, q2, n)
+            assert ((rows * rows).sum(axis=1) < 1.0).all()
+            with localcontext() as ctx:
+                ctx.prec = 50
+                p1, p2 = (tuple(Decimal(v) for v in p) for p in (q1, q2))
+                gaps = [1 - sum(v * v for v in p) for p in (p1, p2)]
+                D = _asinh(_dabs([b - a for a, b in zip(p1, p2)]) / (gaps[0] * gaps[1]).sqrt())
+                s = [D * k / (n - 1) for k in range(n)]
+                ws = [(1 - (-2 * t).exp()) / (1 + (-2 * t).exp()) for t in s]
+            for k, want in enumerate(_line_reference(q1, q2, ws)):
+                with localcontext() as ctx:
+                    ctx.prec = 50
+                    near = min(s[k], D - s[k])
+                    cosh2 = ((near.exp() + (-near).exp()) / 2) ** 2
+                    depth = 1 - sum(v * v for v in want)
+                    bound = eps * (1 + depth * (1 / gaps[0] + 1 / gaps[1] + cosh2))
+                    err = max(abs(Decimal(a) - b) for a, b in zip(rows[k], want))
+                assert err <= bound, (q1, q2, n, k, err / bound)
+
+
 def test_geodesic_sample_too_few():
     with pytest.raises(TooFewSamples):
-        geodesic_sample(ZERO, HALF, 1)
+        geodesic_sample_rows(ZERO, HALF, 1)
     with pytest.raises(TooFewSamples):
         geodesic_sample_rows(ZERO, HALF, 0)
 
@@ -454,7 +499,7 @@ def test_integrated_length_straight_segment():
 
 
 def test_integrated_length_accepts_array():
-    arr = np.array([tuple(p) for p in geodesic_sample(ZERO, HALF, 500)])
+    arr = geodesic_sample_rows(ZERO, HALF, 500)
     assert integrated_length_disc(arr) == pytest.approx(0.5 * math.log(3.0),
                                                         abs=1e-5)
 
@@ -478,7 +523,7 @@ def test_integrated_length_matches_distance_on_geodesics():
         if abs(q1 - q2) < 0.05:
             continue
         d = distance_disc(q1, q2)
-        approx = integrated_length_disc(geodesic_sample(q1, q2, 4000))
+        approx = integrated_length_disc(_quats(geodesic_sample_rows(q1, q2, 4000)))
         assert abs(approx - d) <= 1e-5 * (1.0 + d)
 
 
@@ -637,10 +682,6 @@ def test_geodesic_halfspace_ends_match_exact_references(re, scale):
                 assert err <= 4 * Decimal(EPS) * size, (q1, q2, err / size)
 
 
-def _asinh(t):
-    return (t + (t * t + 1).sqrt()).ln()
-
-
 @pytest.mark.parametrize("re, scale", _RE_SCALES)
 def test_geodesic_sample_halfspace_matches_exact_references(re, scale):
     # the reference walks tan(phi/2) = t1 e^(-2s) from q1, t1 = x1 / (R - y0);
@@ -713,9 +754,28 @@ def test_geodesic_halfspace_overflowing_and_huge_ends():
     # nor does the gap between the imaginary parts
     with pytest.raises(NonFiniteResult):
         geodesic_halfspace(q(1, 1e308), q(1, -1e308))
-    # sinh sigma1 = y0 / x1 = 5e309 overflows: no sample lands on Re q = 0
-    with pytest.raises(NonFiniteResult):
-        geodesic_sample_halfspace(q(1e-300), q(1e-300, 1e10), 5)
+
+
+@pytest.mark.parametrize("q1, q2", [
+    (q(1e-300), q(1e300)), (q(1e300), q(1e-300)), (q(1e-300), q(1e300, 1)),
+    # sinh sigma1 = y0 / x1 = 5e309 overflows
+    (q(1e-300), q(1e-300, 1e10)),
+    # |q2| overflows, and the end beyond q2 does not fit a float
+    (q(1.5e308), q(1.5e308, 1e308)),
+    # y0 = 1e308, though L + (x2 - x1)(x2 + x1) / L overflows
+    (q(5e-324), q(1e308, 1e308)),
+])
+def test_halfspace_samples_that_fit_a_float_are_returned(q1, q2):
+    # q1's walk overflowed or underflowed at the far end of these lines: each
+    # sample now comes from its nearer end.  Equal steps that add up to the
+    # distance put the samples on the line, in order.
+    n = 5
+    pts = geodesic_sample_halfspace(q1, q2, n)
+    assert pts[0] == q1 and pts[-1] == q2 and len(pts) == n
+    assert all(0.0 < p.w < math.inf and all(map(math.isfinite, p)) for p in pts)
+    D = distance_halfspace(q1, q2)
+    for a, b in zip(pts, pts[1:]):
+        assert distance_halfspace(a, b) == pytest.approx(D / (n - 1), rel=1e-12)
 
 
 def test_geodesic_halfspace_coincidence_is_judged_on_the_points():
@@ -728,6 +788,42 @@ def test_geodesic_halfspace_coincidence_is_judged_on_the_points():
         geodesic_sample_halfspace(p, p * (1.0 + 1e-12), 3)
 
 
+def _coincide(f, *points):
+    """Whether f judged two of the points to coincide; any later error
+    (Singular, say, of a map through nearly coincident points) is a no."""
+    try:
+        f(*points)
+    except CoincidentPoints:
+        return True
+    except GeometryError:
+        pass
+    return False
+
+
+def test_halving_every_input_changes_no_coincidence_decision():
+    # the rule is free of dilation, and halving is exact at these scales, so
+    # no caller's decision may change; |q2| = 1.8e308 overflowed, which made
+    # the huge pair below coincide at full scale and not at half scale
+    rng = make_rng(96)
+    huge = [q(1.5e308), q(1.5e308, 1e308), q(0, 0, 1.7e308), q(-1e308, 1e308, 1e308, 1e308)]
+    cases = [(cross_ratio, huge), (three_point_map, huge[:3]), (geodesic_halfspace, huge[:2])]
+    for scale in (1e-280, 1e-5, 1.0, 1e150, 1e300):
+        for _ in range(40):
+            def near(p):  # a relative step of 1e-11 .. 1e-7, around the default tol
+                return p + random_quaternion(rng) * (abs(p) * 10.0 ** rng.uniform(-11.0, -7.0))
+            p = random_quaternion(rng) * scale
+            pts = [p, near(p), random_quaternion(rng) * scale]
+            pts.append(near(pts[rng.integers(3)]))
+            cases += [(cross_ratio, pts), (three_point_map, pts[:3])]
+            h = random_halfspace_point(rng) * scale
+            cases.append((geodesic_halfspace, [h, near(h)]))
+            b = random_ball_point(rng) * min(scale, 0.5)
+            cases.append((geodesic_disc, [b, near(b)]))
+    decisions = [_coincide(f, *pts) for f, pts in cases]
+    assert decisions == [_coincide(f, *(p * 0.5 for p in pts)) for f, pts in cases]
+    assert 0 < sum(decisions) < len(decisions)
+
+
 def test_cayley_is_an_isometry():
     rng = make_rng(71)
     for _ in range(100):
@@ -736,18 +832,3 @@ def test_cayley_is_an_isometry():
         d = distance_disc(q1, q2)
         assert distance_halfspace(cayley(q1), cayley(q2)) == pytest.approx(
             d, rel=1e-9, abs=1e-9)
-
-
-# -- serialization helpers ----------------------------------------------
-
-
-def test_samples_serialization():
-    pts = geodesic_sample(ZERO, HALF, 3)
-    data = samples_to_json(pts)
-    assert data[0] == [0.0, 0.0, 0.0, 0.0]
-    assert data[2] == [0.5, 0.0, 0.0, 0.0]
-    text = samples_to_csv(pts)
-    lines = text.strip().splitlines()
-    assert lines[0] == "w,x,y,z"
-    assert len(lines) == 4
-    assert lines[1].startswith("0,")

@@ -13,8 +13,10 @@ from qmobius.quat import (
     J,
     K,
     ONE,
+    TOL,
     ZERO,
     Quaternion,
+    _tol,
     coincident,
     conjugate_sphere_check,
     imaginary_unit,
@@ -290,12 +292,28 @@ def test_tolerance_override_and_restore():
     assert isclose(1.0, 1.0 + 1e-10)
 
 
+def test_one_tolerance_value():
+    # tol= is one value t, used in each threshold as t + t x
+    assert _tol(None) == TOL
+    assert _tol(1e-3) == 1e-3 and type(_tol(0)) is float
+
+
 @pytest.mark.parametrize("scale", [1e-300, 1e-160, 1.0, 1e160, 1e300])
 def test_coincidence_is_dilation_invariant(scale):
     p, r = q(scale), q(scale, scale)
-    assert not coincident(abs(p - r), abs(p), abs(r))
-    assert not coincident(abs(ZERO - p), 0.0, abs(p))
-    assert coincident(abs(p - p), abs(p), abs(p))
+    assert not coincident(p, r)
+    assert not coincident(ZERO, p)
+    assert coincident(p, p)
     near = q(scale * (1.0 + 1e-12))
-    assert coincident(abs(p - near), abs(p), abs(near))
-    assert not coincident(abs(p - near), abs(p), abs(near), tol=1e-13)
+    assert coincident(p, near)
+    assert not coincident(p, near, tol=1e-13)
+
+
+@pytest.mark.parametrize("p, r", [(q(1.5e308), q(1.5e308, 1e308)),
+                                  (q(1e308, 1e308, 1e308, 1e308), q(-1e308, 1e308, 1e308, 1e308)),
+                                  (q(1e308), q(-1e308))])
+def test_coincidence_where_a_modulus_overflows_is_taken_at_half_scale(p, r):
+    # |r| (and |p - r|) overflow to inf, which made every such pair coincide
+    assert not coincident(p, r)
+    assert not coincident(p * 0.5, r * 0.5)
+    assert coincident(r, r * (1.0 - 1e-12))
