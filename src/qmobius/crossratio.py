@@ -15,8 +15,8 @@ from typing import NamedTuple
 
 from .errors import CoincidentPoints, DegenerateResult, NotConcyclic
 from .flt import FLT, INFINITY, ExtQuaternion, generator_inverse, generator_matrix
-from .mat2h import Mat2H, qmul_planes
-from .quat import N2_HUGE, N2_TINY, ONE, Quaternion, _new, _tol, coincident
+from .mat2h import Mat2H
+from .quat import N2_HUGE, N2_TINY, ONE, TOL, Quaternion, _new, _tol, coincident
 
 
 def cross_ratio(q1: ExtQuaternion, q2: ExtQuaternion, q3: ExtQuaternion,
@@ -36,39 +36,53 @@ def cross_ratio(q1: ExtQuaternion, q2: ExtQuaternion, q3: ExtQuaternion,
     # a point at infinity enters the coincidence checks as NaNs, which pass no gap test
     (w1, x1, y1, z1), (w2, x2, y2, z2), (w3, x3, y3, z3), (w4, x4, y4, z4) = (
         [(nan,) * 4 if p is INFINITY else p for p in pts] if n_inf else pts)
-    d13 = (w1 - w3, x1 - x3, y1 - y3, z1 - z3)
-    d14 = (w1 - w4, x1 - x4, y1 - y4, z1 - z4)
-    d23 = (w2 - w3, x2 - x3, y2 - y3, z2 - z3)
-    d24 = (w2 - w4, x2 - x4, y2 - y4, z2 - z4)
-    mods = (hypot(w1, x1, y1, z1), hypot(w2, x2, y2, z2),
-            hypot(w3, x3, y3, z3), hypot(w4, x4, y4, z4))
-    gaps = (hypot(*d13), hypot(*d14), hypot(*d23), hypot(*d24),
-            hypot(w3 - w4, x3 - x4, y3 - y4, z3 - z4))
-    if (inf in mods or inf in gaps) and all(
+    aw, ax, ay, az = w1 - w3, x1 - x3, y1 - y3, z1 - z3  # d13
+    bw, bx, by, bz = w1 - w4, x1 - x4, y1 - y4, z1 - z4  # d14
+    cw, cx, cy, cz = w2 - w3, x2 - x3, y2 - y3, z2 - z3  # d23
+    dw, dx, dy, dz = w2 - w4, x2 - x4, y2 - y4, z2 - z4  # d24
+    m1, m2 = hypot(w1, x1, y1, z1), hypot(w2, x2, y2, z2)
+    m3, m4 = hypot(w3, x3, y3, z3), hypot(w4, x4, y4, z4)
+    g13, g14 = hypot(aw, ax, ay, az), hypot(bw, bx, by, bz)
+    g23, g24 = hypot(cw, cx, cy, cz), hypot(dw, dx, dy, dz)
+    g34 = hypot(w3 - w4, x3 - x4, y3 - y4, z3 - z4)
+    if inf in (m1, m2, m3, m4, g13, g14, g23, g24, g34) and all(
             isfinite(v) for p in pts if p is not INFINITY for v in p):
         # a dilation changes neither the cross-ratio nor a coincidence:
         # where a length overflows, both are taken at half scale
         return cross_ratio(*(p if p is INFINITY else p * 0.5 for p in pts), tol)
-    t = _tol(tol)
-    for (i, j), gap in zip(((0, 2), (0, 3), (1, 2), (1, 3), (2, 3)), gaps):
-        if gap <= t * max(mods[i], mods[j]):  # coincident's rule, on moduli taken once
-            raise CoincidentPoints(f"q{i + 1} and q{j + 1} coincide")
+    # coincident's rule, on moduli taken once; max(a, b) is a unless b > a
+    t = TOL if tol is None else float(tol)
+    pair = ("q1 and q3" if g13 <= t * (m3 if m3 > m1 else m1) else
+            "q1 and q4" if g14 <= t * (m4 if m4 > m1 else m1) else
+            "q2 and q3" if g23 <= t * (m3 if m3 > m2 else m2) else
+            "q2 and q4" if g24 <= t * (m4 if m4 > m2 else m2) else
+            "q3 and q4" if g34 <= t * (m4 if m4 > m3 else m3) else None)
+    if pair:
+        raise CoincidentPoints(f"{pair} coincide")
     if n_inf:
         result = ONE
         for i, j, invert in ((0, 2, False), (0, 3, True), (1, 3, False), (1, 2, True)):
             if pts[i] is not INFINITY and pts[j] is not INFINITY:
                 result = result * ((pts[i] - pts[j]).inverse() if invert else pts[i] - pts[j])
         return result
-    # d13 d14^-1 d24 d23^-1 with the Quaternion operators' operations in their order,
-    # from ONE * d13 (which can flip a zero's sign) on: bit-identical to that product
-    (bw, bx, by, bz), (cw, cx, cy, cz) = d14, d23
+    # d13 d14^-1 d24 d23^-1 with the Quaternion operators' operations in their
+    # order, from ONE * d13 on, whose 0.0 * x terms can flip a zero's sign
+    # (1.0 * x is x): bit-identical to that product; an inverse whose |d|^2
+    # leaves [N2_TINY, N2_HUGE) rescales
     n2, m2 = bw * bw + bx * bx + by * by + bz * bz, cw * cw + cx * cx + cy * cy + cz * cz
-    i14 = ((bw / n2, -bx / n2, -by / n2, -bz / n2) if N2_TINY <= n2 < N2_HUGE
-           else _new(Quaternion, d14).inverse())  # out of range it rescales
-    i23 = ((cw / m2, -cx / m2, -cy / m2, -cz / m2) if N2_TINY <= m2 < N2_HUGE
-           else _new(Quaternion, d23).inverse())
-    r = qmul_planes(qmul_planes(qmul_planes(ONE, d13), i14), d24)
-    return _new(Quaternion, qmul_planes(r, i23))
+    bw, bx, by, bz = ((bw / n2, -bx / n2, -by / n2, -bz / n2) if N2_TINY <= n2 < N2_HUGE
+                      else _new(Quaternion, (bw, bx, by, bz)).inverse())
+    cw, cx, cy, cz = ((cw / m2, -cx / m2, -cy / m2, -cz / m2) if N2_TINY <= m2 < N2_HUGE
+                      else _new(Quaternion, (cw, cx, cy, cz)).inverse())
+    aw, ax, ay, az = (aw - 0.0 * ax - 0.0 * ay - 0.0 * az, ax + 0.0 * aw + 0.0 * az - 0.0 * ay,
+                      ay - 0.0 * az + 0.0 * aw + 0.0 * ax, az + 0.0 * ay - 0.0 * ax + 0.0 * aw)
+    aw, ax, ay, az = (aw * bw - ax * bx - ay * by - az * bz, aw * bx + ax * bw + ay * bz - az * by,
+                      aw * by - ax * bz + ay * bw + az * bx, aw * bz + ax * by - ay * bx + az * bw)
+    aw, ax, ay, az = (aw * dw - ax * dx - ay * dy - az * dz, aw * dx + ax * dw + ay * dz - az * dy,
+                      aw * dy - ax * dz + ay * dw + az * dx, aw * dz + ax * dy - ay * dx + az * dw)
+    return _new(Quaternion, (
+        aw * cw - ax * cx - ay * cy - az * cz, aw * cx + ax * cw + ay * cz - az * cy,
+        aw * cy - ax * cz + ay * cw + az * cx, aw * cz + ax * cy - ay * cx + az * cw))
 
 
 def _distinct_cross_ratio(q1, q2, q3, q4, tol: float | None) -> Quaternion:

@@ -11,8 +11,9 @@ and on the half-space
     delta(q1, q2) = asinh(|q1 - q2| / (2 sqrt(Re q1 Re q2))).
 
 Neither form loses digits near the boundary, |q| -> 1 or Re q -> 0.  The
-Cayley map q -> (1 + q)(1 - q)^-1 carries the ball isometrically onto the
-half-space Re q > 0, where the line element is |dq| / (2 Re q).
+Cayley map q -> (1 + q)(1 - q)^-1, ((1 - |q|^2) + 2 Im q) / |1 - q|^2 since
+1 + q and 1 - q commute, carries the ball isometrically onto the half-space
+Re q > 0, where the line element is |dq| / (2 Re q).
 
 The end beyond x of the ball's line through y and x, the image of -u under the
 ball map sending 0 to x, is e(x, y) = (x - u)(1 - conj(x) u)^-1 for u = m / |m|,
@@ -39,13 +40,43 @@ import math
 from typing import NamedTuple
 
 from .errors import CoincidentPoints, NonFiniteResult, OutOfDomain, TooFewSamples
-from .flt import FLT, INFINITY, ExtQuaternion, MobiusCanonical, apply
+from .flt import _POLE_EPS, FLT, INFINITY, ExtQuaternion, MobiusCanonical, apply
 from .mat2h import CAYLEY, CAYLEY_INV, Mat2H, _norm_sq, qmul_planes
 from .quat import N2_HUGE, N2_TINY, ONE, Quaternion, _new, _tol, coincident
 
 
+def _one_minus_norm_sq(w: float, x: float, y: float, z: float, top: float = 2.0) -> float:
+    """1 - |q|^2 for q = w + x i + y j + z k.  Where s = |q|^2 lies in [3/4, top)
+    it is correctly rounded but for an absolute 2^-100, so it keeps its digits as
+    |q| -> 1: each a = h + l, h a multiple of 2^-25 (held negated), so that
+    1 - sum h^2 and each 2 h l are exact for fsum.  Elsewhere the plain 1 - s is
+    within 13 u where |1 - s| >= s / 3; top = 1 is the ball's rule, <= 0 from
+    s = 1 on, as rounded."""
+    s = w * w + x * x + y * y + z * z
+    if not 0.75 <= s < top:
+        return 1.0 - s
+    wh = 201326592.0 - (w + 201326592.0)
+    xh = 201326592.0 - (x + 201326592.0)
+    yh = 201326592.0 - (y + 201326592.0)
+    zh = 201326592.0 - (z + 201326592.0)
+    wl, xl, yl, zl = w + wh, x + xh, y + yh, z + zh
+    return math.fsum((1.0 - wh * wh - xh * xh - yh * yh - zh * zh,
+                      (wh + wh) * wl, (xh + xh) * xl, (yh + yh) * yl, (zh + zh) * zl,
+                      -(wl * wl + xl * xl + yl * yl + zl * zl)))
+
+
 def cayley(q: ExtQuaternion) -> ExtQuaternion:
-    """(1 + q)(1 - q)^-1: unit ball onto the half-space Re q > 0."""
+    """(1 + q)(1 - q)^-1 = ((1 - |q|^2) + 2 Im q) / |1 - q|^2: unit ball onto
+    the half-space Re q > 0.  apply's pole test decides (it can hold only at
+    |1 - q| < 3e-12); INFINITY, and |1 - q|^2 beyond [N2_TINY, N2_HUGE), are apply's."""
+    if q is not INFINITY:
+        w, x, y, z = q
+        v = 1.0 - w
+        n2 = v * v + x * x + y * y + z * z
+        if N2_TINY <= n2 < N2_HUGE and (
+                n2 > 1e-22 or math.hypot(v, x, y, z) > _POLE_EPS * (math.hypot(w, x, y, z) + 1.0)):
+            return _new(Quaternion, (_one_minus_norm_sq(w, x, y, z) / n2,
+                                     (x + x) / n2, (y + y) / n2, (z + z) / n2))
     return apply(CAYLEY, q)
 
 
@@ -55,7 +86,7 @@ def cayley_inv(q: ExtQuaternion) -> ExtQuaternion:
 
 
 def _require_ball(q: Quaternion) -> None:
-    if q is INFINITY or q.norm_sq() >= 1.0:
+    if q is INFINITY or _one_minus_norm_sq(*q, 1.0) <= 0.0:
         raise OutOfDomain(f"{q} is not in the open unit ball")
 
 
@@ -139,19 +170,28 @@ def geodesic_disc(q1: Quaternion, q2: Quaternion,
 
 
 def distance_disc(q1: Quaternion, q2: Quaternion) -> float:
-    """Invariant distance of the ball."""
-    _require_ball(q1)
-    _require_ball(q2)
-    # 1 - |q|^2 as (1 - |q|)(1 + |q|) keeps its digits as |q| -> 1
-    r1, r2 = abs(q1), abs(q2)
-    gaps = (1.0 - r1) * (1.0 + r1) * (1.0 - r2) * (1.0 + r2)
-    return math.asinh(abs(q1 - q2) / math.sqrt(gaps))
+    """Invariant distance of the ball.  A point with |q|^2 >= 1, or whose
+    exact 1 - |q|^2 is not positive, is OutOfDomain."""
+    if q1 is INFINITY or q2 is INFINITY:
+        raise OutOfDomain("inf is not in the open unit ball")
+    w1, x1, y1, z1 = q1
+    w2, x2, y2, z2 = q2
+    g1 = _one_minus_norm_sq(w1, x1, y1, z1, 1.0)
+    g2 = _one_minus_norm_sq(w2, x2, y2, z2, 1.0)
+    if g1 <= 0.0 or g2 <= 0.0:
+        raise OutOfDomain(f"{q1 if g1 <= 0.0 else q2} is not in the open unit ball")
+    return math.asinh(math.hypot(w1 - w2, x1 - x2, y1 - y2, z1 - z2) / math.sqrt(g1 * g2))
 
 
 def metric_disc(q: Quaternion, tau: Quaternion) -> float:
     """Length of the tangent vector tau at q: |tau| / (1 - |q|^2)."""
-    _require_ball(q)
-    return abs(tau) / (1.0 - q.norm_sq())
+    if q is INFINITY:
+        raise OutOfDomain("inf is not in the open unit ball")
+    w, x, y, z = q
+    gap = _one_minus_norm_sq(w, x, y, z, 1.0)
+    if gap <= 0.0:
+        raise OutOfDomain(f"{q} is not in the open unit ball")
+    return abs(tau) / gap
 
 
 def metric_halfspace(q: Quaternion, tau: Quaternion) -> float:
@@ -335,15 +375,25 @@ def geodesic_sample_halfspace(q1: Quaternion, q2: Quaternion, n: int,
 
 def distance_halfspace(q1: Quaternion, q2: Quaternion) -> float:
     """Invariant distance of the half-space."""
-    _require_halfspace(q1)
-    _require_halfspace(q2)
-    # sqrt(Re q1) sqrt(Re q2) cannot underflow; |q1 - q2| is halved last, to
-    # keep subnormal bits, or first where it overflows (exactly, at that scale)
-    s = math.sqrt(q1.w) * math.sqrt(q2.w)
-    gap = abs(q1 - q2)
-    x = gap / s * 0.5 if gap < math.inf else abs(q1 * 0.5 - q2 * 0.5) / s
+    if q1 is INFINITY or q2 is INFINITY or q1[0] <= 0.0 or q2[0] <= 0.0:
+        bad = q1 if q1 is INFINITY or q1[0] <= 0.0 else q2
+        raise OutOfDomain(f"{bad} is not in the open half-space Re q > 0")
+    w1, x1, y1, z1 = q1
+    w2, x2, y2, z2 = q2
+    s = math.sqrt(w1) * math.sqrt(w2)  # cannot underflow to 0
+    if s < 2.2250738585072014e-308:
+        # Re q1 Re q2 < 2^-2044: s lost digits.  The quotient is free of scale, so
+        # the differences and real parts are taken at 2^600, exactly (or inf)
+        x = math.hypot(*((a - b) * 2.0 ** 600 for a, b in zip(q1, q2))) / (
+            math.sqrt(w1 * 2.0 ** 600) * math.sqrt(w2 * 2.0 ** 600)) * 0.5
+    else:
+        # |q1 - q2| is halved last, to keep subnormal bits, or first where it
+        # overflows (exactly, at that scale)
+        gap = math.hypot(w1 - w2, x1 - x2, y1 - y2, z1 - z2)
+        x = gap / s * 0.5 if gap < math.inf else math.hypot(
+            *(0.5 * a - 0.5 * b for a, b in zip(q1, q2))) / s
     if x == math.inf:
         # asinh x = log 2x to rounding once x > 2^28; in logs, 2x cannot overflow
-        return (math.log(2.0) + math.log(abs(q1 * 0.5 - q2 * 0.5))
-                - 0.5 * (math.log(q1.w) + math.log(q2.w)))
+        return (math.log(2.0) + math.log(math.hypot(*(0.5 * a - 0.5 * b for a, b in zip(q1, q2))))
+                - 0.5 * (math.log(w1) + math.log(w2)))
     return math.asinh(x)

@@ -158,12 +158,14 @@ def test_geodesic_csv(capsys):
 def test_ball_samples_mirror_across_the_line(capsys):
     # the two points are mirror images, each 1e-10 inside the sphere: the 4th
     # sample is the 2nd with its halves swapped, each taken from its nearer end
-    # (from q1 alone, the 4th printed [1.193514e-06, -7.216367e-07, ...])
+    # (from q1 alone, the 4th printed [1.193514e-06, -7.216367e-07, ...]).
+    # The small pair is 3.3940757870e-11, 4.5254343821e-11 to 50 digits; its
+    # 7th digit lies below ulp(|p|) = 1.1e-16, so these are the printed values
     code, data = invoke_quiet(capsys, "geodesic", "--disc", "[0.6,0.7999999999,0,0]",
                               "[0,0,0.6,0.7999999999]", "--samples", "5")
     assert code == 0
-    assert data["samples"][1] == [0.5999936, 0.7999915, 3.394075e-11, 4.525434e-11]
-    assert data["samples"][3] == [3.394075e-11, 4.525434e-11, 0.5999936, 0.7999915]
+    assert data["samples"][1] == [0.5999936, 0.7999915, 3.394078e-11, 4.525435e-11]
+    assert data["samples"][3] == [3.394078e-11, 4.525435e-11, 0.5999936, 0.7999915]
 
 
 def test_cayley(capsys):

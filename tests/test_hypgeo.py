@@ -26,26 +26,40 @@ from qmobius.hypgeo import (
     metric_halfspace,
     normalizing_map,
 )
-from qmobius.mat2h import Mat2H
+from qmobius.mat2h import CAYLEY, Mat2H
 from qmobius.quat import I, J, K, N2_HUGE, N2_TINY, ONE, ZERO, Quaternion
 from qmobius.sampling import (
     make_rng,
     random_ball_point,
     random_halfspace_point,
+    random_imaginary,
     random_imaginary_unit,
     random_quaternion,
     random_sp11,
     random_unit_quaternion,
 )
 
+import exact
 from pins import outcome
 
 HALF = Quaternion(0.5, 0.0, 0.0, 0.0)
 T_SKEW = 4.0 / math.sqrt(34.0)  # |j/2 - i/2| / |1 - conj(i/2) j/2|
+EPS = exact.EPS
+# |q|^2 rounds to 1 - 2^-53, but the exact |q|^2 is 1 + 8.5e-18
+OUTSIDE_BY_ROUNDING = (0.5423511255843019, 0.7520647192686067, 0.321282853575334,
+                       0.19243503477112234)
 
 
 def q(w=0.0, x=0.0, y=0.0, z=0.0):
     return Quaternion(float(w), float(x), float(y), float(z))
+
+
+def _at_depth(rng, delta):
+    """A random point with 1 - |q| = delta, rounded into the ball."""
+    while True:
+        p = random_unit_quaternion(rng) * (1.0 - delta)
+        if p.norm_sq() < 1.0:
+            return p
 
 
 # -- normalizing map -----------------------------------------------------
@@ -299,6 +313,25 @@ def test_distance_disc_out_of_domain():
         distance_disc(ZERO, ONE)
 
 
+def test_distance_disc_near_the_sphere_matches_exact_references():
+    # 1 - |q|^2 from the rounded |q| was off by eps / (1 - |q|) in each gap:
+    # up to 5.2e-4 in the distance (about 30) here
+    rng = make_rng(11)
+    for _ in range(200):
+        p1, p2 = _at_depth(rng, 1e-13), _at_depth(rng, 1e-13)
+        assert exact.rel_err(distance_disc(p1, p2), exact.dist_ball(p1, p2)) <= 8 * EPS, (p1, p2)
+
+
+def test_a_point_whose_exact_gap_is_not_positive_is_out_of_domain():
+    p = q(*OUTSIDE_BY_ROUNDING)
+    assert p.norm_sq() < 1.0 and exact.one_minus_norm_sq(p) < 0
+    for f, args in ((distance_disc, (p, HALF)), (distance_disc, (HALF, p)),
+                    (metric_disc, (p, ONE)), (geodesic_disc, (p, HALF))):
+        with pytest.raises(OutOfDomain):
+            f(*args)
+    assert cayley(p).w < 0.0  # its image lies beyond Re q = 0, as the exact one does
+
+
 def test_distance_symmetry_and_identity():
     rng = make_rng(63)
     for _ in range(100):
@@ -353,6 +386,13 @@ def test_metric_disc_spot_values():
     assert metric_disc(ZERO, tau) == pytest.approx(math.sqrt(2.0), abs=1e-15)
     assert metric_disc(HALF, ONE) == pytest.approx(4.0 / 3.0, abs=1e-15)
     assert metric_disc(I * 0.5, tau) == pytest.approx(math.sqrt(2.0) / 0.75, abs=1e-12)
+
+
+def test_metric_disc_near_the_sphere_matches_exact_references():
+    rng = make_rng(11)
+    for _ in range(200):
+        p, tau = _at_depth(rng, 1e-13), random_quaternion(rng, 3.0)
+        assert exact.rel_err(metric_disc(p, tau), exact.metric_disc(p, tau)) <= 4 * EPS, p
 
 
 def test_metric_halfspace_spot_values():
@@ -557,6 +597,37 @@ def test_cayley_inv_is_bit_identical_to_the_unhalved_matrix():
         assert outcome(cayley_inv, p) == outcome(apply, reference, p)
 
 
+@pytest.mark.parametrize("delta", [1e-2, 1e-6, 1e-10, 1e-13])
+def test_cayley_near_the_sphere_matches_exact_values(delta):
+    # through apply, the real part cancelled: 2e-3 off at 1 - |q| = 1e-13
+    rng = make_rng(11)
+    for _ in range(200):
+        p = _at_depth(rng, delta)
+        for got, want in zip(cayley(p), exact.cayley(p)):
+            assert exact.rel_err(got, want) <= 4 * EPS, (p, got, want)
+
+
+def test_cayley_decides_poles_as_apply_does_and_defers_to_it_out_of_range():
+    # shells of radius 1e-13 .. 1e-10 around the pole 1 straddle apply's
+    # relative test |1 - q| <= 1e-12 (|q| + 1); at 1e150, |1 - q|^2 passes
+    # N2_HUGE and cayley is apply(CAYLEY, q) itself
+    rng = make_rng(72)
+    shells = [ONE + random_unit_quaternion(rng) * 10.0 ** rng.uniform(-13.0, -10.0)
+              for _ in range(400)]
+    tiny = [random_quaternion(rng) * 1e-150 for _ in range(100)]
+    huge = [random_quaternion(rng) * 1e150 for _ in range(100)]
+    poles = 0
+    for p in [INFINITY, ONE, *shells, *tiny, *huge]:
+        got, want = outcome(cayley, p), outcome(apply, CAYLEY, p)
+        if want is INFINITY or p is INFINITY or abs(p) > 1e100:
+            poles += want is INFINITY
+            assert got == want, p
+        else:
+            image = apply(CAYLEY, p)
+            assert got is not INFINITY and abs(cayley(p) - image) <= 8 * EPS * abs(image), p
+    assert 50 < poles < 350
+
+
 def test_cayley_maps_ball_to_halfspace():
     rng = make_rng(69)
     for _ in range(100):
@@ -602,6 +673,58 @@ def test_distance_disc_near_boundary_is_exact():
 def test_distance_halfspace_near_boundary_is_exact():
     d = distance_halfspace(q(1e-13), q(1e-12))
     assert d == pytest.approx(0.5 * math.log(10.0), rel=1e-12)
+
+
+def _operator_distance_halfspace(q1, q2):
+    """distance_halfspace with the Quaternion operators, as it was before the
+    subnormal rescale: the reference of the bit-identity pin."""
+    if q1.w <= 0.0 or q2.w <= 0.0:
+        raise OutOfDomain("not in the half-space")
+    s = math.sqrt(q1.w) * math.sqrt(q2.w)
+    gap = abs(q1 - q2)
+    x = gap / s * 0.5 if gap < math.inf else abs(q1 * 0.5 - q2 * 0.5) / s
+    if x == math.inf:
+        return (math.log(2.0) + math.log(abs(q1 * 0.5 - q2 * 0.5))
+                - 0.5 * (math.log(q1.w) + math.log(q2.w)))
+    return math.asinh(x)
+
+
+def test_distance_halfspace_is_bit_identical_to_the_operator_form():
+    rng = make_rng(73)
+    pairs = [(q(1, 1e308), q(1, -1e308)), (q(8e307, 1e308), q(8e307, -1e308)),
+             (q(1e308), q(1e308, 1e300)), (q(1e-300), q(1e-300, 1e200)),
+             (q(1.5e-323), q(1.5e-323, 5e-324)), (q(0), ONE), (ONE, q(-1, 2))]
+    for _ in range(3000):
+        def point():
+            h = random_halfspace_point(rng)
+            r, m = 10.0 ** rng.uniform(-300.0, 300.0), 10.0 ** rng.uniform(-300.0, 300.0)
+            return q(h.w * r, h.x * m, h.y * m, h.z * m)
+        pairs.append((point(), point()))
+    kept = [(a, b) for a, b in pairs
+            if not (a.w > 0.0 and b.w > 0.0 and math.sqrt(a.w) * math.sqrt(b.w) < 2.0 ** -1022)]
+    assert len(kept) > 0.9 * len(pairs)
+    for a, b in kept:
+        assert outcome(distance_halfspace, a, b) == outcome(_operator_distance_halfspace, a, b)
+
+
+def test_distance_halfspace_where_the_root_product_is_subnormal():
+    # sqrt(Re q1) sqrt(Re q2) = 3.7e-314 was subnormal: 2.8e-11 off before
+    a, b = q(5e-324), q(2.70092e-304)
+    assert exact.rel_err(distance_halfspace(a, b), exact.dist_half(a, b)) <= 4 * EPS
+    rng = make_rng(74)
+    for _ in range(100):
+        re1, re2 = 10.0 ** rng.uniform(-323.5, -300.0), 10.0 ** rng.uniform(-320.0, -300.0)
+        a = q(re1, *(random_imaginary(rng) * 10.0 ** rng.uniform(-320.0, -290.0))[1:])
+        b = q(re2, *(random_imaginary(rng) * 10.0 ** rng.uniform(-320.0, -290.0))[1:])
+        if math.sqrt(a.w) * math.sqrt(b.w) < 2.0 ** -1022:
+            assert exact.rel_err(distance_halfspace(a, b), exact.dist_half(a, b)) <= 4 * EPS, (a, b)
+    # every sample of this line is taken from its nearer end, so each spacing
+    # is D / 32 to within about eps per unit of distance
+    pts = geodesic_sample_halfspace(q(5e-324), q(1e308, 1e308), 33)
+    D = distance_halfspace(pts[0], pts[-1])
+    for a, b in zip(pts, pts[1:]):
+        assert abs(distance_halfspace(a, b) - D / 32) <= 2e-15 * D, (a, b)
+        assert exact.rel_err(distance_halfspace(a, b), exact.dist_half(a, b)) <= 4 * EPS, (a, b)
 
 
 def test_distance_halfspace_domain():
