@@ -13,7 +13,7 @@ from __future__ import annotations
 from math import hypot, inf, isfinite, nan
 from typing import NamedTuple
 
-from .errors import CoincidentPoints, DegenerateResult, NotConcyclic
+from .errors import CoincidentPoints, DegenerateResult
 from .flt import FLT, INFINITY, ExtQuaternion, generator_inverse, generator_matrix
 from .mat2h import Mat2H
 from .quat import N2_HUGE, N2_TINY, ONE, TOL, Quaternion, _new, _tol, coincident
@@ -85,33 +85,17 @@ def cross_ratio(q1: ExtQuaternion, q2: ExtQuaternion, q3: ExtQuaternion,
         aw * cy - ax * cz + ay * cw + az * cx, aw * cz + ax * cy - ay * cx + az * cw))
 
 
-def _distinct_cross_ratio(q1, q2, q3, q4, tol: float | None) -> Quaternion:
-    """cross_ratio, where q1 = q2 raises CoincidentPoints instead of giving 1."""
-    if q1 is not INFINITY and q2 is not INFINITY and coincident(q1, q2, tol):
-        raise CoincidentPoints("q1 and q2 coincide")
-    return cross_ratio(q1, q2, q3, q4, tol)
-
-
 def is_concyclic(q1: ExtQuaternion, q2: ExtQuaternion, q3: ExtQuaternion,
                  q4: ExtQuaternion, tol: float | None = None) -> bool:
     """Whether the four (distinct) points lie on one circle or line.
 
-    This holds exactly when the cross-ratio is real.
+    This holds exactly when the cross-ratio is real.  Unlike cross_ratio,
+    q1 = q2 raises CoincidentPoints instead of giving 1.
     """
-    t = _tol(tol)
-    cr = _distinct_cross_ratio(q1, q2, q3, q4, tol)
-    return cr.im_norm() <= t * (1.0 + abs(cr))
-
-
-def separates(q1: ExtQuaternion, q2: ExtQuaternion, q3: ExtQuaternion,
-              q4: ExtQuaternion, tol: float | None = None) -> bool:
-    """Whether the pairs (q1, q2) and (q3, q4) separate each other on
-    their common circle; equivalent to a negative cross-ratio."""
-    t = _tol(tol)
-    cr = _distinct_cross_ratio(q1, q2, q3, q4, tol)
-    if cr.im_norm() > t * (1.0 + abs(cr)):
-        raise NotConcyclic("the four points do not lie on a common circle")
-    return cr.w < 0.0
+    if q1 is not INFINITY and q2 is not INFINITY and coincident(q1, q2, tol):
+        raise CoincidentPoints("q1 and q2 coincide")
+    cr = cross_ratio(q1, q2, q3, q4, tol)
+    return cr.im_norm() <= _tol(tol) * (1.0 + abs(cr))
 
 
 class _Coefficients(NamedTuple):

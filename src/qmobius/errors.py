@@ -58,10 +58,6 @@ class PoleInput(GeometryError):
     """The differential was requested at (or too close to) a pole of the map."""
 
 
-class NotConcyclic(GeometryError):
-    """Separation is only defined for four points on a common circle."""
-
-
 class DegenerateResult(GeometryError):
     """All coefficients of the transformed quadric vanish."""
 

@@ -240,19 +240,6 @@ def generator_to_json(g: Generator) -> dict:
     return {"type": "inversion"}
 
 
-def generator_from_json(data) -> Generator:
-    kind = data.get("type")
-    if kind == "translation":
-        return Translation(Quaternion.from_json(data["b"]))
-    if kind == "rotation":
-        return Rotation(Quaternion.from_json(data["a"]))
-    if kind == "dilation":
-        return Dilation(float(data["r"]))
-    if kind == "inversion":
-        return Inversion()
-    raise ValueError(f"unknown generator type {kind!r}")
-
-
 _EXACT = 1e-12  # filter for generators that are the identity up to noise
 
 
@@ -398,23 +385,6 @@ def to_canonical_disc(A, tol: float | None = None) -> MobiusCanonical:
     a, b, c, d = M
     return MobiusCanonical(a * (1.0 / abs(a)), d * (1.0 / abs(d)),
                            -(a.inverse() * b))
-
-
-def canonical_compose(g1: MobiusCanonical, g2: MobiusCanonical) -> MobiusCanonical:
-    """Canonical parameters of g1 o g2, computed without leaving the
-    parameter space.  Factor order matters in every product below."""
-    a, bq, q0 = g1.alpha, g1.beta, g1.q0
-    c, dq, p0 = g2.alpha, g2.beta, g2.q0
-    n1 = a * c + a * q0 * dq * p0.conj()
-    n2 = bq * dq + bq * q0.conj() * c * p0
-    w0 = n1.inverse() * (a * c * p0 + a * q0 * dq)
-    return MobiusCanonical(n1 * (1.0 / abs(n1)), n2 * (1.0 / abs(n2)), w0)
-
-
-def canonical_inverse(g: MobiusCanonical) -> MobiusCanonical:
-    """Canonical parameters of the inverse map."""
-    return MobiusCanonical(g.alpha.conj(), g.beta.conj(),
-                           -(g.alpha * g.q0 * g.beta.conj()))
 
 
 def canonical_det_check(g: MobiusCanonical) -> float:

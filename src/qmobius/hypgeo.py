@@ -195,9 +195,11 @@ def metric_disc(q: Quaternion, tau: Quaternion) -> float:
 
 
 def metric_halfspace(q: Quaternion, tau: Quaternion) -> float:
-    """Length of the tangent vector tau at q: |tau| / (2 Re q)."""
+    """Length of the tangent vector tau at q: |tau| / (2 Re q), divided by
+    Re q before halving where 2 Re q overflows."""
     _require_halfspace(q)
-    return abs(tau) / (2.0 * q.w)
+    w = q.w
+    return abs(tau) / (w + w) if w < 8.98846567431158e307 else abs(tau) / w * 0.5
 
 
 # -- sampled geodesics and numeric length ------------------------------
@@ -381,15 +383,16 @@ def distance_halfspace(q1: Quaternion, q2: Quaternion) -> float:
     w1, x1, y1, z1 = q1
     w2, x2, y2, z2 = q2
     s = math.sqrt(w1) * math.sqrt(w2)  # cannot underflow to 0
-    if s < 2.2250738585072014e-308:
-        # Re q1 Re q2 < 2^-2044: s lost digits.  The quotient is free of scale, so
-        # the differences and real parts are taken at 2^600, exactly (or inf)
+    gap = math.hypot(w1 - w2, x1 - x2, y1 - y2, z1 - z2)
+    if s < 2.2250738585072014e-308 or gap < 2.2250738585072014e-308:
+        # Re q1 Re q2 < 2^-2044, so s lost digits, or the gap is subnormal.  The
+        # quotient is free of scale, so the differences (exact where the gap is
+        # subnormal) and real parts are taken at 2^600, exactly (or inf)
         x = math.hypot(*((a - b) * 2.0 ** 600 for a, b in zip(q1, q2))) / (
             math.sqrt(w1 * 2.0 ** 600) * math.sqrt(w2 * 2.0 ** 600)) * 0.5
     else:
-        # |q1 - q2| is halved last, to keep subnormal bits, or first where it
-        # overflows (exactly, at that scale)
-        gap = math.hypot(w1 - w2, x1 - x2, y1 - y2, z1 - z2)
+        # |q1 - q2| is halved last, or first where it overflows (exactly, at
+        # that scale)
         x = gap / s * 0.5 if gap < math.inf else math.hypot(
             *(0.5 * a - 0.5 * b for a, b in zip(q1, q2))) / s
     if x == math.inf:

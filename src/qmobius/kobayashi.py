@@ -1,10 +1,19 @@
-"""Comparison of the ball distance with the complex-ball distance under
-the identification H = C + Cj.
+"""Comparison of the ball distance with the Kobayashi distance of the
+complex unit ball under the identification H = C + Cj.
 
 A quaternion w + x i + y j + z k corresponds to the complex pair
-(w + x i, y + z i).  On pairs (alpha, 0) and (0, beta) the invariant
-quaternionic distance from the image of the origin exceeds the
-Kobayashi distance of the complex unit ball: the squared moduli are
+(w + x i, y + z i).  With a = to_c2(p), w = to_c2(q) - a, g_p = 1 - |p|^2
+and g_q = 1 - |q|^2 (Rudin, Function Theory in the Unit Ball of C^n,
+Thm 2.2.2: 1 - |phi_a(z)|^2 = g_p g_q / |1 - <z, a>|^2),
+
+    sinh^2 d_K = (g_p |w|^2 + |<w, a>|^2) / (g_p g_q),
+
+while the ball's own distance has sinh^2 delta = |w|^2 / (g_p g_q).  So
+
+    sinh^2 delta - sinh^2 d_K = |a_1 w_2 - a_2 w_1|^2 / (g_p g_q) >= 0,
+
+with equality exactly on complex lines through 0.  At p = (alpha, 0) and
+q = (0, beta) the squared moduli tanh^2 are
 
     Q = (|beta|^2 + |alpha|^2) / (1 + |alpha|^2 |beta|^2)
     C = |alpha|^2 + (1 - |alpha|^2) |beta|^2
@@ -18,13 +27,12 @@ from __future__ import annotations
 
 import math
 
-from .errors import InternalNumericError, OutOfDomain, TooFewSamples
-from .flt import MobiusCanonical
-from .quat import ONE, Quaternion
+from .errors import OutOfDomain, TooFewSamples
+from .flt import INFINITY
+from .hypgeo import _one_minus_norm_sq, distance_disc
+from .quat import N2_TINY, Quaternion
 
 ComplexPair = tuple[complex, complex]
-
-_AGREE = 1e-10  # the closed form and the direct evaluation must match
 
 
 def to_c2(q: Quaternion) -> ComplexPair:
@@ -37,27 +45,13 @@ def from_c2(p: ComplexPair) -> Quaternion:
     return Quaternion(z.real, z.imag, w.real, w.imag)
 
 
-def kobayashi_from_origin(q: Quaternion) -> float:
-    """Distance from 0 in the ball; both metrics give atanh |q| here."""
-    n = abs(q)
-    if n >= 1.0:
-        raise OutOfDomain(f"{q} is not in the open unit ball")
-    return math.atanh(n)
-
-
-def _check_unit_disc(value: complex, name: str) -> None:
-    if abs(value) >= 1.0:
-        raise OutOfDomain(f"{name} must lie in the open unit disc")
-
-
 def ball_automorphism(a: ComplexPair, z: ComplexPair) -> ComplexPair:
     """The automorphism of the complex unit ball that swaps a and 0,
 
         phi_a(z) = (a - P_a z - s_a Q_a z) / (1 - <z, a>),
 
     with P_a the orthogonal projection onto C a, Q_a = 1 - P_a and
-    s_a = sqrt(1 - |a|^2) (Rudin, Function Theory in the Unit Ball of C^n,
-    section 2.2); phi_a is an involution.
+    s_a = sqrt(1 - |a|^2) (Rudin, section 2.2); phi_a is an involution.
     """
     aa = abs(a[0]) ** 2 + abs(a[1]) ** 2
     za = z[0] * a[0].conjugate() + z[1] * a[1].conjugate()
@@ -67,84 +61,52 @@ def ball_automorphism(a: ComplexPair, z: ComplexPair) -> ComplexPair:
                  for ai, zi in zip(a, z))
 
 
-def poincare_image_modulus_sq(alpha: complex, beta: complex) -> float:
-    """|M(beta j)|^2 for the ball Moebius map M centered at (alpha, 0).
-
-    Evaluated both by the closed form and by the canonical ball map
-    with q0 = (alpha, 0); a mismatch beyond 1e-10 raises.
-    """
-    alpha = complex(alpha)
-    beta = complex(beta)
-    _check_unit_disc(alpha, "alpha")
-    _check_unit_disc(beta, "beta")
-    a2 = abs(alpha) ** 2
-    b2 = abs(beta) ** 2
-    closed = (b2 + a2) / (1.0 + a2 * b2)
-    image = MobiusCanonical(ONE, ONE, from_c2((alpha, 0j)))(from_c2((0j, beta)))
-    direct = image.norm_sq()
-    if abs(direct - closed) > _AGREE:
-        raise InternalNumericError(
-            f"direct evaluation {direct} disagrees with closed form {closed}")
-    return closed
-
-
-def kobayashi_image_modulus_sq(alpha: complex, beta: complex) -> float:
-    """|phi(0, beta)|^2 for the complex-ball automorphism phi centered at
-    (alpha, 0), checked against ball_automorphism as
-    poincare_image_modulus_sq is against the canonical map.
-
-    (0, beta) is orthogonal to (alpha, 0), so the projection term of
-    ball_automorphism vanishes there; the image has <image, a> = |alpha|^2,
-    and mapping it back to (0, beta) checks the projection term too.  The
-    way back divides by 1 - |alpha|^2, so its error is weighed by that.
-    """
-    alpha = complex(alpha)
-    beta = complex(beta)
-    _check_unit_disc(alpha, "alpha")
-    _check_unit_disc(beta, "beta")
-    a2 = abs(alpha) ** 2
-    b2 = abs(beta) ** 2
-    closed = a2 + (1.0 - a2) * b2
-    image = ball_automorphism((alpha, 0j), (0j, beta))
-    direct = abs(image[0]) ** 2 + abs(image[1]) ** 2
-    if abs(direct - closed) > _AGREE:
-        raise InternalNumericError(
-            f"direct evaluation {direct} disagrees with closed form {closed}")
-    z, w = ball_automorphism((alpha, 0j), image)
-    if max(abs(z), abs(w - beta)) * (1.0 - a2) > _AGREE:
-        raise InternalNumericError(
-            f"the automorphism maps its image back to {(z, w)}, not (0, {beta})")
-    return closed
+def kobayashi_distance(p: Quaternion, q: Quaternion) -> float:
+    """Kobayashi distance of the complex unit ball between to_c2(p) and
+    to_c2(q), by the closed form of the module docstring; both terms of its
+    numerator are nonnegative, so nothing cancels near the sphere.  The
+    ball's domain rule is distance_disc's."""
+    if p is INFINITY or q is INFINITY:
+        raise OutOfDomain("inf is not in the open unit ball")
+    pw, px, py, pz = p
+    qw, qx, qy, qz = q
+    gp = _one_minus_norm_sq(pw, px, py, pz, 1.0)
+    gq = _one_minus_norm_sq(qw, qx, qy, qz, 1.0)
+    if gp <= 0.0 or gq <= 0.0:
+        raise OutOfDomain(f"{p if gp <= 0.0 else q} is not in the open unit ball")
+    ww, wx, wy, wz = qw - pw, qx - px, qy - py, qz - pz
+    ww2 = ww * ww + wx * wx + wy * wy + wz * wz
+    scale = 1.0
+    if ww2 < N2_TINY:  # sinh d_K is linear in w: take w at 2^600, exactly
+        ww, wx, wy, wz = ww * 2.0 ** 600, wx * 2.0 ** 600, wy * 2.0 ** 600, wz * 2.0 ** 600
+        ww2 = ww * ww + wx * wx + wy * wy + wz * wz
+        scale = 2.0 ** -600
+    re = ww * pw + wx * px + wy * py + wz * pz  # <w, a> on components
+    im = wx * pw - ww * px + wz * py - wy * pz
+    return math.asinh(math.sqrt((gp * ww2 + (re * re + im * im)) / (gp * gq)) * scale)
 
 
 def non_isometry_witness(grid: int = 20) -> dict:
     """Report the gap between the two metrics at alpha = beta = 0.5 and
-    scan a grid of moduli for the largest gap found.
-
-    The witness gap must exceed 1e-3, otherwise something is deeply
-    wrong and InternalNumericError is raised.  The grid needs at least two
-    points per axis (TooFewSamples).
-    """
+    scan a grid of moduli for the largest gap found; the grid needs at
+    least two points per axis (TooFewSamples)."""
     if grid < 2:
         raise TooFewSamples("the witness scan needs at least two grid points per axis")
+
+    def distances(alpha: float, beta: float) -> tuple[float, float]:
+        p, q = from_c2((complex(alpha), 0j)), from_c2((0j, complex(beta)))
+        return distance_disc(p, q), kobayashi_distance(p, q)
+
     a = b = 0.5
-    Q = poincare_image_modulus_sq(complex(a), complex(b))
-    C = kobayashi_image_modulus_sq(complex(a), complex(b))
-    gap = Q - C
-    if not gap > 1e-3:
-        raise InternalNumericError(f"witness gap {gap} is implausibly small")
+    poincare, kobayashi = distances(a, b)
+    Q, C = math.tanh(poincare) ** 2, math.tanh(kobayashi) ** 2
     max_gap = 0.0
     for i in range(grid):
         for j in range(grid):
-            u = i / grid
-            v = j / grid
-            g = abs(poincare_image_modulus_sq(complex(u), complex(v))
-                    - kobayashi_image_modulus_sq(complex(u), complex(v)))
-            if g > max_gap:
-                max_gap = g
+            dp, dk = distances(i / grid, j / grid)
+            max_gap = max(max_gap, abs(math.tanh(dp) ** 2 - math.tanh(dk) ** 2))
     return {
-        "witness": {"alpha": a, "beta": b, "Q": Q, "C": C, "gap": gap},
-        "distances": {"poincare": math.atanh(math.sqrt(Q)),
-                      "kobayashi": math.atanh(math.sqrt(C))},
+        "witness": {"alpha": a, "beta": b, "Q": Q, "C": C, "gap": Q - C},
+        "distances": {"poincare": poincare, "kobayashi": kobayashi},
         "grid_max_gap": max_gap,
     }

@@ -26,8 +26,8 @@ from .flt import (FLT, Dilation, Inversion, MobiusCanonical, Rotation,
 from .hypgeo import (cayley, cayley_inv, distance_disc, distance_halfspace,
                      geodesic_disc, geodesic_halfspace, geodesic_sample_rows,
                      integrated_length_disc, metric_disc, metric_halfspace)
-from .kobayashi import (kobayashi_image_modulus_sq, non_isometry_witness,
-                        poincare_image_modulus_sq)
+from .kobayashi import (ball_automorphism, from_c2, kobayashi_distance,
+                        non_isometry_witness, to_c2)
 from .mat2h import (GroupTag, Mat2H, cayley_conjugate, cayley_conjugate_inv,
                     classify, det_h, det_h_many, inverse, inverse_form_a,
                     inverse_form_b, mat_mul_many, normalize)
@@ -360,14 +360,17 @@ def cayley_suite(rng, n: int) -> Suite:
 
 
 def _modulus_gap(a: complex, b: complex) -> float:
-    return poincare_image_modulus_sq(a, b) - kobayashi_image_modulus_sq(a, b)
+    """Q - C at (a, 0) and (0, b): tanh^2 of the two distances."""
+    p, q = from_c2((a, 0j)), from_c2((0j, b))
+    return math.tanh(distance_disc(p, q)) ** 2 - math.tanh(kobayashi_distance(p, q)) ** 2
 
 
 def kobayashi_suite(rng, n: int) -> Suite:
     """The quaternionic image modulus exceeds the Kobayashi one off the
     axes by the closed-form gap and equals it on them, so the two metrics
-    are not isometric; every modulus call also checks its closed form
-    against an automorphism at 1e-10, and random phases keep that busy."""
+    are not isometric.  The closed-form d_K matches artanh |phi_a(z)| through
+    ball_automorphism, sinh^2 delta - sinh^2 d_K = |a1 w2 - a2 w1|^2 / (g_p g_q),
+    and d_K = delta on complex lines through 0."""
     s = Suite()
     report = non_isometry_witness(grid=20)
     wit = report["witness"]
@@ -378,7 +381,7 @@ def kobayashi_suite(rng, n: int) -> Suite:
     s.check("gap", wit["gap"], ">", 0.03)
     s.check("grid_max_gap", report["grid_max_gap"], ">=", wit["gap"] - 1e-12)
     min_phase_gap = math.inf
-    worst_formula = 0.0
+    worst_formula = worst_auto = worst_identity = worst_line = 0.0
     for _ in range(n):
         a = float(rng.uniform(0.0, 0.95)) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
         b = float(rng.uniform(0.0, 0.95)) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
@@ -387,6 +390,19 @@ def kobayashi_suite(rng, n: int) -> Suite:
         a2, b2 = abs(a) ** 2, abs(b) ** 2
         formula = a2 * b2 * (1.0 - a2) * (1.0 - b2) / (1.0 + a2 * b2)
         worst_formula = max(worst_formula, abs(gap - formula))
+        p, q = smp.random_ball_point(rng, 0.95), smp.random_ball_point(rng, 0.95)
+        (c1, c2), (z1, z2) = to_c2(p), to_c2(q)
+        dk, delta = kobayashi_distance(p, q), distance_disc(p, q)
+        phi = ball_automorphism((c1, c2), (z1, z2))
+        worst_auto = max(worst_auto, abs(math.atanh(math.hypot(*map(abs, phi))) - dk) / dk)
+        sd = math.sinh(delta) ** 2
+        rhs = abs(c1 * (z2 - c2) - c2 * (z1 - c1)) ** 2 / (
+            (1.0 - p.norm_sq()) * (1.0 - q.norm_sq()))
+        worst_identity = max(worst_identity, abs(sd - math.sinh(dk) ** 2 - rhs) / (1.0 + sd))
+        lam, mu = (complex(*rng.uniform(-0.7, 0.7, size=2)) for _ in range(2))
+        u, v = from_c2((lam * z1, lam * z2)), from_c2((mu * z1, mu * z2))
+        delta = distance_disc(u, v)
+        worst_line = max(worst_line, abs(kobayashi_distance(u, v) - delta) / (1.0 + delta))
     axis = [float(t) for t in np.linspace(0.0, 0.9, 19)]
     worst_axis = max(abs(_modulus_gap(a, b))
                      for t in axis for a, b in ((t, 0.0), (0.0, t)))
@@ -397,6 +413,9 @@ def kobayashi_suite(rng, n: int) -> Suite:
     s.check("worst_gap_formula", worst_formula, "<=", 1e-10)
     s.check("worst_axis", worst_axis, "<=", 1e-12)
     s.check("min_offaxis_gap", min_gap, ">", 0.0)
+    s.check("worst_automorphism", worst_auto, "<=", 1e-12)
+    s.check("worst_identity", worst_identity, "<=", 1e-12)
+    s.check("worst_complex_line", worst_line, "<=", 1e-12)
     return s
 
 

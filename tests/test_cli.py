@@ -195,6 +195,18 @@ def test_kobayashi_witness(capsys):
     assert data["witness"]["gap"] > 0.03
 
 
+_WITNESS = ('{"witness": {"alpha": 0.5, "beta": 0.5, "Q": 0.4705882, "C": 0.4375, '
+            '"gap": 0.03308824}, "distances": {"poincare": 0.8403499, "kobayashi": 0.7953655}, '
+            '"grid_max_gap": %s}\n')
+
+
+@pytest.mark.parametrize("grid, max_gap", [("2", "0.03308824"), ("6", "0.05091002"),
+                                           ("20", "0.05051597")])
+def test_kobayashi_witness_document_is_byte_stable(capsys, grid, max_gap):
+    # the documents the two image-modulus closed forms printed
+    assert invoke(capsys, "kobayashi-witness", "--grid", grid) == (0, _WITNESS % max_gap)
+
+
 def test_selftest(capsys):
     code, data = invoke_json(capsys, "--seed", "3", "selftest", "--iters", "5")
     assert code == 0

@@ -9,10 +9,9 @@ from qmobius.crossratio import (
     cross_ratio,
     is_concyclic,
     on_quadric,
-    separates,
     transform_quadric,
 )
-from qmobius.errors import CoincidentPoints, NotConcyclic
+from qmobius.errors import CoincidentPoints
 from qmobius.flt import (
     FLT,
     INFINITY,
@@ -109,8 +108,8 @@ def test_cross_ratio_matches_the_written_out_product():
 
 
 def test_coincidence_names_the_first_pair_in_order():
-    # pairs are checked (1,3), (1,4), (2,3), (2,4), (3,4); is_concyclic and
-    # separates check (1,2) before all of them
+    # pairs are checked (1,3), (1,4), (2,3), (2,4), (3,4); is_concyclic
+    # checks (1,2) before all of them
     for pts, pair in (((ZERO, ONE, ZERO, ONE), "q1 and q3"),
                       ((ZERO, ONE, I, ZERO), "q1 and q4"),
                       ((ZERO, I, I, ONE), "q2 and q3"),
@@ -118,9 +117,8 @@ def test_coincidence_names_the_first_pair_in_order():
                       ((ZERO, ONE, INFINITY, ONE), "q2 and q4")):
         with pytest.raises(CoincidentPoints, match=pair):
             cross_ratio(*pts)
-    for check in (is_concyclic, separates):
-        with pytest.raises(CoincidentPoints, match="q1 and q2"):
-            check(ZERO, ZERO, INFINITY, INFINITY)
+    with pytest.raises(CoincidentPoints, match="q1 and q2"):
+        is_concyclic(ZERO, ZERO, INFINITY, INFINITY)
 
 
 # -- covariance laws -----------------------------------------------------
@@ -241,18 +239,9 @@ def test_concyclic_coincident_base_pair_raises():
         is_concyclic(I, I, ONE, -ONE)
 
 
-def test_separates_spot_values():
-    assert separates(ZERO, q(2), ONE, -ONE)  # ratio -3, pairs interleave
-    assert not separates(ZERO, q(0.5), ONE, -ONE)  # ratio 3
-    assert separates(I, -I, ONE, -ONE)  # ratio -1 on the unit circle
-
-
-def test_separates_requires_concyclic_input():
-    with pytest.raises(NotConcyclic):
-        separates(ZERO, ONE, I, ONE + J)
-
-
 def test_separation_matches_angular_interleaving():
+    # on a common circle the cross-ratio is real, and negative exactly when
+    # the pairs (q1, q2) and (q3, q4) separate each other
     rng = make_rng(58)
     for _ in range(50):
         point = random_circle(rng)
@@ -261,8 +250,9 @@ def test_separation_matches_angular_interleaving():
             continue
         t1, t2, t3, t4 = angles
         # (t1, t3) vs (t2, t4) interleave, (t1, t2) vs (t3, t4) do not
-        assert separates(point(t1), point(t3), point(t2), point(t4), tol=1e-6)
-        assert not separates(point(t1), point(t2), point(t3), point(t4), tol=1e-6)
+        for pts, sign in (((t1, t3, t2, t4), -1.0), ((t1, t2, t3, t4), 1.0)):
+            cr = cross_ratio(*map(point, pts))
+            assert cr.im_norm() <= 1e-6 * abs(cr) and cr.w * sign > 0.0
 
 
 # -- quadrics ------------------------------------------------------------

@@ -45,21 +45,10 @@ from pins import outcome
 HALF = Quaternion(0.5, 0.0, 0.0, 0.0)
 T_SKEW = 4.0 / math.sqrt(34.0)  # |j/2 - i/2| / |1 - conj(i/2) j/2|
 EPS = exact.EPS
-# |q|^2 rounds to 1 - 2^-53, but the exact |q|^2 is 1 + 8.5e-18
-OUTSIDE_BY_ROUNDING = (0.5423511255843019, 0.7520647192686067, 0.321282853575334,
-                       0.19243503477112234)
 
 
 def q(w=0.0, x=0.0, y=0.0, z=0.0):
     return Quaternion(float(w), float(x), float(y), float(z))
-
-
-def _at_depth(rng, delta):
-    """A random point with 1 - |q| = delta, rounded into the ball."""
-    while True:
-        p = random_unit_quaternion(rng) * (1.0 - delta)
-        if p.norm_sq() < 1.0:
-            return p
 
 
 # -- normalizing map -----------------------------------------------------
@@ -318,12 +307,12 @@ def test_distance_disc_near_the_sphere_matches_exact_references():
     # up to 5.2e-4 in the distance (about 30) here
     rng = make_rng(11)
     for _ in range(200):
-        p1, p2 = _at_depth(rng, 1e-13), _at_depth(rng, 1e-13)
+        p1, p2 = exact.at_depth(rng, 1e-13), exact.at_depth(rng, 1e-13)
         assert exact.rel_err(distance_disc(p1, p2), exact.dist_ball(p1, p2)) <= 8 * EPS, (p1, p2)
 
 
 def test_a_point_whose_exact_gap_is_not_positive_is_out_of_domain():
-    p = q(*OUTSIDE_BY_ROUNDING)
+    p = q(*exact.OUTSIDE_BY_ROUNDING)
     assert p.norm_sq() < 1.0 and exact.one_minus_norm_sq(p) < 0
     for f, args in ((distance_disc, (p, HALF)), (distance_disc, (HALF, p)),
                     (metric_disc, (p, ONE)), (geodesic_disc, (p, HALF))):
@@ -391,7 +380,7 @@ def test_metric_disc_spot_values():
 def test_metric_disc_near_the_sphere_matches_exact_references():
     rng = make_rng(11)
     for _ in range(200):
-        p, tau = _at_depth(rng, 1e-13), random_quaternion(rng, 3.0)
+        p, tau = exact.at_depth(rng, 1e-13), random_quaternion(rng, 3.0)
         assert exact.rel_err(metric_disc(p, tau), exact.metric_disc(p, tau)) <= 4 * EPS, p
 
 
@@ -399,6 +388,22 @@ def test_metric_halfspace_spot_values():
     assert metric_halfspace(ONE, ONE) == 0.5
     assert metric_halfspace(ONE, J * 2) == 1.0
     assert metric_halfspace(HALF, ONE) == 1.0
+
+
+def test_metric_halfspace_matches_exact_references():
+    # 2 Re q overflowed past Re q = 8.99e307, which gave 0.0 here
+    assert metric_halfspace(q(1e308), ONE) == pytest.approx(5e-309, rel=1e-14, abs=0.0)
+    rng = make_rng(12)
+    checked = 0
+    top = math.log10(1.79e308)
+    for lo in [-300.0] * 1000 + [math.log10(8.99e307)] * 200:  # and where 2 Re q overflows
+        p = q(10.0 ** rng.uniform(lo, top), *random_imaginary(rng)[1:])
+        tau = random_quaternion(rng) * 10.0 ** rng.uniform(-300.0, 300.0)
+        m = metric_halfspace(p, tau)
+        if 2.0 ** -1022 <= m < math.inf:
+            assert exact.rel_err(m, exact.metric_half(p, tau)) <= 2 * EPS, (p, tau)
+            checked += 1
+    assert checked > 600
 
 
 def test_metric_domain_errors():
@@ -602,7 +607,7 @@ def test_cayley_near_the_sphere_matches_exact_values(delta):
     # through apply, the real part cancelled: 2e-3 off at 1 - |q| = 1e-13
     rng = make_rng(11)
     for _ in range(200):
-        p = _at_depth(rng, delta)
+        p = exact.at_depth(rng, delta)
         for got, want in zip(cayley(p), exact.cayley(p)):
             assert exact.rel_err(got, want) <= 4 * EPS, (p, got, want)
 
@@ -700,11 +705,31 @@ def test_distance_halfspace_is_bit_identical_to_the_operator_form():
             r, m = 10.0 ** rng.uniform(-300.0, 300.0), 10.0 ** rng.uniform(-300.0, 300.0)
             return q(h.w * r, h.x * m, h.y * m, h.z * m)
         pairs.append((point(), point()))
+    # the rescaled branch: a subnormal root product, or a subnormal gap (pinned
+    # to exact references below, since the operator form rounds that gap)
     kept = [(a, b) for a, b in pairs
-            if not (a.w > 0.0 and b.w > 0.0 and math.sqrt(a.w) * math.sqrt(b.w) < 2.0 ** -1022)]
+            if not (a.w > 0.0 and b.w > 0.0 and (math.sqrt(a.w) * math.sqrt(b.w) < 2.0 ** -1022
+                                                 or abs(a - b) < 2.0 ** -1022))]
     assert len(kept) > 0.9 * len(pairs)
     for a, b in kept:
         assert outcome(distance_halfspace, a, b) == outcome(_operator_distance_halfspace, a, b)
+
+
+def test_distance_halfspace_with_a_subnormal_gap_matches_exact_references():
+    # the gap rounded to the 2^-1074 grid was 3.8e-9 relative off here
+    a, b = q(1e-300), q(1e-300, 3e-316, 4e-316, 1e-317)
+    assert exact.rel_err(distance_halfspace(a, b), exact.dist_half(a, b)) <= 4 * EPS
+    rng = make_rng(75)
+    checked = 0
+    for _ in range(300):
+        a = q(10.0 ** rng.uniform(-310.0, -280.0),
+              *(random_imaginary(rng) * 10.0 ** rng.uniform(-310.0, -280.0))[1:])
+        b = q(*(u + v for u, v in zip(a, random_quaternion(rng) * 10.0 ** rng.uniform(-323.0, -308.0))))
+        want = exact.dist_half(a, b) if b.w > 0.0 else 0
+        if abs(a - b) < 2.0 ** -1022 and want >= 2.0 ** -1022:  # a normal result
+            assert exact.rel_err(distance_halfspace(a, b), want) <= 4 * EPS, (a, b)
+            checked += 1
+    assert checked > 100
 
 
 def test_distance_halfspace_where_the_root_product_is_subnormal():

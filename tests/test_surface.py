@@ -1,0 +1,42 @@
+"""The documented surface has a home in the code: every constant in
+README's constants table exists where its row says, and every error type
+is raised somewhere, so neither outlives the code that used it."""
+
+import functools
+import importlib
+import inspect
+import re
+from pathlib import Path
+
+from qmobius import errors
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "qmobius"
+
+
+def _constant_rows():
+    """(names, where) of each row of README's constants table."""
+    text = (ROOT / "README.md").read_text()
+    table = text.split("| constant | value | where |", 1)[1].split("\n\n", 1)[0]
+    for line in table.splitlines()[2:]:
+        cells = [c.strip() for c in line.strip("|").split("|")]
+        yield re.findall(r"`([^`]+)`", cells[0]), re.findall(r"`([^`]+)`", cells[2])[0]
+
+
+def test_readme_constants_exist_and_every_error_type_is_raised():
+    rows = list(_constant_rows())
+    assert len(rows) >= 5
+    for names, where in rows:
+        module, *path = where.split(".")
+        mod = importlib.import_module(f"qmobius.{module}")
+        functools.reduce(getattr, path, mod)  # a row may name a function of the module
+        for name in names:
+            assert hasattr(mod, name), (name, where)
+
+    source = "\n".join(p.read_text() for p in SRC.glob("*.py"))
+    subclasses = [c for _, c in inspect.getmembers(errors, inspect.isclass)
+                  if issubclass(c, errors.GeometryError) and c is not errors.GeometryError]
+    assert len(subclasses) >= 10
+    unraised = [c.__name__ for c in subclasses
+                if not re.search(rf"raise {c.__name__}\b", source)]
+    assert not unraised, unraised
