@@ -1,11 +1,10 @@
 """Quaternionic Moebius transformations and the invariant hyperbolic
 geometry of the unit ball and half-space."""
 
-from .errors import (BothZero, CoincidentPoints, ConstraintViolation,
-                     DegenerateResult, DivisionByZero, GeometryError,
-                     InternalNumericError, NonFiniteResult, NonImaginaryShift,
-                     NotOnSphere, NotSp11, OutOfDomain, PoleInput, RealInput,
-                     Singular, TooFewSamples, ZeroD)
+from .errors import (BothZero, CoincidentPoints, ConstraintViolation, DegenerateResult,
+                     DivisionByZero, GeometryError, NonFiniteResult, NonImaginaryShift,
+                     NotOnSphere, NotSp11, OutOfDomain, PoleInput, RealInput, Singular,
+                     TooFewSamples, ZeroD)
 from .quat import (I, J, K, ONE, TOL, ZERO, Quaternion, conjugate_sphere_check,
                    imaginary_unit, isclose, on_sphere, slice_decompose)
 from .mat2h import (CAYLEY, CAYLEY_INV, GroupTag, H_FORM, K_FORM, Mat2H,

@@ -25,11 +25,6 @@ class Singular(GeometryError):
     """Matrix has (numerically) vanishing Dieudonne determinant."""
 
 
-class InternalNumericError(GeometryError):
-    """A quantity that is nonnegative in exact arithmetic came out badly negative,
-    or two redundant computation paths disagreed."""
-
-
 class BothZero(GeometryError):
     """The second row of the coefficient matrix vanishes; the map is undefined."""
 

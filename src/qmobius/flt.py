@@ -128,10 +128,10 @@ def is_constant(A: Mat2H, tol: float | None = None) -> bool:
     """Whether the formula (a q + b)(c q + d)^-1 collapses to one value.
 
     This happens exactly when det_h(A) = 0; the constant value is then
-    b d^-1 (or a c^-1 when d = 0).  The determinant of an exactly
-    rank-one matrix evaluates to about sqrt(machine epsilon) times the
-    squared entry scale, so the default gate matches the singularity
-    gate of the inverse rather than the comparison tolerance.
+    b d^-1 (or a c^-1 when d = 0).  The default gate is the singularity
+    gate of the inverse rather than the comparison tolerance; det_h of an
+    exactly rank-one matrix evaluates to a few machine epsilon times the
+    squared entry scale, far below it.
     """
     # judge A 2^-e, of entry scale in [1/2, 1): the question is projective
     e = frexp(A.entry_scale())[1]

@@ -51,14 +51,21 @@ def ball_automorphism(a: ComplexPair, z: ComplexPair) -> ComplexPair:
         phi_a(z) = (a - P_a z - s_a Q_a z) / (1 - <z, a>),
 
     with P_a the orthogonal projection onto C a, Q_a = 1 - P_a and
-    s_a = sqrt(1 - |a|^2) (Rudin, section 2.2); phi_a is an involution.
+    s_a = sqrt(1 - |a|^2) (Rudin, section 2.2); phi_a is an involution.  It
+    is taken as (P_a w + s_a Q_a w) / (1 - <z, a>) with w = a - z, and the real
+    part of 1 - <z, a> as (g_a + g_z + |w|^2) / 2, g = 1 - |.|^2 by the ball's
+    domain rule: no term cancels as a or z nears the sphere.
     """
+    ga, gz = _one_minus_norm_sq(*from_c2(a), 1.0), _one_minus_norm_sq(*from_c2(z), 1.0)
+    if ga <= 0.0 or gz <= 0.0:
+        raise OutOfDomain(f"{a if ga <= 0.0 else z} is not in the open unit ball")
+    w = (a[0] - z[0], a[1] - z[1])
     aa = abs(a[0]) ** 2 + abs(a[1]) ** 2
-    za = z[0] * a[0].conjugate() + z[1] * a[1].conjugate()
-    t = za / aa if aa else 0j  # P_a z = t a
-    s = math.sqrt(1.0 - aa)
-    return tuple((ai - t * ai - s * (zi - t * ai)) / (1.0 - za)
-                 for ai, zi in zip(a, z))
+    wa = w[0] * a[0].conjugate() + w[1] * a[1].conjugate()
+    t = wa / aa if aa else 0j  # P_a w = t a
+    s = math.sqrt(ga)
+    den = complex(0.5 * (ga + gz + abs(w[0]) ** 2 + abs(w[1]) ** 2), wa.imag)
+    return tuple((t * ai + s * (wi - t * ai)) / den for ai, wi in zip(a, w))
 
 
 def kobayashi_distance(p: Quaternion, q: Quaternion) -> float:

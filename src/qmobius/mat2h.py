@@ -3,12 +3,13 @@
 The scalar field is noncommutative, so there is no ordinary determinant;
 det_h below is the Dieudonne determinant, the nonnegative real
 
-    det_h([[a, b], [c, d]]) = sqrt(|a|^2 |d|^2 + |c|^2 |b|^2 - 2 Re(c conj(a) b conj(d)))
+    det_h([[a, b], [c, d]]) = |a| |d - c a^-1 b|   (= |b| |c - d b^-1 a|)
 
-which is multiplicative and vanishes exactly on the non-invertible
-matrices.  For real or complex entries it reduces to |ad - bc|.
+whose square is |a|^2 |d|^2 + |c|^2 |b|^2 - 2 Re(c conj(a) b conj(d)); it is
+multiplicative and vanishes exactly on the non-invertible matrices.  For
+real or complex entries it reduces to |ad - bc|.
 
-The scalar operations work on unpacked float components, with the
+The other scalar operations work on unpacked float components, with the
 operations of the Quaternion operators in their order, so each result is
 bit-identical to its operator expression (tests/test_mat2h.py pins this).
 """
@@ -20,8 +21,8 @@ from enum import Enum
 from math import hypot
 from typing import NamedTuple
 
-from .errors import InternalNumericError, NonFiniteResult, Singular
-from .quat import N2_HUGE, N2_TINY, ONE, TOL, ZERO, Quaternion, _ldexp_q, _new, _tol, isclose
+from .errors import NonFiniteResult, Singular
+from .quat import N2_HUGE, N2_TINY, ONE, ZERO, Quaternion, _ldexp_q, _new, _tol, isclose
 
 
 class Mat2H(NamedTuple):
@@ -81,49 +82,35 @@ def _mul_add(p: Quaternion, q: Quaternion, r: Quaternion, s: Quaternion) -> Quat
         (pw * qz + px * qy - py * qx + pz * qw) + (rw * sz + rx * sy - ry * sx + rz * sw)))
 
 
-def _row_exponent(p: Quaternion, q: Quaternion) -> int:
-    """e with 2^(e-1) <= the largest component modulus of the row < 2^e."""
-    return math.frexp(max(abs(x) for x in (*p, *q)))[1]
-
-
 def det_h(A: Mat2H) -> float:
     """Dieudonne determinant; multiplicative and zero iff A is singular."""
     (aw, ax, ay, az), (bw, bx, by, bz), (cw, cx, cy, cz), (dw, dx, dy, dz) = A
-    t = ((aw * aw + ax * ax + ay * ay + az * az) * (dw * dw + dx * dx + dy * dy + dz * dz)
-         + (cw * cw + cx * cx + cy * cy + cz * cz) * (bw * bw + bx * bx + by * by + bz * bz))
-    if not N2_TINY <= t < math.inf:
-        a, b, c, d = A
-        # every radicand term takes one factor from each row, so scaling
-        # row i by 2^-e_i is exact and scales det_h by 2^-(e_1 + e_2); the
-        # components are scaled directly, since 2^-e_i may not be a float
-        e1, e2 = _row_exponent(a, b), _row_exponent(c, d)
-        if e1 or e2:  # the balanced matrix has e1 = e2 = 0: no deeper call
-            balanced = det_h(Mat2H(_ldexp_q(a, -e1), _ldexp_q(b, -e1),
-                                   _ldexp_q(c, -e2), _ldexp_q(d, -e2)))
-            try:
-                return math.ldexp(balanced, e1 + e2)
-            except OverflowError:
-                return math.inf
-    # p = c conj(a), r = p b, and the real part of r conj(d); y (-z) is
-    # -(y z) bit for bit, since rounding is symmetric in sign
+    s, t = hypot(aw, ax, ay, az), hypot(bw, bx, by, bz)
+    if s < t:  # pivot on the larger of a, b, as inverse does; a column swap keeps det_h
+        aw, ax, ay, az, bw, bx, by, bz, cw, cx, cy, cz, dw, dx, dy, dz, s = (
+            bw, bx, by, bz, aw, ax, ay, az, dw, dx, dy, dz, cw, cx, cy, cz, t)
+    if not s:  # a whole row is zero
+        return 0.0
+    # p = c conj(u) with the unit u = a / |a|, so |a| |d - c a^-1 b| = ||a| d - p b|:
+    # no term exceeds |a||d| or |c||b|, and none leaves float range before those do
+    aw, ax = aw / s, ax / s  # pairs: a four-tuple would cost a tuple per call
+    ay, az = ay / s, az / s
     pw = cw * aw + cx * ax + cy * ay + cz * az
     px = -cw * ax + cx * aw - cy * az + cz * ay
     py = -cw * ay + cx * az + cy * aw - cz * ax
     pz = -cw * az - cx * ay + cy * ax + cz * aw
-    rw = pw * bw - px * bx - py * by - pz * bz
-    rx = pw * bx + px * bw + py * bz - pz * by
-    ry = pw * by - px * bz + py * bw + pz * bx
-    rz = pw * bz + px * by - py * bx + pz * bw
-    rad = t - 2.0 * (rw * dw + rx * dx + ry * dy + rz * dz)
-    if rad < 0.0:
-        # the radicand is a square in exact arithmetic; tiny negatives are
-        # cancellation noise, anything larger is a genuine bug
-        if -rad <= TOL + TOL * t:
-            rad = 0.0
-        else:
-            raise InternalNumericError(
-                f"determinant radicand {rad} negative beyond tolerance")
-    return math.sqrt(rad)
+    det = hypot(s * dw - (pw * bw - px * bx - py * by - pz * bz),
+                s * dx - (pw * bx + px * bw + py * bz - pz * by),
+                s * dy - (pw * by - px * bz + py * bw + pz * bx),
+                s * dz - (pw * bz + px * by - py * bx + pz * bw))
+    if det < math.inf:
+        return det
+    # |a||d| or |c||b| overflowed: |a| |d - p (b / |a|)| has terms at most |d| and |c|
+    bw, bx, by, bz = bw / s, bx / s, by / s, bz / s
+    return s * hypot(dw - (pw * bw - px * bx - py * by - pz * bz),
+                     dx - (pw * bx + px * bw + py * bz - pz * by),
+                     dy - (pw * by - px * bz + py * bw + pz * bx),
+                     dz - (pw * bz + px * by - py * bx + pz * bw))
 
 
 # -- batched kernels: (n, 4, 4) stacks of entries (a, b, c, d) by components
@@ -166,39 +153,24 @@ def mat_mul_many(A, B):
     return out.transpose(2, 0, 1)
 
 
-def _det_h_planes(a, b, c, d) -> tuple:
-    """det_h of each matrix given as entry planes, with the radicand and the
-    clamp of the scalar, and the radicand's t = |a|^2|d|^2 + |c|^2|b|^2."""
-    import numpy as np
-    t = _norm_sq(a) * _norm_sq(d) + _norm_sq(c) * _norm_sq(b)
-    conj = np.array([[1.0], [-1.0], [-1.0], [-1.0]])
-    pw, px, py, pz = qmul_planes(c, a * conj)
-    rw, rx, ry, rz = qmul_planes(b, d * conj)
-    rad = t - 2.0 * (pw * rw - px * rx - py * ry - pz * rz)
-    neg = rad < 0.0
-    if np.any(neg):
-        bound = TOL + TOL * t
-        if np.any(-rad[neg] > bound[neg]):
-            raise InternalNumericError(
-                "determinant radicand negative beyond tolerance")
-        rad = np.where(neg, 0.0, rad)
-    return np.sqrt(rad), t
-
-
 def det_h_many(M):
-    """det_h of each matrix, with the radicand, the clamp and the rescue of
-    the scalar; overflow and invalid operations stay silent, as there."""
+    """det_h of each matrix by det_h's form pivoted on a, ||a| d - p b|.  Rows
+    where |a|^2, or det_h^2 unless det_h = 0, leaves [N2_TINY, N2_HUGE), or
+    where |a|^2 < 2^-52 |b|^2, are taken by det_h itself."""
     import numpy as np
-    P = _planes(M)
-    with np.errstate(over="ignore", invalid="ignore"):
-        det, t = _det_h_planes(*P)
-        redo = ~((t >= N2_TINY) & (t < math.inf))
-        if np.any(redo):
-            # det_h's rescue on those rows, e the exponent of rows a, b and c, d
-            sub = P[:, :, redo]
-            e = np.frexp(np.abs(sub).reshape(2, 8, -1).max(axis=1))[1]
-            balanced = np.ldexp(sub, -np.repeat(e, 2, axis=0)[:, None, :])
-            det[redo] = np.ldexp(_det_h_planes(*balanced)[0], e.sum(axis=0))
+    a, b, c, d = P = _planes(M)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        a2 = _norm_sq(a)
+        s = np.sqrt(a2)
+        p = qmul_planes(c, a / s * np.array([[1.0], [-1.0], [-1.0], [-1.0]]))
+        X = [s * dk - rk for dk, rk in zip(d, qmul_planes(p, b))]
+        x2 = _norm_sq(X)
+        redo = ~((a2 >= N2_TINY) & (a2 < N2_HUGE) & (x2 < N2_HUGE) & (a2 * 2 ** 52 >= _norm_sq(b)))
+        tiny = np.flatnonzero(x2 < N2_TINY)  # an exact X = 0 is det_h 0 here
+        redo[tiny[np.any([Xk[tiny] for Xk in X], axis=0)]] = True
+        det = np.sqrt(x2)
+    for i in np.flatnonzero(redo):
+        det[i] = det_h(Mat2H(*(Quaternion(*e) for e in P[:, :, i].tolist())))
     return det
 
 
@@ -238,8 +210,9 @@ def inverse(A: Mat2H) -> Mat2H:
             return _ldexp_m(inverse(_ldexp_m(A, -e)), -e)
         except OverflowError:
             raise NonFiniteResult(f"an inverse of scale 1/{scale:g} overflows") from None
-    if det_h(A) <= SINGULAR_REL * scale * scale:
-        raise Singular(f"matrix with det_h {det_h(A)} is numerically singular")
+    dh = det_h(A)
+    if dh <= SINGULAR_REL * scale * scale:
+        raise Singular(f"matrix with det_h {dh} is numerically singular")
     # pivot on the larger entry of the first row: scale-invariant, and
     # that entry is nonzero past the gate
     if abs(A.a) >= abs(A.b):

@@ -76,20 +76,28 @@ class Suite:
 
 
 def binet_suite(rng, n: int) -> Suite:
-    """det_h is multiplicative, on the batched kernels pinned to the scalar."""
+    """det_h is multiplicative, on the batched kernels pinned to the scalar, and
+    det_h(A)^2 = |det chi(A)|, chi(A) complex 4x4 with each entry alpha + beta j
+    (to_c2's pair) as [[alpha, beta], [-conj beta, conj alpha]] (Aslaksen, 1996)."""
     s = Suite(n_checked=n)
     # components in [-5, 5] keep every entry modulus at most 10
     comps = rng.uniform(-5.0, 5.0, size=(n, 8, 4))
     As = comps[:, :4, :].copy()
     Bs = comps[:, 4:, :].copy()
-    agree = 0.0
+    agree = image = 0.0
     det_a = det_h_many(As)
-    for i in range(min(n, 100)):
-        A = Mat2H(*(Quaternion(*(float(t) for t in row)) for row in As[i]))
-        agree = max(agree, abs(det_a[i] - det_h(A)) / (1.0 + det_a[i]))
+    k = min(n, 100)
+    alpha, beta = As[:k, :, 0] + 1j * As[:k, :, 1], As[:k, :, 2] + 1j * As[:k, :, 3]
+    chi = np.stack([alpha, beta, -beta.conj(), alpha.conj()], -1).reshape(k, 2, 2, 2, 2)
+    roots = np.sqrt(np.abs(np.linalg.det(chi.transpose(0, 1, 3, 2, 4).reshape(k, 4, 4))))
+    for i in range(k):
+        dh = det_h(Mat2H(*(Quaternion(*(float(t) for t in row)) for row in As[i])))
+        agree = max(agree, abs(det_a[i] - dh) / (1.0 + det_a[i]))
+        image = max(image, abs(roots[i] - dh) / (1.0 + dh))
     lhs = det_h_many(mat_mul_many(As, Bs))
     rhs = det_a * det_h_many(Bs)
     s.check("scalar_agree", agree, "<=", 1e-12)
+    s.check("complex_image", image, "<=", 1e-12)
     s.check("worst_rel", np.max(np.abs(lhs - rhs) / (1.0 + rhs), initial=0.0),
             "<=", 1e-9)
     return s

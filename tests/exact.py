@@ -57,6 +57,15 @@ def cayley(q) -> tuple:
     return tuple(c / norm_sq(v) for c in num)
 
 
+def det_h_sq(A) -> Fraction:
+    """det_h(A)^2 = |a|^2 |d|^2 + |c|^2 |b|^2 - 2 Re(c conj(a) b conj(d)),
+    exactly, for A = (a, b, c, d)."""
+    a, b, c, d = (as_fractions(e) for e in A)
+    r = qmul(qmul(c, (a[0], -a[1], -a[2], -a[3])), b)
+    re = sum(x * y for x, y in zip(r, d))  # Re(r conj(d))
+    return norm_sq(a) * norm_sq(d) + norm_sq(c) * norm_sq(b) - 2 * re
+
+
 def decimal(r: Fraction) -> Decimal:
     with localcontext(_DEC):
         return Decimal(r.numerator) / Decimal(r.denominator)

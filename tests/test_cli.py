@@ -41,6 +41,13 @@ def test_det(capsys):
     assert data == {"det": 2}
 
 
+def test_det_of_rows_split_at_1e155(capsys):
+    # scaling the rows apart once took b and d to subnormals and printed 0
+    code, data = invoke_json(capsys, "det", "[[1e155,0,0,0],[1e-155,0,0,0],"
+                                            "[1e155,0,0,0],[2e-155,0,0,0]]")
+    assert (code, data) == (0, {"det": 1})
+
+
 def test_inv_and_normalize(capsys):
     code, data = invoke_json(
         capsys, "inv", "[[1,0,0,0],[0,0,0,0],[0,0,0,0],[2,0,0,0]]")

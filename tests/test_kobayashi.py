@@ -187,6 +187,29 @@ def test_gap_positive_off_the_axes():
 # -- the complex-ball automorphism ---------------------------------------
 
 
+def test_ball_automorphism_checks_its_domain():
+    # outside the ball, and outside by the ball's rule (|a|^2 is 1 + 4.4e-17
+    # exactly): a bare ValueError and ZeroDivisionError without the check
+    for a, z in (((1.5 + 0j, 0j), (0j, 0j)), ((0.6 + 0j, 0.8 + 0j), (0.6 + 0j, 0.8 + 0j)),
+                 ((0j, 0j), (1.5 + 0j, 0j))):
+        with pytest.raises(OutOfDomain):
+            ball_automorphism(a, z)
+
+
+@pytest.mark.parametrize("delta", [1e-4, 1e-8, 1e-13])
+def test_ball_automorphism_near_the_sphere(delta):
+    # phi_a(a) = 0 exactly and phi_a(0) = a, though 1 - <a, a> is only about
+    # 2 delta, and |phi_a(z)| = tanh d_K(a, z)
+    rng = make_rng(85)
+    for _ in range(100):
+        p, q = exact.at_depth(rng, delta), random_ball_point(rng, 0.9)
+        a, z = to_c2(p), to_c2(q)
+        assert ball_automorphism(a, a) == (0j, 0j)
+        assert max(abs(c - d) for c, d in zip(ball_automorphism(a, (0j, 0j)), a)) <= 1e-15
+        phi = ball_automorphism(a, z)
+        assert abs(math.hypot(*map(abs, phi)) - math.tanh(kobayashi_distance(p, q))) <= 1e-15
+
+
 def test_ball_automorphism_swaps_a_and_zero_and_is_an_involution():
     rng = make_rng(84)
     for _ in range(200):

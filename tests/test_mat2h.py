@@ -2,11 +2,13 @@
 
 import math
 import warnings
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
 
-from qmobius.errors import InternalNumericError, Singular
+from qmobius import mat2h
+from qmobius.errors import Singular
 from qmobius.mat2h import (
     CAYLEY,
     CAYLEY_INV,
@@ -37,6 +39,7 @@ from qmobius.sampling import (
     random_sp11,
 )
 
+import exact
 from pins import outcome
 
 
@@ -121,6 +124,88 @@ def test_det_real_scalar_multiple():
                                                        rel=1e-9, abs=1e-12)
 
 
+# -- det_h against exact references ----------------------------------------
+
+# two matrices whose columns split at 1e+-155 and 1e+-200, where balancing
+# the rows once took b and d to subnormals and gave 0; det_h is 1 and 2
+SPLIT_COLUMNS = (Mat2H(q(1e155), q(1e-155), q(1e155), q(2e-155)),
+               Mat2H(q(1e200), q(1e-200), q(1e200), q(3e-200)))
+
+
+def exact_det_cases():
+    """Interior, near-singular (rank one plus a relative 1e-4 or 1e-8),
+    rank-one matrices at scales 1, 1e+-150, 1e155 (where |a||d| and |c||b|
+    overflow but det_h need not) and 1e+-300, and matrices whose rows or
+    columns are split by those scales; last, b c / |a| below the normal
+    range and a rank-one matrix whose every product overflows."""
+    rng = make_rng(3)
+    for scale in (1.0, 1e150, 1e-150, 1e155, 1e300, 1e-300):
+        for p in (None, 1e-4, 1e-8, 0.0):
+            for _ in range(12):
+                M = random_matrix(rng, scale)
+                if p is not None:
+                    k = random_quaternion(rng, 1.0)
+                    M = Mat2H(k * M.c, k * M.d, M.c, M.d)
+                    M = Mat2H(*(x + random_quaternion(rng, p * scale) for x in M)) if p else M
+                yield M
+    for s in (1e150, 1e300, 1e-150, 1e-300):
+        for _ in range(12):
+            M = random_matrix(rng, 1.0)
+            k = random_quaternion(rng, 1.0)
+            for A in (M, Mat2H(k * M.c, k * M.d, M.c, M.d)):
+                yield Mat2H(A.a * s, A.b * s, A.c * (1.0 / s), A.d * (1.0 / s))
+                yield Mat2H(A.a * s, A.b * (1.0 / s), A.c * s, A.d * (1.0 / s))
+    yield from SPLIT_COLUMNS
+    yield Mat2H(q(1e200), q(1e-200), q(1.0), q(0.0))
+    yield Mat2H(q(1e160), q(1e160), q(1e160), q(1e160))
+
+
+def det_h_err(got: float, A: Mat2H) -> float:
+    """|got - det_h(A)| over the bound 8 eps min(scale^2, m) + 2^-1071: det_h(A)
+    the 50-digit root of exact.det_h_sq, m the root of |a|^2 |d|^2 + |b|^2 |c|^2
+    (at most |a||d| + |b||c|, a real bound where rows or columns split) and
+    2^-1071 a few subnormal spacings.  0 for inf where the exact value
+    overflows."""
+    n2 = [exact.norm_sq(e) for e in A]
+    with localcontext(exact._DEC):
+        want = exact.decimal(exact.det_h_sq(A)).sqrt()
+        if want >= Decimal(2.0 ** 1023) * (2 - Decimal(2) ** -53):
+            return 0.0 if got == math.inf else math.inf
+        mixed = exact.decimal(n2[0] * n2[3] + n2[1] * n2[2]).sqrt()
+        bound = 8 * Decimal(exact.EPS) * min(exact.decimal(max(n2)), mixed)
+        return float(abs(Decimal(got) - want) / (bound + Decimal(2.0 ** -1071)))
+
+
+def test_det_h_and_det_h_many_match_exact_references():
+    cases = list(exact_det_cases())
+    many = det_h_many(np.array([[tuple(e) for e in A] for A in cases]))
+    for A, dh in zip(cases, many):
+        assert det_h_err(det_h(A), A) <= 1.0, A
+        assert det_h_err(float(dh), A) <= 1.0, A
+    assert [det_h(A) for A in SPLIT_COLUMNS] == [1.0, 2.0]
+    assert list(det_h_many(np.array([[tuple(e) for e in A] for A in SPLIT_COLUMNS]))) == [1.0, 2.0]
+
+
+def test_bulk_det_calls_the_scalar_only_beyond_the_planes_range(monkeypatch):
+    rng = make_rng(24)
+    n = 10_000
+    stack = rng.uniform(-2.0, 2.0, size=(n, 4, 4))
+    k, c, d = (rng.uniform(-2.0, 2.0, size=(4, n)) for _ in range(3))
+    rank_one = np.stack([np.array(qmul_planes(k, c)).T, np.array(qmul_planes(k, d)).T,
+                         c.T, d.T], axis=1)
+    stack[1::3] = rank_one[1::3]
+    stack[2::3] = rank_one[2::3] + 1e-8 * rng.normal(size=(len(stack[2::3]), 4, 4))
+    calls, scalar = [], mat2h.det_h  # det_h_many's calls of the scalar det_h
+    monkeypatch.setattr(mat2h, "det_h", lambda A: calls.append(A) or scalar(A))
+    dets = det_h_many(stack)
+    assert calls == []
+    assert (dets[1::3] <= 8 * exact.EPS * (stack[1::3] ** 2).sum(axis=2).max(axis=1)).all()
+    # the rescue test's four extreme rows take one scalar call each, and no
+    # other row does (the test's own det_h is not the patched one)
+    test_bulk_det_rescues_rows_beyond_squared_norm_range()
+    assert [A.a.w for A in calls] == [1e100, 1e-100, 1e-310, 1e200]
+
+
 # -- multiplication ------------------------------------------------------
 
 
@@ -160,8 +245,8 @@ def test_bulk_matrix_ops_match_scalar():
 
 
 def test_bulk_det_clamps_rank_one_noise():
-    # exact rank-one rows: the radicand cancels to float noise and must
-    # clamp to a tiny nonnegative value rather than raise
+    # exact rank-one rows: the Schur complement is rounding noise, so det_h
+    # is a few eps times the squared entry scale, never more
     rng = make_rng(18)
     rows = []
     for _ in range(10):
@@ -169,8 +254,9 @@ def test_bulk_det_clamps_rank_one_noise():
         d = random_quaternion(rng, 2.0)
         k = random_quaternion(rng, 2.0)
         rows.append([tuple(k * c), tuple(k * d), tuple(c), tuple(d)])
-    dets = det_h_many(np.array(rows, dtype=float))
-    assert (dets <= 1e-5).all()
+    stack = np.array(rows, dtype=float)
+    scale_sq = (stack * stack).sum(axis=2).max(axis=1)
+    assert (det_h_many(stack) <= 8 * exact.EPS * scale_sq).all()
 
 
 def as_mat(row) -> Mat2H:
@@ -304,27 +390,6 @@ def test_normalize():
 # -- the scalar layer on components, pinned to the operator expressions ---
 
 
-def _operator_det_h(A):
-    a, b, c, d = A
-    t = a.norm_sq() * d.norm_sq() + c.norm_sq() * b.norm_sq()
-    if not N2_TINY <= t < math.inf:
-        e1 = math.frexp(max(abs(x) for x in (*a, *b)))[1]
-        e2 = math.frexp(max(abs(x) for x in (*c, *d)))[1]
-        if e1 or e2:
-            balanced = _operator_det_h(Mat2H(_ldexp_q(a, -e1), _ldexp_q(b, -e1),
-                                             _ldexp_q(c, -e2), _ldexp_q(d, -e2)))
-            try:
-                return math.ldexp(balanced, e1 + e2)
-            except OverflowError:
-                return math.inf
-    rad = t - 2.0 * (c * a.conj() * b * d.conj()).w
-    if rad < 0.0:
-        if -rad > TOL + TOL * t:
-            raise InternalNumericError("negative radicand")
-        rad = 0.0
-    return math.sqrt(rad)
-
-
 def _operator_matmul(A, B):
     a1, b1, c1, d1 = A
     a2, b2, c2, d2 = B
@@ -336,7 +401,7 @@ def _operator_normalize(A):
     if not N2_TINY <= scale * scale < N2_HUGE:
         e = math.frexp(scale)[1]
         return _operator_normalize(Mat2H(*(_ldexp_q(x, -e) for x in A)))
-    dh = _operator_det_h(A)
+    dh = det_h(A)  # pinned to exact references above
     if dh <= SINGULAR_REL * scale * scale:
         raise Singular("singular")
     s = 1.0 / math.sqrt(dh)
@@ -365,7 +430,7 @@ def _signed_zeros(rng, A):
 
 def _layer_pin_cases():
     """Random, rank-one, near-singular, signed-zero and split-scale
-    matrices at each scale; 1e+-150 and 1e+-200 take det_h's rescue."""
+    matrices at each scale; 1e+-150 and 1e+-200 take normalize's rescale."""
     rng = make_rng(2027)
     for scale in (1.0, 1e3, 1e-3, 1e150, 1e-150, 1e200, 1e-200):
         for _ in range(30):
@@ -381,15 +446,15 @@ def _layer_pin_cases():
 
 def test_scalar_layer_is_bit_identical_to_the_operator_expressions():
     cases = list(_layer_pin_cases())
-    pairs = ((det_h, _operator_det_h), (normalize, _operator_normalize),
+    pairs = ((normalize, _operator_normalize),
              (inverse_form_a, _operator_inverse_form_a),
              (inverse_form_b, _operator_inverse_form_b))
     for A, B in zip(cases, cases[1:] + cases[:1]):
         for fast, reference in pairs:
             assert outcome(fast, A) == outcome(reference, A), (fast.__name__, A)
         assert outcome(Mat2H.__matmul__, A, B) == outcome(_operator_matmul, A, B), (A, B)
-    rescued = sum(not N2_TINY <= A.a.norm_sq() * A.d.norm_sq() + A.c.norm_sq()
-                  * A.b.norm_sq() < math.inf for A in cases)
+    scales = [A.entry_scale() for A in cases]
+    rescued = sum(not N2_TINY <= s * s < N2_HUGE for s in scales)
     assert rescued > len(cases) // 3
 
 
