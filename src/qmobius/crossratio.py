@@ -16,7 +16,7 @@ from typing import NamedTuple
 from .errors import CoincidentPoints, DegenerateResult
 from .flt import FLT, INFINITY, ExtQuaternion, generator_inverse, generator_matrix
 from .mat2h import Mat2H
-from .quat import N2_HUGE, N2_TINY, ONE, TOL, Quaternion, _new, _tol, coincident
+from .quat import N2_HUGE, N2_TINY, ONE, TOL, Quaternion, _new, bound, coincident, negligible
 
 
 def cross_ratio(q1: ExtQuaternion, q2: ExtQuaternion, q3: ExtQuaternion,
@@ -89,13 +89,13 @@ def is_concyclic(q1: ExtQuaternion, q2: ExtQuaternion, q3: ExtQuaternion,
                  q4: ExtQuaternion, tol: float | None = None) -> bool:
     """Whether the four (distinct) points lie on one circle or line.
 
-    This holds exactly when the cross-ratio is real.  Unlike cross_ratio,
-    q1 = q2 raises CoincidentPoints instead of giving 1.
+    This holds exactly when the cross-ratio, dimensionless, is real (m = 1 + |cr|).
+    Unlike cross_ratio, q1 = q2 raises CoincidentPoints instead of giving 1.
     """
     if q1 is not INFINITY and q2 is not INFINITY and coincident(q1, q2, tol):
         raise CoincidentPoints("q1 and q2 coincide")
     cr = cross_ratio(q1, q2, q3, q4, tol)
-    return cr.im_norm() <= _tol(tol) * (1.0 + abs(cr))
+    return cr.im_norm() <= bound(1.0 + abs(cr), tol)
 
 
 class _Coefficients(NamedTuple):
@@ -126,12 +126,10 @@ class QuadricF3(_Coefficients):
         return max(abs(self.alpha), abs(self.beta), abs(self.gamma))
 
     def proportional_to(self, other: "QuadricF3", tol: float | None = None) -> bool:
-        t = _tol(tol)
+        """Whether each 2x2 minor of the coefficient rows is negligible (m = su sv)."""
         u = (self.alpha, *self.beta, self.gamma)
         v = (other.alpha, *other.beta, other.gamma)
-        su = max(map(abs, u))
-        sv = max(map(abs, v))
-        thr = t + t * su * sv
+        thr = bound(max(map(abs, u)) * max(map(abs, v)), tol)
         return all(abs(u[i] * v[j] - u[j] * v[i]) <= thr
                    for i in range(6) for j in range(i + 1, 6))
 
@@ -146,12 +144,12 @@ class QuadricF3(_Coefficients):
 
 
 def on_quadric(q: Quaternion, Q: QuadricF3, tol: float | None = None) -> bool:
-    t = _tol(tol)
+    """Whether q lies on Q, against the size of the three terms of its equation."""
     scale = abs(Q.alpha) * q.norm_sq() + 2.0 * abs(Q.beta) * abs(q) + abs(Q.gamma)
-    return abs(Q.evaluate(q)) <= t + t * (1.0 + scale)
+    return negligible(abs(Q.evaluate(q)), scale, tol)
 
 
-def transform_quadric(f, Q: QuadricF3, tol: float | None = None) -> QuadricF3:
+def transform_quadric(f, Q: QuadricF3) -> QuadricF3:
     """The image quadric f(Q) under a generator, an FLT or a Mat2H.
 
     Q is (q; 1)* H (q; 1) = 0 with H = [[alpha, conj beta], [beta, gamma]],
@@ -168,8 +166,7 @@ def transform_quadric(f, Q: QuadricF3, tol: float | None = None) -> QuadricF3:
         out = QuadricF3(image.a.w, image.c, image.d.w)
     except ValueError as exc:
         raise DegenerateResult(str(exc)) from exc
-    t = _tol(tol)
-    thr = t + t * Q.coefficient_scale()
-    if out.coefficient_scale() <= thr:
+    # H' = B* H B has terms up to H's coefficient scale times B's entry scale squared
+    if negligible(out.coefficient_scale(), Q.coefficient_scale() * B.entry_scale() ** 2):
         raise DegenerateResult("transformed quadric has no equation")
     return out

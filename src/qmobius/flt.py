@@ -15,7 +15,8 @@ from . import mat2h as _m
 from .errors import (BothZero, CoincidentPoints, ConstraintViolation,
                      NonImaginaryShift, NotSp11, PoleInput, ZeroD)
 from .mat2h import SINGULAR_REL, GroupTag, Mat2H, classify, det_h, normalize
-from .quat import I, J, K, N2_HUGE, N2_TINY, ONE, TOL, ZERO, Quaternion, _new, _tol, coincident
+from .quat import (I, J, K, N2_HUGE, N2_TINY, ONE, TOL, ZERO, Quaternion, _new, coincident,
+                   negligible)
 
 
 class _Infinity:
@@ -115,39 +116,36 @@ class FLT:
         """The map applying other first, then self."""
         return FLT(self.matrix @ other.matrix)
 
-    def same_map(self, other: "FLT", tol: float | None = None) -> bool:
+    def same_map(self, other: "FLT") -> bool:
         """Map equality; normalized matrices agree up to an overall sign."""
         M, N = self.matrix, other.matrix
-        return M.close_to(N, tol) or M.close_to(-N, tol)
+        return M.close_to(N) or M.close_to(-N)
 
     def __repr__(self):
         return f"FLT({self.matrix!r})"
 
 
-def is_constant(A: Mat2H, tol: float | None = None) -> bool:
+def is_constant(A: Mat2H) -> bool:
     """Whether the formula (a q + b)(c q + d)^-1 collapses to one value.
 
     This happens exactly when det_h(A) = 0; the constant value is then
-    b d^-1 (or a c^-1 when d = 0).  The default gate is the singularity
-    gate of the inverse rather than the comparison tolerance; det_h of an
-    exactly rank-one matrix evaluates to a few machine epsilon times the
-    squared entry scale, far below it.
+    b d^-1 (or a c^-1 when d = 0).  The gate is the singularity gate of
+    the inverse rather than the comparison tolerance; det_h of an exactly
+    rank-one matrix evaluates to a few machine epsilon times the squared
+    entry scale, far below it.
     """
     # judge A 2^-e, of entry scale in [1/2, 1): the question is projective
     e = frexp(A.entry_scale())[1]
     A = _m._ldexp_m(A, -e)
     scale = A.entry_scale()
-    t = _tol(tol)
-    thr = t * (1.0 + scale)
-    if abs(A.c) <= thr and abs(A.d) <= thr:
+    if negligible(max(abs(A.c), abs(A.d)), scale):
         raise BothZero("c = d = 0 leaves the map undefined everywhere")
-    gate = SINGULAR_REL if tol is None else tol
-    return det_h(A) <= gate * (1.0 + scale * scale)
+    return det_h(A) <= SINGULAR_REL * (1.0 + scale * scale)
 
 
-def constant_value(A: Mat2H, tol: float | None = None) -> Quaternion:
+def constant_value(A: Mat2H) -> Quaternion:
     """The single value taken by a constant map (see is_constant)."""
-    if not is_constant(A, tol):
+    if not is_constant(A):
         raise ValueError("matrix does not induce a constant map")
     a, b, c, d = A  # divide by the larger of c, d: a choice blind to scale
     return b * d.inverse() if abs(d) >= abs(c) else a * c.inverse()
@@ -240,7 +238,7 @@ def generator_to_json(g: Generator) -> dict:
     return {"type": "inversion"}
 
 
-_EXACT = 1e-12  # filter for generators that are the identity up to noise
+_EXACT = 1e-12  # identity-up-to-noise filter; absolute, as an FLT has det_h = 1
 
 
 def _affine_left(m: Quaternion, t: Quaternion) -> list:
@@ -311,7 +309,7 @@ def jacobian(f, q: Quaternion):
 
 
 def three_point_map(alpha: ExtQuaternion, beta: ExtQuaternion,
-                    gamma: ExtQuaternion, tol: float | None = None) -> FLT:
+                    gamma: ExtQuaternion) -> FLT:
     """The map sending alpha -> 0, beta -> inf, gamma -> 1.
 
     For finite inputs this is q -> (gamma - beta)(gamma - alpha)^-1
@@ -323,7 +321,7 @@ def three_point_map(alpha: ExtQuaternion, beta: ExtQuaternion,
         raise CoincidentPoints("two of the three points are at infinity")
     finite = [p for p in pts if p is not INFINITY]
     for i, p in enumerate(finite):
-        if any(coincident(p, q, tol) for q in finite[i + 1:]):
+        if any(coincident(p, q) for q in finite[i + 1:]):
             raise CoincidentPoints("the three points must be distinct")
     if alpha is INFINITY:
         return FLT(Mat2H(ZERO, gamma - beta, ONE, -beta))
@@ -353,6 +351,7 @@ class MobiusCanonical(_Canonical):
     __slots__ = ()
 
     def __new__(cls, alpha: Quaternion, beta: Quaternion, q0: Quaternion):
+        # 2 TOL is bound(m) for the terms |alpha| and 1, m = 2
         if abs(abs(alpha) - 1.0) > 2.0 * TOL or abs(abs(beta) - 1.0) > 2.0 * TOL:
             raise ValueError("alpha and beta must be unit quaternions")
         if abs(q0) >= 1.0:
@@ -392,38 +391,32 @@ def canonical_det_check(g: MobiusCanonical) -> float:
     return det_h(g.matrix_raw())
 
 
-def isotropy_at_infinity(b: Quaternion, d: Quaternion,
-                         tol: float | None = None) -> FLT:
+def isotropy_at_infinity(b: Quaternion, d: Quaternion) -> FLT:
     """Half-space map fixing inf: q -> |d|^-2 d q d^-1 + b d^-1.
 
     Requires d != 0 and purely imaginary b d^-1.
     """
-    t = _tol(tol)
-    if abs(d) <= t:
+    if not any(d):
         raise ZeroD("d must be nonzero")
     v = b * d.inverse()
-    if abs(v.w) > t + t * (1.0 + abs(v)):
+    if not negligible(abs(v.w), abs(v)):
         raise NonImaginaryShift("b d^-1 must be purely imaginary")
-    s = 1.0 / d.norm_sq()
-    return FLT(Mat2H(d * s, b, ZERO, d))
+    return FLT(Mat2H(d.conj().inverse(), b, ZERO, d))
 
 
-def halfspace_general(alpha: Quaternion, beta: Quaternion, gamma: Quaternion,
-                      tol: float | None = None) -> FLT:
+def halfspace_general(alpha: Quaternion, beta: Quaternion, gamma: Quaternion) -> FLT:
     """General half-space map with g(inf) = gamma on the boundary.
 
     Matrix [[|alpha|^-2 gamma alpha, gamma beta + alpha],
             [|alpha|^-2 alpha,       beta]],
     subject to alpha != 0 and purely imaginary gamma and beta alpha^-1.
     """
-    t = _tol(tol)
-    if abs(alpha) <= t:
+    if not any(alpha):
         raise ConstraintViolation("alpha must be nonzero")
-    if abs(gamma.w) > t + t * (1.0 + abs(gamma)):
+    if not negligible(abs(gamma.w), abs(gamma)):
         raise ConstraintViolation("gamma must be purely imaginary")
     v = beta * alpha.inverse()
-    if abs(v.w) > t + t * (1.0 + abs(v)):
+    if not negligible(abs(v.w), abs(v)):
         raise ConstraintViolation("beta alpha^-1 must be purely imaginary")
-    s = 1.0 / alpha.norm_sq()
-    return FLT(Mat2H(gamma * alpha * s, gamma * beta + alpha,
-                     alpha * s, beta))
+    s = alpha.conj().inverse()  # |alpha|^-2 alpha, rescaled where |alpha|^2 leaves range
+    return FLT(Mat2H(gamma * s, gamma * beta + alpha, s, beta))

@@ -42,7 +42,7 @@ from typing import NamedTuple
 from .errors import CoincidentPoints, NonFiniteResult, OutOfDomain, TooFewSamples
 from .flt import _POLE_EPS, FLT, INFINITY, ExtQuaternion, MobiusCanonical, apply
 from .mat2h import CAYLEY, CAYLEY_INV, Mat2H, _norm_sq, qmul_planes
-from .quat import N2_HUGE, N2_TINY, ONE, Quaternion, _new, _tol, coincident
+from .quat import N2_HUGE, N2_TINY, ONE, Quaternion, _new, bound, coincident
 
 
 def _one_minus_norm_sq(w: float, x: float, y: float, z: float, top: float = 2.0) -> float:
@@ -159,13 +159,12 @@ class GeodesicDisc(NamedTuple):
 
 def geodesic_disc(q1: Quaternion, q2: Quaternion,
                   tol: float | None = None) -> GeodesicDisc:
-    t = _tol(tol)
     _require_distinct(q1, q2, tol)
     q3 = _end_beyond(q2, q1)
     q4 = _end_beyond(q1, q2)
     # the line is a diameter exactly when 0 lies on it, i.e. when
     # conj(q1) q2 is real
-    diam = (q1.conj() * q2).im_norm() <= t * (1.0 + abs(q1) * abs(q2))
+    diam = (q1.conj() * q2).im_norm() <= bound(abs(q1) * abs(q2), tol)
     return GeodesicDisc(q1, q2, q3, q4, "Diameter" if diam else "Circle")
 
 
@@ -247,7 +246,9 @@ def integrated_length_disc(path) -> float:
         raise ValueError("path must be a sequence of quaternions")
     if len(arr) < 2:
         raise TooFewSamples("need at least two path samples")
-    if (np.einsum("ij,ij->i", arr, arr) >= 1.0).any():
+    # the ball's rule, which only rows with |q|^2 >= 3/4 can fail
+    near = np.einsum("ij,ij->i", arr, arr) >= 0.75
+    if near.any() and any(_one_minus_norm_sq(*row, 1.0) <= 0.0 for row in arr[near].tolist()):
         raise OutOfDomain("path leaves the open unit ball")
     seg = arr[1:] - arr[:-1]
     mid = 0.5 * (arr[1:] + arr[:-1])

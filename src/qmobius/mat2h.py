@@ -22,7 +22,7 @@ from math import hypot
 from typing import NamedTuple
 
 from .errors import NonFiniteResult, Singular
-from .quat import N2_HUGE, N2_TINY, ONE, ZERO, Quaternion, _ldexp_q, _new, _tol, isclose
+from .quat import N2_HUGE, N2_TINY, ONE, ZERO, Quaternion, _ldexp_q, _new, bound, isclose
 
 
 class Mat2H(NamedTuple):
@@ -57,8 +57,7 @@ class Mat2H(NamedTuple):
         return max(hypot(*a), hypot(*b), hypot(*c), hypot(*d))
 
     def close_to(self, other: "Mat2H", tol: float | None = None) -> bool:
-        t = _tol(tol)
-        thr = t + t * max(self.entry_scale(), other.entry_scale())
+        thr = bound(max(self.entry_scale(), other.entry_scale()), tol)
         return all(abs(p - q) <= thr for p, q in zip(self, other))
 
     def to_json(self) -> list[list[float]]:
@@ -189,12 +188,11 @@ def inverse_form_a(A: Mat2H) -> Mat2H:
 
 
 def inverse_form_b(A: Mat2H) -> Mat2H:
-    """Inverse via the pivot entry b (requires b != 0)."""
+    """Inverse via the pivot entry b (requires b != 0): inverse_form_a of the
+    column-swapped matrix, rows swapped, as (A P)^-1 = P A^-1 for P = K_FORM."""
     a, b, c, d = A
-    bi = b.inverse()
-    s = (c - d * bi * a).inverse()
-    u = bi * a * s  # the common left factor of two entries
-    return _new(Mat2H, (-(s * d * bi), s, bi + u * d * bi, -u))
+    a, b, c, d = inverse_form_a(_new(Mat2H, (b, a, d, c)))
+    return _new(Mat2H, (c, d, a, b))
 
 
 def _ldexp_m(A: Mat2H, e: int) -> Mat2H:
@@ -211,7 +209,7 @@ def inverse(A: Mat2H) -> Mat2H:
         except OverflowError:
             raise NonFiniteResult(f"an inverse of scale 1/{scale:g} overflows") from None
     dh = det_h(A)
-    if dh <= SINGULAR_REL * scale * scale:
+    if not dh > SINGULAR_REL * scale * scale:  # also a nan det_h, of non-finite entries
         raise Singular(f"matrix with det_h {dh} is numerically singular")
     # pivot on the larger entry of the first row: scale-invariant, and
     # that entry is nonzero past the gate
@@ -227,7 +225,7 @@ def normalize(A: Mat2H) -> Mat2H:
     if e:  # as in inverse; normalize is projective
         return normalize(_ldexp_m(A, -e))
     dh = det_h(A)
-    if dh <= SINGULAR_REL * scale * scale:
+    if not dh > SINGULAR_REL * scale * scale:  # as in inverse
         raise Singular("cannot normalize a numerically singular matrix")
     return A.scalar_mul(1.0 / math.sqrt(dh))
 
@@ -257,19 +255,20 @@ def classify(A: Mat2H, tol: float | None = None) -> set[GroupTag]:
     (SLHplus) is decided on the distinct entries of conj-transpose(A) F A,
     F the form, taken in closed form.
     """
-    t = _tol(tol)
     tags: set[GroupTag] = set()
     scale = A.entry_scale()
     dh = det_h(A)
+    thr1 = bound(scale, tol)
 
-    if dh > t:
+    # det_h against scale^2, taken as det_h / scale against scale: neither overflows
+    if scale and dh / scale > thr1:
         tags.add(GroupTag.GL2H)
     if isclose(dh, 1.0, tol):
         tags.add(GroupTag.SL2H)
 
     a, b, c, d = A
     ac, cc = a.conj(), c.conj()
-    thr = t + t * (1.0 + scale * scale)
+    thr = bound(1.0 + scale * scale, tol)  # the terms |a|^2, |c|^2 and 1
     if (abs(a.norm_sq() - c.norm_sq() - 1.0) <= thr
             and abs(ac * b - cc * d) <= thr
             and abs(b.norm_sq() - d.norm_sq() + 1.0) <= thr):
@@ -279,9 +278,8 @@ def classify(A: Mat2H, tol: float | None = None) -> set[GroupTag]:
             and abs(2.0 * (d.conj() * b).w) <= thr):
         tags.add(GroupTag.SL_HPLUS)
 
-    thr1 = t + t * (1.0 + scale)
     if (abs(b) <= thr1 and abs(c) <= thr1 and abs(a - d) <= thr1
-            and a.im_norm() <= thr1 and abs(a) > t):
+            and a.im_norm() <= thr1 and any(a)):
         tags.add(GroupTag.CENTER_GL)
         if A.close_to(Mat2H.identity(), tol) or A.close_to(-Mat2H.identity(), tol):
             tags.add(GroupTag.CENTER_SL)

@@ -14,8 +14,8 @@ from typing import NamedTuple
 
 from .errors import DivisionByZero, NonFiniteResult, NotOnSphere, RealInput
 
-# the comparison tolerance of every predicate called with tol=None; a
-# predicate's tol= replaces it for that call, in each threshold t + t x
+# the comparison tolerance t of every predicate called with tol=None; a
+# predicate's tol= replaces it for that call.  Each threshold is bound(m) = t m
 TOL = 1e-9
 
 
@@ -23,14 +23,26 @@ def _tol(tol: float | None) -> float:
     return TOL if tol is None else float(tol)
 
 
+def bound(m: float, tol: float | None = None) -> float:
+    """The threshold t m of a residual whose terms have size m; a comparison
+    against a unit reference counts that 1 as a term.  -1.0, which no
+    residual passes, where t m is not finite."""
+    b = _tol(tol) * m
+    return b if b < math.inf else -1.0
+
+
+def negligible(r: float, m: float, tol: float | None = None) -> bool:
+    """Whether the residual r is negligible against terms of size m."""
+    return r <= bound(m, tol)
+
+
 def isclose(a: float, b: float, tol: float | None = None) -> bool:
-    """Combined absolute/relative closeness for real scalars."""
-    t = _tol(tol)
-    return abs(a - b) <= t + t * max(abs(a), abs(b))
+    """Relative closeness for real scalars: m = max(|a|, |b|)."""
+    return abs(a - b) <= bound(max(abs(a), abs(b)), tol)
 
 
 def coincident(p, q, tol: float | None = None) -> bool:
-    """Whether the points p, q coincide: |p - q| <= tol max(|p|, |q|),
+    """Whether the points p, q coincide: |p - q| <= bound(max(|p|, |q|)),
     relative so that a dilation never changes it.  So where a modulus
     overflows, the pair is decided at half scale."""
     pw, px, py, pz = p
@@ -39,7 +51,8 @@ def coincident(p, q, tol: float | None = None) -> bool:
     if r == math.inf and all(map(math.isfinite, (*p, *q))):
         return coincident((0.5 * pw, 0.5 * px, 0.5 * py, 0.5 * pz),
                           (0.5 * qw, 0.5 * qx, 0.5 * qy, 0.5 * qz), tol)
-    return math.hypot(pw - qw, px - qx, py - qy, pz - qz) <= _tol(tol) * r
+    b = (TOL if tol is None else float(tol)) * r  # bound, inline on the geometry path
+    return b < math.inf and math.hypot(pw - qw, px - qx, py - qy, pz - qz) <= b
 
 
 # squared norms outside [2^-900, 2^900) have lost digits or come close to overflow
@@ -165,9 +178,7 @@ class Quaternion(NamedTuple):
 
     # -- comparison and formats ----------------------------------------
 
-    def close_to(self, other: "Quaternion", tol: float | None = None) -> bool:
-        t = _tol(tol)
-        return abs(self - other) <= t + t * max(abs(self), abs(other))
+    close_to = coincident
 
     def to_json(self) -> list[float]:
         return [self.w, self.x, self.y, self.z]
@@ -203,36 +214,35 @@ J = Quaternion(0.0, 0.0, 1.0, 0.0)
 K = Quaternion(0.0, 0.0, 0.0, 1.0)
 
 
-def imaginary_unit(x: float, y: float, z: float,
-                   tol: float | None = None) -> Quaternion:
+def imaginary_unit(x: float, y: float, z: float) -> Quaternion:
     """A point of the sphere S of purely imaginary unit quaternions.
 
     The coordinates must already be unit length within tolerance;
     the result is renormalized exactly.
     """
     n = math.sqrt(x * x + y * y + z * z)
-    if not isclose(n, 1.0, tol):
+    if not isclose(n, 1.0):
         raise ValueError(f"({x}, {y}, {z}) is not unit length")
     return Quaternion(0.0, x / n, y / n, z / n)
 
 
-def slice_decompose(q: Quaternion,
-                    tol: float | None = None) -> tuple[float, float, Quaternion]:
+def slice_decompose(q: Quaternion) -> tuple[float, float, Quaternion]:
     """Write q = x + y*I with x real, y > 0 and I a purely imaginary unit.
 
     The decomposition is unique for non-real q; real input has no
     preferred I and raises RealInput.
     """
     n = q.im_norm()
-    if n <= _tol(tol) * abs(q):
+    if negligible(n, abs(q)):
         raise RealInput(f"{q} is real within tolerance; no unique slice")
     return q.w, n, Quaternion(0.0, q.x / n, q.y / n, q.z / n)
 
 
 def on_sphere(p: Quaternion, x: float, y: float,
               tol: float | None = None) -> bool:
-    """Whether p lies on x + yS, the sphere of center x and radius |y|."""
-    return isclose(p.w, x, tol) and isclose(p.im_norm(), abs(y), tol)
+    """Whether p lies on x + yS, the sphere of center x and radius |y| (m = |x| + |y|)."""
+    b = bound(abs(x) + abs(y), tol)
+    return abs(p.w - x) <= b and abs(p.im_norm() - abs(y)) <= b
 
 
 def conjugate_sphere_check(q: Quaternion, x: float, y: float, p: Quaternion,

@@ -23,8 +23,8 @@ from qmobius.flt import (
     apply_generator,
     is_infinity,
 )
-from qmobius.mat2h import CAYLEY
-from qmobius.quat import I, J, K, ONE, ZERO, Quaternion
+from qmobius.mat2h import CAYLEY, Mat2H
+from qmobius.quat import TOL, I, J, K, ONE, ZERO, Quaternion, coincident
 from qmobius.sampling import (
     make_rng,
     random_ball_point,
@@ -119,6 +119,29 @@ def test_coincidence_names_the_first_pair_in_order():
             cross_ratio(*pts)
     with pytest.raises(CoincidentPoints, match="q1 and q2"):
         is_concyclic(ZERO, ZERO, INFINITY, INFINITY)
+
+
+@pytest.mark.parametrize("scale", [1e-160, 1.0, 1e160])
+def test_cross_ratio_decides_coincidence_as_coincident_does(scale):
+    # cross_ratio unrolls coincident's rule; one pair is moved to 0.9 or
+    # 1.1 of its threshold, and the first coincident pair must be the one named
+    rng = make_rng(62)
+    pairs = ((0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+    seen = set()
+    for k in range(400):
+        pts = [p * scale for p in random_separated_points(rng, 4)]
+        i, j = pairs[k % 5]
+        gap = (0.9 if k % 10 < 5 else 1.1) * TOL * max(abs(pts[i]), abs(pts[j]))
+        pts[j] = pts[i] + random_unit_quaternion(rng) * gap
+        named = next((f"q{a + 1} and q{b + 1}" for a, b in pairs
+                      if coincident(pts[a], pts[b])), None)
+        seen.add(named)
+        if named:
+            with pytest.raises(CoincidentPoints, match=named):
+                cross_ratio(*pts)
+        else:
+            cross_ratio(*pts)
+    assert len(seen) == 6
 
 
 # -- covariance laws -----------------------------------------------------
@@ -278,6 +301,18 @@ def test_proportionality_is_projective():
     assert A.proportional_to(QuadricF3(-1.0, ZERO, 4.0))
     assert not A.proportional_to(QuadricF3(1.0, ZERO, 4.0))
     assert not A.proportional_to(QuadricF3(1.0, I, -4.0))
+
+
+@pytest.mark.parametrize("s", [1e-10, 1e-160])
+def test_quadric_predicates_are_blind_to_the_coefficient_scale(s):
+    # an absolute t put (3, 0, 0, 0) on the small sphere, made its image
+    # degenerate, and called two small quadrics proportional
+    S = QuadricF3(s, ZERO, -s)
+    assert on_quadric(ONE, S) and on_quadric(I, S)
+    assert not on_quadric(q(3), S)
+    assert transform_quadric(FLT(Mat2H.identity()), S).proportional_to(S)
+    assert transform_quadric(Dilation(2.0), S).proportional_to(QuadricF3(1.0, ZERO, -4.0))
+    assert not QuadricF3(s, ZERO, -s).proportional_to(QuadricF3(s, ONE * s, 0.0))
 
 
 def test_transform_unit_sphere_spot_values():

@@ -41,7 +41,7 @@ from qmobius.flt import (
     three_point_map,
     to_canonical_disc,
 )
-from qmobius.mat2h import GroupTag, Mat2H, classify, det_h, normalize
+from qmobius.mat2h import GroupTag, Mat2H, classify, det_h, inverse, normalize
 from qmobius.quat import I, J, K, ONE, ZERO, Quaternion
 from qmobius.sampling import (
     make_rng,
@@ -608,6 +608,28 @@ def test_isotropy_errors():
         isotropy_at_infinity(I, ZERO)
     with pytest.raises(NonImaginaryShift):
         isotropy_at_infinity(ONE, ONE)
+
+
+def test_non_finite_points_and_matrices_give_no_nan_map():
+    # a point at inf coincides with nothing now, so three_point_map goes on
+    # to FLT, whose normalize returned a map of nans for non-finite entries
+    for A in (Mat2H(q(math.inf), ZERO, ZERO, ONE), Mat2H(ONE, q(math.nan), ZERO, ONE)):
+        with pytest.raises(Singular):
+            FLT(A)
+        with pytest.raises(Singular):
+            inverse(A)
+    with pytest.raises(Singular):
+        three_point_map(q(math.inf), ONE, I)
+
+
+@pytest.mark.parametrize("t", [1e-155, 1e-170])
+def test_a_tiny_nonzero_d_or_alpha_is_singular(t):
+    # t is nonzero, so ZeroD does not fire; the map is too ill-conditioned,
+    # and normalize says so (1 / |t|^2 overflowed, or divided by zero)
+    with pytest.raises(Singular):
+        isotropy_at_infinity(I, q(t))
+    with pytest.raises(Singular):
+        halfspace_general(q(t), ZERO, I)
 
 
 def test_halfspace_general_spot_values():

@@ -113,6 +113,14 @@ def test_geodesic_diameter_cases():
     assert g.q4.close_to(-I, tol=1e-9)
 
 
+@pytest.mark.parametrize("s", [1e-12, 0.1])
+def test_geodesic_kind_is_blind_to_scale(s):
+    # an absolute t called any line through two points below 1e-5 a diameter
+    assert geodesic_disc(q(s), q(0, s)).kind == "Circle"
+    assert geodesic_disc(q(s), q(-2 * s)).kind == "Diameter"
+    assert geodesic_disc(q(0, s), q(0, -0.5 * s)).kind == "Diameter"
+
+
 def test_geodesic_circle_case():
     g = geodesic_disc(q(0.3), q(0, 0.3))
     assert g.kind == "Circle"
@@ -314,8 +322,13 @@ def test_distance_disc_near_the_sphere_matches_exact_references():
 def test_a_point_whose_exact_gap_is_not_positive_is_out_of_domain():
     p = q(*exact.OUTSIDE_BY_ROUNDING)
     assert p.norm_sq() < 1.0 and exact.one_minus_norm_sq(p) < 0
+    # exact 1 - |r|^2 = -2.6e-18; integrated_length_disc took it as 1.3333
+    r = q(-0.43930406023587076, 0.23672527008208005, -0.47737596818919237, -0.7232463440351952)
+    assert exact.one_minus_norm_sq(r) < 0
     for f, args in ((distance_disc, (p, HALF)), (distance_disc, (HALF, p)),
-                    (metric_disc, (p, ONE)), (geodesic_disc, (p, HALF))):
+                    (metric_disc, (p, ONE)), (geodesic_disc, (p, HALF)),
+                    (integrated_length_disc, ([HALF, p],)),
+                    (integrated_length_disc, ([ZERO, r],))):
         with pytest.raises(OutOfDomain):
             f(*args)
     assert cayley(p).w < 0.0  # its image lies beyond Re q = 0, as the exact one does

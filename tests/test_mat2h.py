@@ -361,6 +361,27 @@ def test_inverse_forms_agree():
         checked += 1
 
 
+def _inverse_form_b_written_out(A: Mat2H) -> tuple:
+    a, b, c, d = A
+    bi = b.inverse()
+    s = (c - d * bi * a).inverse()
+    u = bi * a * s
+    return -(s * d * bi), s, bi + u * d * bi, -u
+
+
+@pytest.mark.parametrize("scale", [1e-150, 1.0, 1e150])
+def test_inverse_form_b_is_form_a_of_the_column_swap_bit_for_bit(scale):
+    # form b is form a of [[b, a], [d, c]] with its rows swapped; zeroed
+    # components (complex and real entries) bring signed zeros into play
+    rng = make_rng(24)
+    for k in range(2000):
+        A = random_invertible_matrix(rng, 1.0).scalar_mul(scale)
+        if k % 2:
+            A = Mat2H(*(Quaternion(e.w, e.x if k % 4 == 1 else 0.0, 0.0, -0.0) for e in A))
+        got = [x.hex() for e in inverse_form_b(A) for x in e]
+        assert got == [x.hex() for e in _inverse_form_b_written_out(A) for x in e], A
+
+
 def test_inverse_pivots_on_b_when_a_vanishes():
     A = Mat2H(ZERO, ONE, ONE, ONE)
     Ainv = inverse(A)
@@ -488,6 +509,22 @@ def test_classify_center():
     assert classify(Mat2H(ZERO, ZERO, ZERO, ZERO)) == set()
 
 
+@pytest.mark.parametrize("A, tags", [
+    (IDENT.scalar_mul(1e-160), {"GL2H", "CenterGL"}),
+    (IDENT.scalar_mul(1e-5), {"GL2H", "CenterGL"}),
+    (IDENT, {"GL2H", "SL2H", "Sp11", "SLHplus", "CenterGL", "CenterSL"}),
+    (IDENT.scalar_mul(1e160), {"GL2H", "CenterGL"}),
+    (H_FORM, {"GL2H", "SL2H", "Sp11"}),
+    (H_FORM.scalar_mul(1e160), {"GL2H"}),
+    (real_mat(1, 1, 1, 1).scalar_mul(1e160), set()),  # rank one: det_h = 0
+])
+def test_classify_holds_at_every_scale(A, tags):
+    # an absolute t tagged 1e-160 I nothing and 1e-5 I no GL2H; at 1e160,
+    # det_h = inf passed isclose and inf residuals passed t + t inf (SLHplus
+    # for the rank-one matrix); GL2H there must not take det_h = 0 for nonzero
+    assert {tag.value for tag in classify(A)} == tags
+
+
 def test_classify_random_members():
     rng = make_rng(19)
     for _ in range(50):
@@ -542,7 +579,7 @@ def test_cayley_conjugate_random_directions():
 
 def form_tags_by_products(A: Mat2H) -> set:
     """classify's form tags, from the products conj-transpose(A) F A."""
-    thr = TOL + TOL * (1.0 + max_entry(A) ** 2)
+    thr = TOL * (1.0 + max_entry(A) ** 2)
     return {tag for tag, form in ((GroupTag.SP11, H_FORM), (GroupTag.SL_HPLUS, K_FORM))
             if form_residual(A, form) <= thr}
 
@@ -563,7 +600,7 @@ def test_classify_forms_match_the_products():
             # steps: put it at 0.9 and at 1.1 of the threshold
             D = random_matrix(rng, 1.0)
             slope = form_residual(step(M, 1e-7, D), form) / 1e-7
-            thr = TOL + TOL * (1.0 + max_entry(M) ** 2)
+            thr = TOL * (1.0 + max_entry(M) ** 2)
             inside, outside = (step(M, k * thr / slope, D) for k in (0.9, 1.1))
             assert form_tags_by_products(inside) == {tag}
             assert form_tags_by_products(outside) == set()

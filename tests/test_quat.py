@@ -17,10 +17,12 @@ from qmobius.quat import (
     ZERO,
     Quaternion,
     _tol,
+    bound,
     coincident,
     conjugate_sphere_check,
     imaginary_unit,
     isclose,
+    negligible,
     on_sphere,
     slice_decompose,
 )
@@ -293,9 +295,26 @@ def test_tolerance_override_and_restore():
 
 
 def test_one_tolerance_value():
-    # tol= is one value t, used in each threshold as t + t x
+    # tol= is one value t, used in each threshold as t m (bound)
     assert _tol(None) == TOL
     assert _tol(1e-3) == 1e-3 and type(_tol(0)) is float
+
+
+def test_bound_is_relative_and_passes_nothing_where_it_is_not_finite():
+    assert bound(2.0) == 2.0 * TOL and bound(2.0, 1e-3) == 2e-3 and bound(0.0) == 0.0
+    assert bound(math.inf) == bound(math.nan) == bound(1e300, 1e10) == -1.0
+    assert negligible(1e-10, 1.0) and not negligible(1e-8, 1.0)
+    assert not negligible(0.0, math.inf)
+    # no absolute term: values at 1e-160 are as distinct as at 1
+    assert not isclose(1e-160, 2e-160) and isclose(1e-160, 1e-160 * (1.0 + 1e-12))
+
+
+def test_non_finite_values_are_close_to_nothing():
+    # |inf - 1| = inf passed t + t inf = inf
+    inf = math.inf
+    assert not isclose(inf, 1.0) and not isclose(1.0, inf) and not isclose(inf, inf)
+    assert not q(inf).close_to(ONE) and not ONE.close_to(q(inf))
+    assert not coincident(q(inf), ONE) and not coincident(q(0, inf), q(0, 1))
 
 
 @pytest.mark.parametrize("scale", [1e-300, 1e-160, 1.0, 1e160, 1e300])

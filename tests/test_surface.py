@@ -1,6 +1,6 @@
 """The documented surface has a home in the code: every constant in
-README's constants table exists where its row says, and every error type
-is raised somewhere, so neither outlives the code that used it."""
+README's constants table exists where its row says, every error type is
+raised somewhere, and every threshold comes from quat's one tolerance rule."""
 
 import functools
 import importlib
@@ -40,3 +40,28 @@ def test_readme_constants_exist_and_every_error_type_is_raised():
     unraised = [c.__name__ for c in subclasses
                 if not re.search(rf"raise {c.__name__}\b", source)]
     assert not unraised, unraised
+
+
+def test_every_threshold_comes_from_quat():
+    # quat.bound is the one rule; cross_ratio's unrolled copy of coincident's
+    # rule is the one exception, and tests/test_crossratio.py pins it to coincident
+    inline = []
+    for path in SRC.glob("*.py"):
+        text = path.read_text()
+        assert not re.search(r"\bt \+ t \*", text), path.name
+        if path.name != "quat.py":
+            assert "_tol(" not in text, path.name
+            inline += [path.name] * text.count("TOL if tol is None")
+    assert inline == ["crossratio.py"]
+
+
+NO_TOL = ("crossratio.transform_quadric", "flt.is_constant", "flt.constant_value",
+          "flt.isotropy_at_infinity", "flt.halfspace_general", "flt.FLT.same_map",
+          "quat.slice_decompose", "quat.imaginary_unit", "flt.three_point_map")
+
+
+def test_predicates_that_no_caller_tunes_take_no_tol():
+    for where in NO_TOL:
+        module, *path = where.split(".")
+        f = functools.reduce(getattr, path, importlib.import_module(f"qmobius.{module}"))
+        assert "tol" not in inspect.signature(f).parameters, where
