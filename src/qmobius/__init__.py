@@ -3,21 +3,17 @@ geometry of the unit ball and half-space."""
 
 from .errors import (BothZero, CoincidentPoints, ConstraintViolation, DegenerateResult,
                      DivisionByZero, GeometryError, NonFiniteResult, NonImaginaryShift,
-                     NotOnSphere, NotSp11, OutOfDomain, PoleInput, RealInput, Singular,
-                     TooFewSamples, ZeroD)
-from .quat import (I, J, K, ONE, TOL, ZERO, Quaternion, conjugate_sphere_check,
-                   imaginary_unit, isclose, on_sphere, slice_decompose)
-from .mat2h import (CAYLEY, CAYLEY_INV, GroupTag, H_FORM, K_FORM, Mat2H,
-                    cayley_conjugate, cayley_conjugate_inv, classify, det_h,
-                    inverse, normalize)
+                     NotSp11, OutOfDomain, PoleInput, Singular, TooFewSamples, ZeroD)
+from .quat import I, J, K, ONE, TOL, ZERO, Quaternion, isclose
+from .mat2h import (CAYLEY, CAYLEY_INV, GroupTag, Mat2H, cayley_conjugate,
+                    cayley_conjugate_inv, classify, det_h, inverse, normalize)
 from .flt import (FLT, INFINITY, Dilation, ExtQuaternion, Generator,
                   Inversion, MobiusCanonical, Rotation, Translation, apply,
                   apply_generator, apply_generators, canonical_det_check,
-                  constant_value, decompose_generators, ext_from_json,
-                  ext_to_json, generator_inverse, generator_matrix,
-                  halfspace_general, is_constant, is_infinity,
-                  isotropy_at_infinity, jacobian, three_point_map,
-                  to_canonical_disc)
+                  decompose_generators, ext_from_json, ext_to_json,
+                  generator_inverse, generator_matrix, halfspace_general,
+                  is_constant, is_infinity, isotropy_at_infinity, jacobian,
+                  three_point_map, to_canonical_disc)
 from .crossratio import (QuadricF3, cross_ratio, is_concyclic, on_quadric,
                          transform_quadric)
 from .hypgeo import (GeodesicDisc, GeodesicHalfspace, cayley, cayley_inv,

@@ -13,7 +13,7 @@ from __future__ import annotations
 from math import hypot, inf, isfinite, nan
 from typing import NamedTuple
 
-from .errors import CoincidentPoints, DegenerateResult
+from .errors import CoincidentPoints, DegenerateResult, NonFiniteResult
 from .flt import FLT, INFINITY, ExtQuaternion, generator_inverse, generator_matrix
 from .mat2h import Mat2H
 from .quat import N2_HUGE, N2_TINY, ONE, TOL, Quaternion, _new, bound, coincident, negligible
@@ -25,13 +25,14 @@ def cross_ratio(q1: ExtQuaternion, q2: ExtQuaternion, q3: ExtQuaternion,
 
     The points must be pairwise distinct with at most one at infinity.
     The one permitted coincidence is q1 = q2 (exact), which returns 1 so
-    that distance formulas degrade gracefully.
+    that distance formulas degrade gracefully.  A point with an inf or nan
+    component, which coincides with nothing, raises NonFiniteResult.
     """
     pts = (q1, q2, q3, q4)
     n_inf = (q1 is INFINITY) + (q2 is INFINITY) + (q3 is INFINITY) + (q4 is INFINITY)
     if n_inf > 1:
         raise CoincidentPoints("at most one point may be infinite")
-    if q1 is not INFINITY and q2 is not INFINITY and tuple(q1) == tuple(q2):
+    if q1 is not INFINITY and q2 is not INFINITY and tuple(q1) == tuple(q2) and hypot(*q1) < inf:
         return ONE
     # a point at infinity enters the coincidence checks as NaNs, which pass no gap test
     (w1, x1, y1, z1), (w2, x2, y2, z2), (w3, x3, y3, z3), (w4, x4, y4, z4) = (
@@ -45,11 +46,14 @@ def cross_ratio(q1: ExtQuaternion, q2: ExtQuaternion, q3: ExtQuaternion,
     g13, g14 = hypot(aw, ax, ay, az), hypot(bw, bx, by, bz)
     g23, g24 = hypot(cw, cx, cy, cz), hypot(dw, dx, dy, dz)
     g34 = hypot(w3 - w4, x3 - x4, y3 - y4, z3 - z4)
-    if inf in (m1, m2, m3, m4, g13, g14, g23, g24, g34) and all(
-            isfinite(v) for p in pts if p is not INFINITY for v in p):
-        # a dilation changes neither the cross-ratio nor a coincidence:
-        # where a length overflows, both are taken at half scale
-        return cross_ratio(*(p if p is INFINITY else p * 0.5 for p in pts), tol)
+    if not m1 + m2 + m3 + m4 + g13 + g14 + g23 + g24 + g34 < inf:
+        # a point at infinity, a non-finite component or a length that overflowed
+        if not all(isfinite(v) for p in pts if p is not INFINITY for v in p):
+            raise NonFiniteResult("a point with an inf or nan component has no cross-ratio")
+        if inf in (m1, m2, m3, m4, g13, g14, g23, g24, g34):
+            # a dilation changes neither the cross-ratio nor a coincidence:
+            # where a length overflows, both are taken at half scale
+            return cross_ratio(*(p if p is INFINITY else p * 0.5 for p in pts), tol)
     # coincident's rule, on moduli taken once; max(a, b) is a unless b > a
     t = TOL if tol is None else float(tol)
     pair = ("q1 and q3" if g13 <= t * (m3 if m3 > m1 else m1) else

@@ -13,14 +13,6 @@ class DivisionByZero(GeometryError, ZeroDivisionError):
     """Inverse of the zero quaternion was requested."""
 
 
-class RealInput(GeometryError):
-    """A slice decomposition was requested for a (numerically) real quaternion."""
-
-
-class NotOnSphere(GeometryError):
-    """The probe point does not lie on the stated sphere x + yS."""
-
-
 class Singular(GeometryError):
     """Matrix has (numerically) vanishing Dieudonne determinant."""
 

@@ -8,13 +8,13 @@ leaves only a sign ambiguity.
 
 from __future__ import annotations
 
-from math import frexp, hypot
+from math import hypot
 from typing import NamedTuple, Union
 
 from . import mat2h as _m
 from .errors import (BothZero, CoincidentPoints, ConstraintViolation,
                      NonImaginaryShift, NotSp11, PoleInput, ZeroD)
-from .mat2h import SINGULAR_REL, GroupTag, Mat2H, classify, det_h, normalize
+from .mat2h import GroupTag, Mat2H, classify, det_h, normalize, singular
 from .quat import (I, J, K, N2_HUGE, N2_TINY, ONE, TOL, ZERO, Quaternion, _new, coincident,
                    negligible)
 
@@ -129,26 +129,18 @@ def is_constant(A: Mat2H) -> bool:
     """Whether the formula (a q + b)(c q + d)^-1 collapses to one value.
 
     This happens exactly when det_h(A) = 0; the constant value is then
-    b d^-1 (or a c^-1 when d = 0).  The gate is the singularity gate of
-    the inverse rather than the comparison tolerance; det_h of an exactly
-    rank-one matrix evaluates to a few machine epsilon times the squared
-    entry scale, far below it.
+    b d^-1 (or a c^-1 when d = 0).  The gate is mat2h.singular, the rule
+    of inverse and normalize, so a matrix is a constant map exactly when
+    FLT rejects it; det_h of an exactly rank-one matrix evaluates to a few
+    machine epsilon times the squared entry scale, far below the gate.
     """
-    # judge A 2^-e, of entry scale in [1/2, 1): the question is projective
-    e = frexp(A.entry_scale())[1]
-    A = _m._ldexp_m(A, -e)
     scale = A.entry_scale()
+    e = _m._exponent(scale)
+    if e:  # as in inverse and normalize
+        return is_constant(_m._ldexp_m(A, -e))
     if negligible(max(abs(A.c), abs(A.d)), scale):
         raise BothZero("c = d = 0 leaves the map undefined everywhere")
-    return det_h(A) <= SINGULAR_REL * (1.0 + scale * scale)
-
-
-def constant_value(A: Mat2H) -> Quaternion:
-    """The single value taken by a constant map (see is_constant)."""
-    if not is_constant(A):
-        raise ValueError("matrix does not induce a constant map")
-    a, b, c, d = A  # divide by the larger of c, d: a choice blind to scale
-    return b * d.inverse() if abs(d) >= abs(c) else a * c.inverse()
+    return singular(det_h(A), scale)
 
 
 # -- generators ---------------------------------------------------------

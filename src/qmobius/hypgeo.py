@@ -239,7 +239,10 @@ def geodesic_sample_rows(q1: Quaternion, q2: Quaternion, n: int,
 
 def integrated_length_disc(path) -> float:
     """Composite-midpoint length of a sampled ball path under the
-    invariant line element |dq| / (1 - |q|^2)."""
+    invariant line element |dq| / (1 - |q|^2).  On a geodesic sampled at
+    equal distance h it is within h^2 / 3 relative (tests/test_hypgeo.py
+    derives it) down to 1 - |q| = 1e-10; at 1e-13 the rounding of the rows
+    themselves is the error, up to 1.37e-3 relative on 10,000 samples."""
     import numpy as np
     arr = np.asarray(path, dtype=float)
     if arr.ndim != 2 or arr.shape[1] != 4:

@@ -189,7 +189,7 @@ def inverse_form_a(A: Mat2H) -> Mat2H:
 
 def inverse_form_b(A: Mat2H) -> Mat2H:
     """Inverse via the pivot entry b (requires b != 0): inverse_form_a of the
-    column-swapped matrix, rows swapped, as (A P)^-1 = P A^-1 for P = K_FORM."""
+    column-swapped matrix, rows swapped, as (A P)^-1 = P A^-1 for P = antidiag(1, 1)."""
     a, b, c, d = A
     a, b, c, d = inverse_form_a(_new(Mat2H, (b, a, d, c)))
     return _new(Mat2H, (c, d, a, b))
@@ -199,17 +199,31 @@ def _ldexp_m(A: Mat2H, e: int) -> Mat2H:
     return Mat2H(*(_ldexp_q(q, e) for q in A))
 
 
+def _exponent(scale: float) -> int:
+    """e such that A 2^-e has entry scale in [1/2, 1), where scale^2 leaves
+    [N2_TINY, N2_HUGE); else (and for 0, inf and nan) 0."""
+    return 0 if N2_TINY <= scale * scale < N2_HUGE else math.frexp(scale)[1]
+
+
+def singular(dh: float, scale: float) -> bool:
+    """The one singularity rule, of inverse, normalize and flt.is_constant:
+    det_h <= SINGULAR_REL scale^2 (also a nan det_h, of non-finite entries),
+    for det_h and the entry scale of A 2^-e, e = _exponent(scale of A), so
+    the decision is the same at every scale.  It takes det_h rather than A
+    because normalize divides by the det_h it judges."""
+    return not dh > SINGULAR_REL * scale * scale
+
+
 def inverse(A: Mat2H) -> Mat2H:
     scale = A.entry_scale()
-    # scale^2 out of [N2_TINY, N2_HUGE): judge A 2^-e, of scale in [1/2, 1); 0, inf, nan: e = 0
-    e = 0 if N2_TINY <= scale * scale < N2_HUGE else math.frexp(scale)[1]
-    if e:
+    e = _exponent(scale)
+    if e:  # invert A 2^-e
         try:
             return _ldexp_m(inverse(_ldexp_m(A, -e)), -e)
         except OverflowError:
             raise NonFiniteResult(f"an inverse of scale 1/{scale:g} overflows") from None
     dh = det_h(A)
-    if not dh > SINGULAR_REL * scale * scale:  # also a nan det_h, of non-finite entries
+    if singular(dh, scale):
         raise Singular(f"matrix with det_h {dh} is numerically singular")
     # pivot on the larger entry of the first row: scale-invariant, and
     # that entry is nonzero past the gate
@@ -221,11 +235,11 @@ def inverse(A: Mat2H) -> Mat2H:
 def normalize(A: Mat2H) -> Mat2H:
     """Scale A by a positive real so that det_h becomes 1."""
     scale = A.entry_scale()
-    e = 0 if N2_TINY <= scale * scale < N2_HUGE else math.frexp(scale)[1]
+    e = _exponent(scale)
     if e:  # as in inverse; normalize is projective
         return normalize(_ldexp_m(A, -e))
     dh = det_h(A)
-    if not dh > SINGULAR_REL * scale * scale:  # as in inverse
+    if singular(dh, scale):
         raise Singular("cannot normalize a numerically singular matrix")
     return A.scalar_mul(1.0 / math.sqrt(dh))
 
@@ -238,9 +252,6 @@ class GroupTag(Enum):
     CENTER_GL = "CenterGL"
     CENTER_SL = "CenterSL"
 
-
-H_FORM = Mat2H(ONE, ZERO, ZERO, -ONE)     # diag(1, -1)
-K_FORM = Mat2H(ZERO, ONE, ONE, ZERO)      # antidiag(1, 1)
 
 # matrix of the Cayley map q -> (1 + q)(1 - q)^-1 from the ball to the
 # half-space; its inverse is half the transpose

@@ -9,10 +9,9 @@ package keep left and right factors in the written order.
 from __future__ import annotations
 
 import math
-import re as _re
 from typing import NamedTuple
 
-from .errors import DivisionByZero, NonFiniteResult, NotOnSphere, RealInput
+from .errors import DivisionByZero, NonFiniteResult
 
 # the comparison tolerance t of every predicate called with tol=None; a
 # predicate's tol= replaces it for that call.  Each threshold is bound(m) = t m
@@ -57,9 +56,6 @@ def coincident(p, q, tol: float | None = None) -> bool:
 
 # squared norms outside [2^-900, 2^900) have lost digits or come close to overflow
 N2_TINY, N2_HUGE = 2.0 ** -900, 2.0 ** 900
-
-_NUM = r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
-_QUAT_RE = rf"\s*({_NUM})\s*({_NUM})i\s*({_NUM})j\s*({_NUM})k\s*"
 
 
 # the operators build results as namedtuple's _make does, skipping the
@@ -194,13 +190,6 @@ class Quaternion(NamedTuple):
     def __str__(self) -> str:
         return f"{self.w:g}{self.x:+g}i{self.y:+g}j{self.z:+g}k"
 
-    @classmethod
-    def from_string(cls, text: str) -> "Quaternion":
-        m = _re.fullmatch(_QUAT_RE, text)  # compiled on first use, in re's cache
-        if m is None:
-            raise ValueError(f"not a quaternion literal: {text!r}")
-        return cls(*(float(g) for g in m.groups()))
-
 
 def _ldexp_q(q: Quaternion, e: int) -> Quaternion:
     """q * 2^e, scaled per component, so exact unless it leaves float range."""
@@ -212,49 +201,3 @@ ONE = Quaternion(1.0, 0.0, 0.0, 0.0)
 I = Quaternion(0.0, 1.0, 0.0, 0.0)
 J = Quaternion(0.0, 0.0, 1.0, 0.0)
 K = Quaternion(0.0, 0.0, 0.0, 1.0)
-
-
-def imaginary_unit(x: float, y: float, z: float) -> Quaternion:
-    """A point of the sphere S of purely imaginary unit quaternions.
-
-    The coordinates must already be unit length within tolerance;
-    the result is renormalized exactly.
-    """
-    n = math.sqrt(x * x + y * y + z * z)
-    if not isclose(n, 1.0):
-        raise ValueError(f"({x}, {y}, {z}) is not unit length")
-    return Quaternion(0.0, x / n, y / n, z / n)
-
-
-def slice_decompose(q: Quaternion) -> tuple[float, float, Quaternion]:
-    """Write q = x + y*I with x real, y > 0 and I a purely imaginary unit.
-
-    The decomposition is unique for non-real q; real input has no
-    preferred I and raises RealInput.
-    """
-    n = q.im_norm()
-    if negligible(n, abs(q)):
-        raise RealInput(f"{q} is real within tolerance; no unique slice")
-    return q.w, n, Quaternion(0.0, q.x / n, q.y / n, q.z / n)
-
-
-def on_sphere(p: Quaternion, x: float, y: float,
-              tol: float | None = None) -> bool:
-    """Whether p lies on x + yS, the sphere of center x and radius |y| (m = |x| + |y|)."""
-    b = bound(abs(x) + abs(y), tol)
-    return abs(p.w - x) <= b and abs(p.im_norm() - abs(y)) <= b
-
-
-def conjugate_sphere_check(q: Quaternion, x: float, y: float, p: Quaternion,
-                           tol: float | None = None) -> bool:
-    """Whether q p q^-1 stays on the sphere x + yS that contains p.
-
-    Conjugation fixes the real part and the imaginary norm, so this is
-    always true; the function exists as a checkable witness of that fact.
-    """
-    if q.norm_sq() == 0.0:
-        raise DivisionByZero("conjugation by zero is undefined")
-    if not on_sphere(p, x, y, tol):
-        raise NotOnSphere(f"{p} is not on the sphere {x} + {y}S")
-    image = q * p * q.inverse()
-    return on_sphere(image, x, y, tol)

@@ -22,7 +22,7 @@ from . import sampling as smp
 from .crossratio import cross_ratio, is_concyclic, on_quadric, transform_quadric
 from .flt import (FLT, Dilation, Inversion, MobiusCanonical, Rotation,
                   Translation, apply, apply_generator, canonical_det_check,
-                  is_constant, is_infinity, jacobian)
+                  is_constant, is_infinity, jacobian, three_point_map)
 from .hypgeo import (cayley, cayley_inv, distance_disc, distance_halfspace,
                      geodesic_disc, geodesic_halfspace, geodesic_sample_rows,
                      integrated_length_disc, metric_disc, metric_halfspace)
@@ -163,13 +163,18 @@ def homomorphism_suite(rng, n: int) -> Suite:
 
 def cross_ratio_suite(rng, n: int) -> Suite:
     """Translation, dilation, rotation and inversion laws of the
-    cross-ratio, real cross-ratio if and only if concyclic, and a real
-    cross-ratio for two ball points and their reflections in the sphere."""
+    cross-ratio; its real part and imaginary norm against T(q1), T =
+    three_point_map(q3, q4, q2): T(q1) = Y X is conjugate to CR = X Y; real
+    cross-ratio if and only if concyclic, and a real cross-ratio for two
+    ball points and their reflections in the sphere."""
     s = Suite()
-    worst = 0.0
+    worst = worst_three_point = 0.0
     for _ in range(n):
         pts = smp.random_separated_points(rng, 4, min_norm=0.15)
         cr = cross_ratio(*pts)
+        t = three_point_map(pts[2], pts[3], pts[1])(pts[0])
+        worst_three_point = max(worst_three_point, max(
+            abs(t.w - cr.w), abs(t.im_norm() - cr.im_norm())) / (1.0 + abs(cr)))
         b = smp.random_quaternion(rng, 2.0)
         lam = float(rng.uniform(0.2, 3.0))
         a = smp.random_unit_quaternion(rng)
@@ -210,6 +215,7 @@ def cross_ratio_suite(rng, n: int) -> Suite:
         worst_reflected = max(worst_reflected, cr.im_norm() / (1.0 + abs(cr)))
     s.n_checked = 4 * n
     s.check("worst_rel", worst, "<=", 1e-9)
+    s.check("worst_three_point", worst_three_point, "<=", 1e-13)
     s.check("concyclic_mismatches", bad, "<=", 0)
     s.check("worst_reflected_im", worst_reflected, "<=", 1e-9)
     return s
@@ -258,7 +264,7 @@ def quadric_suite(rng, n: int) -> Suite:
 def spots_suite(rng, n: int) -> Suite:
     """Pinned values of the distance, the cross-ratio, the canonical
     determinant and the metric; neither rng nor n is used."""
-    s = Suite(n_checked=6)
+    s = Suite(n_checked=7)
     half = Quaternion(0.5, 0.0, 0.0, 0.0)
     s.check("distance", abs(distance_disc(ZERO, half) - 0.5 * math.log(3.0)),
             "<=", 1e-12)
@@ -268,7 +274,8 @@ def spots_suite(rng, n: int) -> Suite:
              for q0, expect in [(ZERO, 1.0), (half, 0.75),
                                 (Quaternion(0.0, 0.6, 0.0, 0.0), 0.64)]]
     s.check("canonical", max(canon), "<=", 1e-12)
-    s.check("metric", abs(metric_halfspace(ONE, ONE) - 0.5), "<=", 1e-12)
+    s.check("metric", max(abs(metric_halfspace(ONE, ONE) - 0.5),
+                          abs(metric_disc(half, ONE) - 4.0 / 3.0)), "<=", 1e-12)
     return s
 
 

@@ -11,7 +11,7 @@ from qmobius.crossratio import (
     on_quadric,
     transform_quadric,
 )
-from qmobius.errors import CoincidentPoints
+from qmobius.errors import CoincidentPoints, GeometryError
 from qmobius.flt import (
     FLT,
     INFINITY,
@@ -142,6 +142,26 @@ def test_cross_ratio_decides_coincidence_as_coincident_does(scale):
         else:
             cross_ratio(*pts)
     assert len(seen) == 6
+    # a point with an inf or nan component coincides with nothing, so it gets
+    # an error that names no coincidence, never a NaN cross-ratio
+    base = [p * scale for p in random_separated_points(rng, 4)]
+    for bad in (q(math.inf), q(1, 0, -math.inf), q(math.nan), q(1, math.nan, 0, math.inf)):
+        for slots in ((0,), (1,), (2,), (3,), (0, 1)):
+            pts = [bad if i in slots else p for i, p in enumerate(base)]
+            assert not any(coincident(pts[a], pts[b]) for a, b in pairs)
+            with pytest.raises(GeometryError) as caught:
+                cross_ratio(*pts)
+            assert not isinstance(caught.value, CoincidentPoints), (pts, caught.value)
+
+
+def test_three_point_check_sees_a_scaled_cross_ratio(monkeypatch):
+    # a real factor cancels in the laws and keeps a real cross-ratio real;
+    # T(q1), T = three_point_map(q3, q4, q2), shares no arithmetic with it
+    from qmobius import selftest
+    monkeypatch.setattr(selftest, "cross_ratio",
+                        lambda *pts: cross_ratio(*pts) * (1.0 + 1e-8))
+    report = selftest.cross_ratio_suite(make_rng(104), 50).report()
+    assert not report["ok"] and report["check"] == "worst_three_point", report
 
 
 # -- covariance laws -----------------------------------------------------

@@ -390,6 +390,15 @@ def test_metric_disc_spot_values():
     assert metric_disc(I * 0.5, tau) == pytest.approx(math.sqrt(2.0) / 0.75, abs=1e-12)
 
 
+def test_spots_suite_sees_a_drifted_metric_disc(monkeypatch):
+    # a constant factor cancels in every invariance check; a spot value sees it
+    from qmobius import selftest
+    monkeypatch.setattr(selftest, "metric_disc",
+                        lambda q, tau: metric_disc(q, tau) * (1.0 + 1e-6))
+    report = selftest.spots_suite(make_rng(0), 1).report()
+    assert not report["ok"] and report["check"] == "metric", report
+
+
 def test_metric_disc_near_the_sphere_matches_exact_references():
     rng = make_rng(11)
     for _ in range(200):
@@ -583,6 +592,29 @@ def test_integrated_length_matches_distance_on_geodesics():
         d = distance_disc(q1, q2)
         approx = integrated_length_disc(_quats(geodesic_sample_rows(q1, q2, 4000)))
         assert abs(approx - d) <= 1e-5 * (1.0 + d)
+
+
+@pytest.mark.parametrize("delta", [1e-2, 1e-6, 1e-10])
+def test_integrated_length_near_the_sphere_matches_exact_distances(delta):
+    """Within h^2 / 3 of exact.dist_ball, h = D / (n - 1) the samples' step.
+
+    With q(s) at hyperbolic arclength s and u = h / 2, a segment's chord is
+    2u |q'| (1 + u^2 <q', q'''> / (6 |q'|^2)) and its midpoint q + u^2 q'' / 2.
+    |q'| = 1 - |q|^2 and the geodesic equation of this conformal metric,
+    q'' = -4 <q, q'> q' / (1 - |q|^2) + 2 (1 - |q|^2) q, turn the chord over
+    1 - |midpoint|^2 into h (1 - u^2 (2 r^2 c^2 - r^2 + 1/3) + O(h^4)), with
+    r = |q| and c the cosine between q and q'.  As c^2 <= 1 and r < 1, the
+    factor is below 4/3 in size, so each segment, and so the sum, is within
+    4 u^2 / 3 = h^2 / 3 = 8 h^2 / 24 relative.  Measured here: 5.3 to 7.5
+    h^2 / 24, as these geodesics run near the sphere (r -> 1) and mostly
+    along q (c^2 -> 1)."""
+    rng = make_rng(11)
+    for _ in range(6):
+        p, r = exact.at_depth(rng, delta), exact.at_depth(rng, delta)
+        d = exact.dist_ball(p, r)
+        h = float(d) / 9_999
+        length = integrated_length_disc(geodesic_sample_rows(p, r, 10_000))
+        assert exact.rel_err(length, d) <= h * h / 3.0, (p, r)
 
 
 def test_integrated_length_errors():

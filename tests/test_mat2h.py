@@ -13,8 +13,6 @@ from qmobius.mat2h import (
     CAYLEY,
     CAYLEY_INV,
     GroupTag,
-    H_FORM,
-    K_FORM,
     Mat2H,
     SINGULAR_REL,
     cayley_conjugate,
@@ -45,6 +43,10 @@ from pins import outcome
 
 def q(w=0.0, x=0.0, y=0.0, z=0.0):
     return Quaternion(float(w), float(x), float(y), float(z))
+
+
+H_FORM = Mat2H(ONE, ZERO, ZERO, -ONE)  # diag(1, -1), the form Sp11 preserves
+K_FORM = Mat2H(ZERO, ONE, ONE, ZERO)  # antidiag(1, 1), the form SLHplus preserves
 
 
 def real_mat(a, b, c, d):
