@@ -10,13 +10,14 @@ transforms by conjugation, so its real part and imaginary norm are.
 
 from __future__ import annotations
 
-from math import hypot, inf, isfinite, nan
+from math import hypot, inf, nan
 from typing import NamedTuple
 
 from .errors import CoincidentPoints, DegenerateResult, NonFiniteResult
 from .flt import FLT, INFINITY, ExtQuaternion, generator_inverse, generator_matrix
 from .mat2h import Mat2H
-from .quat import N2_HUGE, N2_TINY, ONE, TOL, Quaternion, _new, bound, coincident, negligible
+from .quat import (N2_HUGE, N2_TINY, ONE, TOL, Quaternion, _new, bound, coincident, is_finite,
+                   negligible)
 
 
 def cross_ratio(q1: ExtQuaternion, q2: ExtQuaternion, q3: ExtQuaternion,
@@ -48,7 +49,7 @@ def cross_ratio(q1: ExtQuaternion, q2: ExtQuaternion, q3: ExtQuaternion,
     g34 = hypot(w3 - w4, x3 - x4, y3 - y4, z3 - z4)
     if not m1 + m2 + m3 + m4 + g13 + g14 + g23 + g24 + g34 < inf:
         # a point at infinity, a non-finite component or a length that overflowed
-        if not all(isfinite(v) for p in pts if p is not INFINITY for v in p):
+        if not all(is_finite(p) for p in pts if p is not INFINITY):
             raise NonFiniteResult("a point with an inf or nan component has no cross-ratio")
         if inf in (m1, m2, m3, m4, g13, g14, g23, g24, g34):
             # a dilation changes neither the cross-ratio nor a coincidence:

@@ -12,11 +12,11 @@ from math import hypot
 from typing import NamedTuple, Union
 
 from . import mat2h as _m
-from .errors import (BothZero, CoincidentPoints, ConstraintViolation,
+from .errors import (BothZero, CoincidentPoints, ConstraintViolation, NonFiniteResult,
                      NonImaginaryShift, NotSp11, PoleInput, ZeroD)
-from .mat2h import GroupTag, Mat2H, classify, det_h, normalize, singular
+from .mat2h import GroupTag, Mat2H, classify, det_h, normalize, rescale, singular
 from .quat import (I, J, K, N2_HUGE, N2_TINY, ONE, TOL, ZERO, Quaternion, _new, coincident,
-                   negligible)
+                   is_finite, negligible)
 
 
 class _Infinity:
@@ -59,7 +59,7 @@ def apply(f, q: ExtQuaternion) -> ExtQuaternion:
     """Evaluate the map of f (an FLT or a raw Mat2H) at q.
 
     Poles map to INFINITY; INFINITY maps to a c^-1, or stays at INFINITY
-    when c = 0.
+    when c = 0.  A point with an inf or nan component is NonFiniteResult.
     """
     A = f.matrix if isinstance(f, FLT) else f
     a, b, c, d = A
@@ -76,8 +76,10 @@ def apply(f, q: ExtQuaternion) -> ExtQuaternion:
     ey = cw * qy - cx * qz + cy * qw + cz * qx + dy
     ez = cw * qz + cx * qy - cy * qx + cz * qw + dz
     scale = hypot(cw, cx, cy, cz) * hypot(qw, qx, qy, qz) + hypot(dw, dx, dy, dz)
-    if hypot(ew, ex, ey, ez) <= _POLE_EPS * scale:
-        return INFINITY
+    if not hypot(ew, ex, ey, ez) > _POLE_EPS * scale:  # where a nan lands too
+        if is_finite(q):
+            return INFINITY
+        raise NonFiniteResult(f"{q} has an inf or nan component")
     (aw, ax, ay, az), (bw, bx, by, bz) = a, b
     nw = aw * qw - ax * qx - ay * qy - az * qz + bw
     nx = aw * qx + ax * qw + ay * qz - az * qy + bx
@@ -134,13 +136,10 @@ def is_constant(A: Mat2H) -> bool:
     FLT rejects it; det_h of an exactly rank-one matrix evaluates to a few
     machine epsilon times the squared entry scale, far below the gate.
     """
-    scale = A.entry_scale()
-    e = _m._exponent(scale)
-    if e:  # as in inverse and normalize
-        return is_constant(_m._ldexp_m(A, -e))
-    if negligible(max(abs(A.c), abs(A.d)), scale):
+    B, _, scale, dh = rescale(A)
+    if negligible(max(abs(B.c), abs(B.d)), scale):
         raise BothZero("c = d = 0 leaves the map undefined everywhere")
-    return singular(det_h(A), scale)
+    return singular(dh, scale)
 
 
 # -- generators ---------------------------------------------------------

@@ -42,7 +42,7 @@ from typing import NamedTuple
 from .errors import CoincidentPoints, NonFiniteResult, OutOfDomain, TooFewSamples
 from .flt import _POLE_EPS, FLT, INFINITY, ExtQuaternion, MobiusCanonical, apply
 from .mat2h import CAYLEY, CAYLEY_INV, Mat2H, _norm_sq, qmul_planes
-from .quat import N2_HUGE, N2_TINY, ONE, Quaternion, _new, bound, coincident
+from .quat import N2_HUGE, N2_TINY, ONE, Quaternion, _new, bound, coincident, is_finite
 
 
 def _one_minus_norm_sq(w: float, x: float, y: float, z: float, top: float = 2.0) -> float:
@@ -50,8 +50,8 @@ def _one_minus_norm_sq(w: float, x: float, y: float, z: float, top: float = 2.0)
     it is correctly rounded but for an absolute 2^-100, so it keeps its digits as
     |q| -> 1: each a = h + l, h a multiple of 2^-25 (held negated), so that
     1 - sum h^2 and each 2 h l are exact for fsum.  Elsewhere the plain 1 - s is
-    within 13 u where |1 - s| >= s / 3; top = 1 is the ball's rule, <= 0 from
-    s = 1 on, as rounded."""
+    within 13 u where |1 - s| >= s / 3; top = 1 is ball_gap's, <= 0 from s = 1
+    on, as rounded."""
     s = w * w + x * x + y * y + z * z
     if not 0.75 <= s < top:
         return 1.0 - s
@@ -85,20 +85,36 @@ def cayley_inv(q: ExtQuaternion) -> ExtQuaternion:
     return apply(CAYLEY_INV, q)
 
 
-def _require_ball(q: Quaternion) -> None:
-    if q is INFINITY or _one_minus_norm_sq(*q, 1.0) <= 0.0:
-        raise OutOfDomain(f"{q} is not in the open unit ball")
+def ball_gap(q: Quaternion) -> float:
+    """The ball's domain rule: 1 - |q|^2 where it is positive, exactly, else
+    OutOfDomain; INFINITY, an inf and a nan component all fail it."""
+    if q is not INFINITY:
+        w, x, y, z = q
+        s = w * w + x * x + y * y + z * z  # below 3/4, _one_minus_norm_sq's 1 - s
+        g = 1.0 - s if s < 0.75 else _one_minus_norm_sq(w, x, y, z, 1.0)
+        if g > 0.0:
+            return g
+    raise OutOfDomain(f"{q} is not in the open unit ball")
 
 
-def _require_halfspace(q: Quaternion) -> None:
-    if q is INFINITY or q.w <= 0.0:
-        raise OutOfDomain(f"{q} is not in the open half-space Re q > 0")
+def halfspace_re(q: Quaternion) -> float:
+    """The half-space's domain rule: Re q where 0 < Re q < inf, else OutOfDomain;
+    _require_finite completes it where an inf or nan imaginary part leads."""
+    if q is not INFINITY and 0.0 < q[0] < math.inf:
+        return q[0]
+    raise OutOfDomain(f"{q} is not in the open half-space Re q > 0")
+
+
+def _require_finite(*qs: Quaternion) -> None:
+    for q in qs:
+        if not is_finite(q):
+            raise OutOfDomain(f"{q} is not in the open half-space Re q > 0")
 
 
 def _require_distinct(q1: Quaternion, q2: Quaternion, tol: float | None) -> Quaternion:
     """q2 - q1, for two points of the ball that do not coincide."""
-    _require_ball(q1)
-    _require_ball(q2)
+    ball_gap(q1)
+    ball_gap(q2)
     if coincident(q1, q2, tol):
         raise CoincidentPoints("a line needs two distinct points")
     return q2 - q1
@@ -169,36 +185,29 @@ def geodesic_disc(q1: Quaternion, q2: Quaternion,
 
 
 def distance_disc(q1: Quaternion, q2: Quaternion) -> float:
-    """Invariant distance of the ball.  A point with |q|^2 >= 1, or whose
-    exact 1 - |q|^2 is not positive, is OutOfDomain."""
-    if q1 is INFINITY or q2 is INFINITY:
-        raise OutOfDomain("inf is not in the open unit ball")
-    w1, x1, y1, z1 = q1
-    w2, x2, y2, z2 = q2
-    g1 = _one_minus_norm_sq(w1, x1, y1, z1, 1.0)
-    g2 = _one_minus_norm_sq(w2, x2, y2, z2, 1.0)
-    if g1 <= 0.0 or g2 <= 0.0:
-        raise OutOfDomain(f"{q1 if g1 <= 0.0 else q2} is not in the open unit ball")
-    return math.asinh(math.hypot(w1 - w2, x1 - x2, y1 - y2, z1 - z2) / math.sqrt(g1 * g2))
+    """Invariant distance of the ball; math.dist(q1, q2) is the hypot of the
+    component differences, bit for bit."""
+    g = ball_gap(q1) * ball_gap(q2)
+    return math.asinh(math.dist(q1, q2) / math.sqrt(g))
+
+
+def _length(m: float) -> float:
+    if m < math.inf:
+        return m
+    raise NonFiniteResult(f"a tangent length of {m} is not a finite float")
 
 
 def metric_disc(q: Quaternion, tau: Quaternion) -> float:
     """Length of the tangent vector tau at q: |tau| / (1 - |q|^2)."""
-    if q is INFINITY:
-        raise OutOfDomain("inf is not in the open unit ball")
-    w, x, y, z = q
-    gap = _one_minus_norm_sq(w, x, y, z, 1.0)
-    if gap <= 0.0:
-        raise OutOfDomain(f"{q} is not in the open unit ball")
-    return abs(tau) / gap
+    return _length(abs(tau) / ball_gap(q))
 
 
 def metric_halfspace(q: Quaternion, tau: Quaternion) -> float:
     """Length of the tangent vector tau at q: |tau| / (2 Re q), divided by
     Re q before halving where 2 Re q overflows."""
-    _require_halfspace(q)
-    w = q.w
-    return abs(tau) / (w + w) if w < 8.98846567431158e307 else abs(tau) / w * 0.5
+    w = halfspace_re(q)
+    _require_finite(q)
+    return _length(abs(tau) / (w + w) if w < 8.98846567431158e307 else abs(tau) / w * 0.5)
 
 
 # -- sampled geodesics and numeric length ------------------------------
@@ -249,10 +258,9 @@ def integrated_length_disc(path) -> float:
         raise ValueError("path must be a sequence of quaternions")
     if len(arr) < 2:
         raise TooFewSamples("need at least two path samples")
-    # the ball's rule, which only rows with |q|^2 >= 3/4 can fail
-    near = np.einsum("ij,ij->i", arr, arr) >= 0.75
-    if near.any() and any(_one_minus_norm_sq(*row, 1.0) <= 0.0 for row in arr[near].tolist()):
-        raise OutOfDomain("path leaves the open unit ball")
+    # the ball's rule, which only rows with |q|^2 >= 3/4 (or nan) can fail
+    for row in arr[~(np.einsum("ij,ij->i", arr, arr) < 0.75)].tolist():
+        ball_gap(row)
     seg = arr[1:] - arr[:-1]
     mid = 0.5 * (arr[1:] + arr[:-1])
     lengths = np.sqrt(np.einsum("ij,ij->i", seg, seg))
@@ -278,17 +286,16 @@ class GeodesicHalfspace(NamedTuple):
 def _arc(q1: Quaternion, q2: Quaternion, tol: float | None):
     """(e, y0, R, s3, s4) of the module docstring for two distinct points of
     the half-space; None for a half-line, also one whose y0 overflows."""
-    _require_halfspace(q1)
-    _require_halfspace(q2)
+    x1, x2 = halfspace_re(q1), halfspace_re(q2)
     if coincident(q1, q2, tol):
         raise CoincidentPoints("a line needs two distinct points")
     d = (q2.x - q1.x, q2.y - q1.y, q2.z - q1.z)
     L = math.hypot(*d)
     if L == 0.0:
         return None
-    if L == math.inf:
+    if not L < math.inf:
+        _require_finite(q1, q2)
         raise NonFiniteResult("the gap between the imaginary parts does not fit a float")
-    x1, x2 = q1.w, q2.w
     r = (x2 - x1) / L
     y0 = 0.5 * L + (0.5 * r * x2 + 0.5 * r * x1)  # halved first: no overflow before y0's
     if abs(y0) == math.inf:
@@ -313,7 +320,7 @@ def _arc_point(q1: Quaternion, arc, sigma: float, re: float = 0.0) -> ExtQuatern
     if abs(off) == math.inf:  # that end does not fit a float; nothing cancels on its side
         off = y0 - R * math.tanh(sigma)
     p = (re, q1.x + off * e[0], q1.y + off * e[1], q1.z + off * e[2])
-    return _new(Quaternion, p) if all(map(math.isfinite, p)) else INFINITY
+    return _new(Quaternion, p) if is_finite(p) else INFINITY
 
 
 def geodesic_halfspace(q1: Quaternion, q2: Quaternion,
@@ -369,25 +376,21 @@ def geodesic_sample_halfspace(q1: Quaternion, q2: Quaternion, n: int,
         raise TooFewSamples("need at least two sample points")
     step = 2.0 * distance_halfspace(q1, q2) / (n - 1)
     h = (n + 1) // 2
-    try:
+    try:  # distance_halfspace took q1 and q2: a sample out of the half-space left float range
         inner = (_walk(q1, q2, [k * step for k in range(1, h)], tol)
                  + _walk(q2, q1, [k * step for k in range(n - 1 - h, 0, -1)], tol))
-    except OverflowError:  # a Re taken in logs beyond float range
-        inner = [INFINITY]
-    if any(p is INFINITY or not 0.0 < p.w < math.inf for p in inner):
-        raise NonFiniteResult("a sample of the line does not fit a float")
+        for p in inner:
+            halfspace_re(p)
+    except (OverflowError, OutOfDomain):  # OverflowError: a Re taken in logs
+        raise NonFiniteResult("a sample of the line does not fit a float") from None
     return [q1, *inner, q2]
 
 
 def distance_halfspace(q1: Quaternion, q2: Quaternion) -> float:
     """Invariant distance of the half-space."""
-    if q1 is INFINITY or q2 is INFINITY or q1[0] <= 0.0 or q2[0] <= 0.0:
-        bad = q1 if q1 is INFINITY or q1[0] <= 0.0 else q2
-        raise OutOfDomain(f"{bad} is not in the open half-space Re q > 0")
-    w1, x1, y1, z1 = q1
-    w2, x2, y2, z2 = q2
+    w1, w2 = halfspace_re(q1), halfspace_re(q2)
     s = math.sqrt(w1) * math.sqrt(w2)  # cannot underflow to 0
-    gap = math.hypot(w1 - w2, x1 - x2, y1 - y2, z1 - z2)
+    gap = math.dist(q1, q2)  # |q1 - q2|, as in distance_disc
     if s < 2.2250738585072014e-308 or gap < 2.2250738585072014e-308:
         # Re q1 Re q2 < 2^-2044, so s lost digits, or the gap is subnormal.  The
         # quotient is free of scale, so the differences (exact where the gap is
@@ -399,7 +402,8 @@ def distance_halfspace(q1: Quaternion, q2: Quaternion) -> float:
         # that scale)
         x = gap / s * 0.5 if gap < math.inf else math.hypot(
             *(0.5 * a - 0.5 * b for a, b in zip(q1, q2))) / s
-    if x == math.inf:
+    if not x < math.inf:  # also a nan, of an inf or nan imaginary part
+        _require_finite(q1, q2)
         # asinh x = log 2x to rounding once x > 2^28; in logs, 2x cannot overflow
         return (math.log(2.0) + math.log(math.hypot(*(0.5 * a - 0.5 * b for a, b in zip(q1, q2))))
                 - 0.5 * (math.log(w1) + math.log(w2)))

@@ -27,9 +27,8 @@ from __future__ import annotations
 
 import math
 
-from .errors import OutOfDomain, TooFewSamples
-from .flt import INFINITY
-from .hypgeo import _one_minus_norm_sq, distance_disc
+from .errors import TooFewSamples
+from .hypgeo import ball_gap, distance_disc
 from .quat import N2_TINY, Quaternion
 
 ComplexPair = tuple[complex, complex]
@@ -54,11 +53,9 @@ def ball_automorphism(a: ComplexPair, z: ComplexPair) -> ComplexPair:
     s_a = sqrt(1 - |a|^2) (Rudin, section 2.2); phi_a is an involution.  It
     is taken as (P_a w + s_a Q_a w) / (1 - <z, a>) with w = a - z, and the real
     part of 1 - <z, a> as (g_a + g_z + |w|^2) / 2, g = 1 - |.|^2 by the ball's
-    domain rule: no term cancels as a or z nears the sphere.
+    domain rule, ball_gap: no term cancels as a or z nears the sphere.
     """
-    ga, gz = _one_minus_norm_sq(*from_c2(a), 1.0), _one_minus_norm_sq(*from_c2(z), 1.0)
-    if ga <= 0.0 or gz <= 0.0:
-        raise OutOfDomain(f"{a if ga <= 0.0 else z} is not in the open unit ball")
+    ga, gz = ball_gap(from_c2(a)), ball_gap(from_c2(z))
     w = (a[0] - z[0], a[1] - z[1])
     aa = abs(a[0]) ** 2 + abs(a[1]) ** 2
     wa = w[0] * a[0].conjugate() + w[1] * a[1].conjugate()
@@ -71,16 +68,11 @@ def ball_automorphism(a: ComplexPair, z: ComplexPair) -> ComplexPair:
 def kobayashi_distance(p: Quaternion, q: Quaternion) -> float:
     """Kobayashi distance of the complex unit ball between to_c2(p) and
     to_c2(q), by the closed form of the module docstring; both terms of its
-    numerator are nonnegative, so nothing cancels near the sphere.  The
-    ball's domain rule is distance_disc's."""
-    if p is INFINITY or q is INFINITY:
-        raise OutOfDomain("inf is not in the open unit ball")
+    numerator are nonnegative, so nothing cancels near the sphere.  g is
+    the ball's domain rule, ball_gap."""
+    gp, gq = ball_gap(p), ball_gap(q)
     pw, px, py, pz = p
     qw, qx, qy, qz = q
-    gp = _one_minus_norm_sq(pw, px, py, pz, 1.0)
-    gq = _one_minus_norm_sq(qw, qx, qy, qz, 1.0)
-    if gp <= 0.0 or gq <= 0.0:
-        raise OutOfDomain(f"{p if gp <= 0.0 else q} is not in the open unit ball")
     ww, wx, wy, wz = qw - pw, qx - px, qy - py, qz - pz
     ww2 = ww * ww + wx * wx + wy * wy + wz * wz
     scale = 1.0

@@ -199,49 +199,46 @@ def _ldexp_m(A: Mat2H, e: int) -> Mat2H:
     return Mat2H(*(_ldexp_q(q, e) for q in A))
 
 
-def _exponent(scale: float) -> int:
-    """e such that A 2^-e has entry scale in [1/2, 1), where scale^2 leaves
-    [N2_TINY, N2_HUGE); else (and for 0, inf and nan) 0."""
-    return 0 if N2_TINY <= scale * scale < N2_HUGE else math.frexp(scale)[1]
+def rescale(A: Mat2H) -> tuple[Mat2H, int, float, float]:
+    """(B, e, B's entry scale, det_h(B)) for B = A 2^-e, which inverse, normalize
+    and flt.is_constant judge, so each decides the same at every scale: e puts B's
+    scale in [1/2, 1) where A's squared scale leaves [N2_TINY, N2_HUGE), else 0."""
+    scale = A.entry_scale()
+    e = 0 if N2_TINY <= scale * scale < N2_HUGE else math.frexp(scale)[1]
+    if e:
+        A = _ldexp_m(A, -e)
+        scale = A.entry_scale()
+    return A, e, scale, det_h(A)
 
 
 def singular(dh: float, scale: float) -> bool:
     """The one singularity rule, of inverse, normalize and flt.is_constant:
     det_h <= SINGULAR_REL scale^2 (also a nan det_h, of non-finite entries),
-    for det_h and the entry scale of A 2^-e, e = _exponent(scale of A), so
-    the decision is the same at every scale.  It takes det_h rather than A
-    because normalize divides by the det_h it judges."""
+    on rescale's B.  It takes det_h rather than A because normalize divides
+    by the det_h it judges."""
     return not dh > SINGULAR_REL * scale * scale
 
 
 def inverse(A: Mat2H) -> Mat2H:
-    scale = A.entry_scale()
-    e = _exponent(scale)
-    if e:  # invert A 2^-e
-        try:
-            return _ldexp_m(inverse(_ldexp_m(A, -e)), -e)
-        except OverflowError:
-            raise NonFiniteResult(f"an inverse of scale 1/{scale:g} overflows") from None
-    dh = det_h(A)
+    B, e, scale, dh = rescale(A)
     if singular(dh, scale):
         raise Singular(f"matrix with det_h {dh} is numerically singular")
     # pivot on the larger entry of the first row: scale-invariant, and
     # that entry is nonzero past the gate
-    if abs(A.a) >= abs(A.b):
-        return inverse_form_a(A)
-    return inverse_form_b(A)
+    Bi = inverse_form_a(B) if abs(B.a) >= abs(B.b) else inverse_form_b(B)
+    try:
+        return _ldexp_m(Bi, -e) if e else Bi
+    except OverflowError:
+        raise NonFiniteResult(f"an inverse of scale 2^{-e} overflows") from None
 
 
 def normalize(A: Mat2H) -> Mat2H:
-    """Scale A by a positive real so that det_h becomes 1."""
-    scale = A.entry_scale()
-    e = _exponent(scale)
-    if e:  # as in inverse; normalize is projective
-        return normalize(_ldexp_m(A, -e))
-    dh = det_h(A)
+    """Scale A by a positive real so that det_h becomes 1; being projective,
+    it scales rescale's B."""
+    B, _, scale, dh = rescale(A)
     if singular(dh, scale):
         raise Singular("cannot normalize a numerically singular matrix")
-    return A.scalar_mul(1.0 / math.sqrt(dh))
+    return B.scalar_mul(1.0 / math.sqrt(dh))
 
 
 class GroupTag(Enum):

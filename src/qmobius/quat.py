@@ -47,11 +47,16 @@ def coincident(p, q, tol: float | None = None) -> bool:
     pw, px, py, pz = p
     qw, qx, qy, qz = q
     r = max(math.hypot(pw, px, py, pz), math.hypot(qw, qx, qy, qz))
-    if r == math.inf and all(map(math.isfinite, (*p, *q))):
+    if r == math.inf and is_finite(p) and is_finite(q):
         return coincident((0.5 * pw, 0.5 * px, 0.5 * py, 0.5 * pz),
                           (0.5 * qw, 0.5 * qx, 0.5 * qy, 0.5 * qz), tol)
     b = (TOL if tol is None else float(tol)) * r  # bound, inline on the geometry path
     return b < math.inf and math.hypot(pw - qw, px - qx, py - qy, pz - qz) <= b
+
+
+def is_finite(p) -> bool:
+    """The finite-point rule: whether every component of the point p is finite."""
+    return all(map(math.isfinite, p))
 
 
 # squared norms outside [2^-900, 2^900) have lost digits or come close to overflow
@@ -158,7 +163,7 @@ class Quaternion(NamedTuple):
         if not N2_TINY <= n2 < N2_HUGE:
             if not any(self):
                 raise DivisionByZero("cannot invert the zero quaternion")
-            if all(map(math.isfinite, self)):
+            if is_finite(self):
                 e = math.frexp(max(map(abs, self)))[1]
                 try:
                     return _ldexp_q(_ldexp_q(self, -e).inverse(), -e)

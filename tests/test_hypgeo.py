@@ -1,6 +1,7 @@
 """Invariant distance, geodesics, metric densities, and the boundary map."""
 
 import math
+import sys
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -26,6 +27,7 @@ from qmobius.hypgeo import (
     metric_halfspace,
     normalizing_map,
 )
+from qmobius.kobayashi import kobayashi_distance
 from qmobius.mat2h import CAYLEY, Mat2H
 from qmobius.quat import I, J, K, N2_HUGE, N2_TINY, ONE, ZERO, Quaternion
 from qmobius.sampling import (
@@ -421,8 +423,12 @@ def test_metric_halfspace_matches_exact_references():
     for lo in [-300.0] * 1000 + [math.log10(8.99e307)] * 200:  # and where 2 Re q overflows
         p = q(10.0 ** rng.uniform(lo, top), *random_imaginary(rng)[1:])
         tau = random_quaternion(rng) * 10.0 ** rng.uniform(-300.0, 300.0)
-        m = metric_halfspace(p, tau)
-        if 2.0 ** -1022 <= m < math.inf:
+        try:
+            m = metric_halfspace(p, tau)
+        except NonFiniteResult:  # it returned inf here: the length does not fit a float
+            assert exact.metric_half(p, tau) > Decimal(sys.float_info.max) * Decimal(1 - 4 * EPS)
+            continue
+        if 2.0 ** -1022 <= m:
             assert exact.rel_err(m, exact.metric_half(p, tau)) <= 2 * EPS, (p, tau)
             checked += 1
     assert checked > 600
@@ -1025,3 +1031,61 @@ def test_cayley_is_an_isometry():
         d = distance_disc(q1, q2)
         assert distance_halfspace(cayley(q1), cayley(q2)) == pytest.approx(
             d, rel=1e-9, abs=1e-9)
+
+
+# -- points with an inf or nan component ----------------------------------
+
+# the first two fail each model's rule on their own; the last two pass the
+# half-space's real-part test and are caught on the branches they lead to
+NON_FINITE = [q(math.nan), q(0, math.inf), q(1, math.nan), q(1, 0, -math.inf)]
+
+# each function with the point p in each point argument, and a point of its
+# model in the others
+POINT_CALLS = {
+    "distance_disc(p, .)": (OutOfDomain, lambda p: distance_disc(p, HALF)),
+    "distance_disc(., p)": (OutOfDomain, lambda p: distance_disc(HALF, p)),
+    "metric_disc": (OutOfDomain, lambda p: metric_disc(p, ONE)),
+    "kobayashi_distance(p, .)": (OutOfDomain, lambda p: kobayashi_distance(p, HALF)),
+    "kobayashi_distance(., p)": (OutOfDomain, lambda p: kobayashi_distance(HALF, p)),
+    "geodesic_disc(p, .)": (OutOfDomain, lambda p: geodesic_disc(p, HALF)),
+    "geodesic_disc(., p)": (OutOfDomain, lambda p: geodesic_disc(HALF, p)),
+    "geodesic_sample_rows(p, .)": (OutOfDomain, lambda p: geodesic_sample_rows(p, HALF, 5)),
+    "geodesic_sample_rows(., p)": (OutOfDomain, lambda p: geodesic_sample_rows(HALF, p, 5)),
+    "integrated_length_disc": (OutOfDomain, lambda p: integrated_length_disc([ZERO, p, HALF])),
+    "distance_halfspace(p, .)": (OutOfDomain, lambda p: distance_halfspace(p, ONE)),
+    "distance_halfspace(., p)": (OutOfDomain, lambda p: distance_halfspace(ONE, p)),
+    "metric_halfspace": (OutOfDomain, lambda p: metric_halfspace(p, ONE)),
+    "geodesic_halfspace(p, .)": (OutOfDomain, lambda p: geodesic_halfspace(p, ONE)),
+    "geodesic_halfspace(., p)": (OutOfDomain, lambda p: geodesic_halfspace(ONE, p)),
+    "geodesic_sample_halfspace(p, .)": (OutOfDomain,
+                                        lambda p: geodesic_sample_halfspace(p, ONE, 5)),
+    "geodesic_sample_halfspace(., p)": (OutOfDomain,
+                                        lambda p: geodesic_sample_halfspace(ONE, p, 5)),
+    # the whole of H u {inf} is their domain; a non-finite component is no point of it
+    "apply": (NonFiniteResult, lambda p: apply(Mat2H.identity(), p)),
+    "cayley": (NonFiniteResult, cayley),
+    "cayley_inv": (NonFiniteResult, cayley_inv),
+    # and a tangent vector's length must fit a float
+    "metric_disc tau": (NonFiniteResult, lambda p: metric_disc(HALF, p)),
+    "metric_halfspace tau": (NonFiniteResult, lambda p: metric_halfspace(ONE, p)),
+}
+
+
+@pytest.mark.parametrize("p", NON_FINITE, ids=str)
+@pytest.mark.parametrize("name", POINT_CALLS)
+def test_a_non_finite_component_is_a_typed_error(name, p):
+    # each of these returned nan, a nan row, or a half-line whose foot is 0
+    error, call = POINT_CALLS[name]
+    with pytest.raises(error):
+        call(p)
+
+
+def test_huge_finite_points_and_lengths():
+    # a huge finite point is in the half-space, on either side
+    a, b = q(1, 1e308, 1e308), q(2)
+    for d in (distance_halfspace(a, b), distance_halfspace(b, a)):
+        assert d == 709.196208642166
+        assert exact.rel_err(d, exact.dist_half(a, b)) <= 4 * EPS
+    # |tau| / (2 Re q) = 5e309 returned inf
+    with pytest.raises(NonFiniteResult):
+        metric_halfspace(q(1e-300), q(1e10))

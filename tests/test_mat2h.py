@@ -498,6 +498,18 @@ def test_classify_boost():
     assert GroupTag.SL2H in tags
 
 
+@pytest.mark.parametrize("A", [
+    real_mat(math.cosh(20.0), math.sinh(20.0), math.sinh(20.0), math.cosh(20.0)),
+    real_mat(1, 1, 1, 1).scalar_mul(1e100),
+])
+def test_classify_cannot_tell_a_far_boost_from_rank_one(A):
+    # at t = 20, cosh t == sinh t in floats: the Sp(1,1) boost is exactly the
+    # rank-one matrix it rounds to, so no float test can tell the two apart
+    # once scale^2 / det_h passes 1 / eps; both get Sp11 and not GL2H
+    assert det_h(A) == 0.0
+    assert {tag.value for tag in classify(A)} == {"Sp11"}
+
+
 def test_classify_antidiagonal():
     tags = classify(K_FORM)
     assert GroupTag.SL_HPLUS in tags

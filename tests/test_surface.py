@@ -102,3 +102,57 @@ def test_predicates_that_no_caller_tunes_take_no_tol():
         module, *path = where.split(".")
         f = functools.reduce(getattr, path, importlib.import_module(f"qmobius.{module}"))
         assert "tol" not in inspect.signature(f).parameters, where
+
+
+# each point-domain rule and the functions that are its home: the ball's
+# gap (cayley takes the same gap as the real part of its image, not as a
+# test), the half-space's real part and the finite point's components
+DOMAIN_HOMES = {
+    "ball gap": {"hypgeo.ball_gap", "hypgeo.cayley"},
+    "real part against 0": {"hypgeo.halfspace_re"},
+    "finiteness scan": {"quat.is_finite"},
+}
+_REAL_PARTS = {"w", "w1", "w2", "x1", "x2"}  # the names the half-space code gives Re q
+
+
+def _names(node):
+    return {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+            if isinstance(n, (ast.Name, ast.Attribute))}
+
+
+def _is_real_part(node):
+    return (isinstance(node, ast.Attribute) and node.attr == "w"
+            or isinstance(node, ast.Subscript) and isinstance(node.slice, ast.Constant)
+            and node.slice.value == 0
+            or isinstance(node, ast.Name) and node.id in _REAL_PARTS)
+
+
+def _domain_checks(path):
+    """(kind, module.function) of each domain computation or comparison in path."""
+    module, found = path.stem, []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            where = f"{where}.{node.name}"
+        if isinstance(node, ast.Call) and "_one_minus_norm_sq" in _names(node.func):
+            found.append(("ball gap", where))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id in (
+                "all", "any") and "isfinite" in _names(node):
+            found.append(("finiteness scan", where))
+        if isinstance(node, ast.Compare):
+            operands = [node.left, *node.comparators]
+            if (any(isinstance(o, ast.Constant) and o.value == 0 for o in operands)
+                    and any(_is_real_part(o) for o in operands)):
+                found.append(("real part against 0", where))
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(ast.parse(path.read_text()), module)
+    return found
+
+
+def test_every_domain_rule_has_one_home():
+    found = [c for p in sorted(SRC.glob("*.py")) for c in _domain_checks(p)]
+    stray = sorted({(kind, where) for kind, where in found if where not in DOMAIN_HOMES[kind]})
+    assert stray == []
+    assert {kind for kind, _ in found} == DOMAIN_HOMES.keys()
