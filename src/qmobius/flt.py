@@ -77,9 +77,9 @@ def apply(f, q: ExtQuaternion) -> ExtQuaternion:
     ez = cw * qz + cx * qy - cy * qx + cz * qw + dz
     scale = hypot(cw, cx, cy, cz) * hypot(qw, qx, qy, qz) + hypot(dw, dx, dy, dz)
     if not hypot(ew, ex, ey, ez) > _POLE_EPS * scale:  # where a nan lands too
-        if is_finite(q):
+        if is_finite(q) and is_finite(c) and is_finite(d):
             return INFINITY
-        raise NonFiniteResult(f"{q} has an inf or nan component")
+        raise NonFiniteResult(f"{q}, c or d has an inf or nan component")
     (aw, ax, ay, az), (bw, bx, by, bz) = a, b
     nw = aw * qw - ax * qx - ay * qy - az * qz + bw
     nx = aw * qx + ax * qw + ay * qz - az * qy + bx

