@@ -41,9 +41,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _round7(x: float):
     v = float(f"{x:.7g}") + 0.0
-    if v == int(v) and abs(v) < 1e15:
-        return int(v)
-    return v
+    return int(v) if v == int(v) and abs(v) < 1e15 else v
 
 
 def _clean(obj):

@@ -46,9 +46,7 @@ def ext_to_json(v: ExtQuaternion):
 
 
 def ext_from_json(data) -> ExtQuaternion:
-    if data == "inf":
-        return INFINITY
-    return Quaternion.from_json(data)
+    return INFINITY if data == "inf" else Quaternion.from_json(data)
 
 
 # pole threshold, relative to |c||q| + |d| (at INFINITY, to |a| + |d|)
@@ -64,9 +62,7 @@ def apply(f, q: ExtQuaternion) -> ExtQuaternion:
     A = f.matrix if isinstance(f, FLT) else f
     a, b, c, d = A
     if q is INFINITY:
-        if abs(c) <= _POLE_EPS * (abs(a) + abs(d)):
-            return INFINITY
-        return a * c.inverse()
+        return INFINITY if abs(c) <= _POLE_EPS * (abs(a) + abs(d)) else a * c.inverse()
     # (a q + b)(c q + d)^-1 on components: each operation is the one the
     # Quaternion operators perform, in their order, so the result is bit-
     # identical to that expression; e = c q + d, n = a q + b
@@ -183,6 +179,8 @@ Generator = Union[Translation, Rotation, Dilation, Inversion]
 def apply_generator(g: Generator, q: ExtQuaternion) -> ExtQuaternion:
     if q is INFINITY:
         return ZERO if isinstance(g, Inversion) else INFINITY
+    if not is_finite(q):
+        raise NonFiniteResult(f"{q} has an inf or nan component")
     if isinstance(g, Translation):
         return q + g.b
     if isinstance(g, Rotation):

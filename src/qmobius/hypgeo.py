@@ -41,7 +41,7 @@ from typing import NamedTuple
 
 from .errors import CoincidentPoints, NonFiniteResult, OutOfDomain, TooFewSamples
 from .flt import _POLE_EPS, FLT, INFINITY, ExtQuaternion, MobiusCanonical, apply
-from .mat2h import CAYLEY, CAYLEY_INV, Mat2H, _norm_sq, qmul_planes
+from .mat2h import CAYLEY, CAYLEY_INV, Mat2H, _empty, norm_sq_into, qmul_into, qmul_planes
 from .quat import N2_HUGE, N2_TINY, ONE, Quaternion, _new, bound, coincident, is_finite
 
 
@@ -212,14 +212,16 @@ def metric_halfspace(q: Quaternion, tau: Quaternion) -> float:
 # -- sampled geodesics and numeric length ------------------------------
 
 
-def _apply_matrix_to_reals(M: Mat2H, r) -> tuple:
-    """Component planes of the images (a r + b)(c r + d)^-1 of the real
-    points r."""
-    a, b, c, d = M
-    num = [r * a[k] + b[k] for k in range(4)]
-    dw, dx, dy, dz = den = [r * c[k] + d[k] for k in range(4)]
-    n2 = _norm_sq(den)
-    return qmul_planes(num, (dw / n2, -dx / n2, -dy / n2, -dz / n2))
+def _apply_matrix_to_reals(M: Mat2H, r):
+    """Component planes (4, len(r)) of the images (a r + b)(c r + d)^-1 of the reals r."""
+    import numpy as np
+    (num, den), (n2, t) = _empty(2, 4, len(r)), _empty(2, len(r))
+    for k, (a, b, c, d) in enumerate(zip(*M)):
+        np.add(np.multiply(r, a, out=num[k]), b, out=num[k])
+        np.add(np.multiply(r, c, out=den[k]), d, out=den[k])
+    norm_sq_into(den, n2, t)
+    np.negative(den[1:], out=den[1:])
+    return qmul_into(num, np.divide(den, n2, out=den), _empty(4, len(r)), t)
 
 
 def geodesic_sample_rows(q1: Quaternion, q2: Quaternion, n: int,
@@ -240,8 +242,7 @@ def geodesic_sample_rows(q1: Quaternion, q2: Quaternion, n: int,
         u = _direction(x, y)
         M = Mat2H(u, x, x.conj() * u, ONE)
         np.stack(_apply_matrix_to_reals(M, radii[:len(part)]), axis=1, out=part)
-    rows[0] = q1
-    rows[-1] = q2
+    rows[0], rows[-1] = q1, q2
     return rows
 
 

@@ -112,24 +112,35 @@ def det_h(A: Mat2H) -> float:
                      dz - (pw * bz + px * by - py * bx + pz * bw))
 
 
-# -- batched kernels: (n, 4, 4) stacks of entries (a, b, c, d) by components
-# (w, x, y, z), computed on contiguous (4, 4, n) component planes
+# -- batched kernels on (n, 4, 4) stacks of entries (a, b, c, d) by components (w, x, y, z):
+# each allocates its output and one scratch block per call, of contiguous (4, 4, n) component
+# planes, and writes every operation into them (pinned bit for bit in tests/test_mat2h.py)
 
 
-def _planes(M):
-    """The planes of a stack; no copy when M is a transposed view of them."""
+def _empty(*shape):
+    """np.empty(shape) from a 64-byte cache line, as are its (n,) planes when n % 8 == 0:
+    numpy's vector stores take about twice as long where they straddle two lines."""
     import numpy as np
-    return np.ascontiguousarray(M.transpose(1, 2, 0), dtype=float)
+    buf = np.empty(math.prod(shape) + 7)  # 8-byte aligned, so 0 to 7 elements from a line
+    return buf[-buf.ctypes.data % 64 // 8:][:math.prod(shape)].reshape(shape)
 
 
-def _norm_sq(p):
-    """|q|^2 of a quaternion given as four component planes."""
-    w, x, y, z = p
-    return w * w + x * x + y * y + z * z
+def _planes(k, *stacks):
+    """The planes of each stack, then k scratch planes, from one block; a stack is copied,
+    in runs of 256 rows that stay in L1, unless it is a transposed view of float planes."""
+    views = [M.transpose(1, 2, 0) for M in stacks]
+    copy = [j for j, v in enumerate(views) if not (v.flags.c_contiguous and v.dtype == float)]
+    m = 16 * len(copy)
+    S = _empty(m + k, views[0].shape[2])
+    for j, P in zip(copy, S[:m].reshape(len(copy), *views[0].shape)):
+        for i in range(0, P.shape[2], 256):
+            P[..., i:i + 256] = views[j][..., i:i + 256]
+        views[j] = P
+    return (*views, S[m:])
 
 
 def qmul_planes(p, q) -> tuple:
-    """Hamilton product of component planes, in Quaternion.__mul__'s order."""
+    """Hamilton product in Quaternion.__mul__'s order, for hypgeo._over_gap's scalars."""
     w1, x1, y1, z1 = p
     w2, x2, y2, z2 = q
     return (w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
@@ -138,17 +149,40 @@ def qmul_planes(p, q) -> tuple:
             w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2)
 
 
+def qmul_into(p, q, out, t):
+    """out = p q on component planes with t the scratch plane, qmul_planes'
+    operations in their order; out and t share no memory with p, q or each other."""
+    import numpy as np
+    (w1, x1, y1, z1), (w2, x2, y2, z2), add, sub = p, q, np.add, np.subtract
+    for o, ((l, r), *terms) in zip(out, (((w1, w2), (sub, x1, x2), (sub, y1, y2), (sub, z1, z2)),
+                                         ((w1, x2), (add, x1, w2), (add, y1, z2), (sub, z1, y2)),
+                                         ((w1, y2), (sub, x1, z2), (add, y1, w2), (add, z1, x2)),
+                                         ((w1, z2), (add, x1, y2), (sub, y1, x2), (add, z1, w2)))):
+        np.multiply(l, r, out=o)
+        for op, l, r in terms:
+            op(o, np.multiply(l, r, out=t), out=o)
+    return out
+
+
+def norm_sq_into(p, out, t):
+    """out = |p|^2 = w w + x x + y y + z z, in that order; t is the scratch plane."""
+    import numpy as np
+    np.multiply(p[0], p[0], out=out)
+    for k in p[1:]:
+        np.add(out, np.multiply(k, k, out=t), out=out)
+    return out
+
+
 def mat_mul_many(A, B):
     """Matrix product, entry for entry equal to A @ B; returns a transposed
     view of planes, which det_h_many and mat_mul_many read without a copy."""
     import numpy as np
-    a1, b1, c1, d1 = _planes(A)
-    a2, b2, c2, d2 = _planes(B)
-    out = np.empty((4, 4, a1.shape[1]))
+    (a1, b1, c1, d1), (a2, b2, c2, d2), S = _planes(5, A, B)
+    s, t, out = S[:4], S[4], _empty(4, 4, S.shape[1])  # s: the second product
     terms = ((a1, a2, b1, c2), (a1, b2, b1, d2), (c1, a2, d1, c2), (c1, b2, d1, d2))
     for entry, (l1, r1, l2, r2) in zip(out, terms):
-        for comp, s, t in zip(entry, qmul_planes(l1, r1), qmul_planes(l2, r2)):
-            np.add(s, t, out=comp)
+        qmul_into(l1, r1, entry, t)
+        np.add(entry, qmul_into(l2, r2, s, t), out=entry)
     return out.transpose(2, 0, 1)
 
 
@@ -157,16 +191,20 @@ def det_h_many(M):
     where |a|^2, or det_h^2 unless det_h = 0, leaves [N2_TINY, N2_HUGE), or
     where |a|^2 < 2^-52 |b|^2, are taken by det_h itself."""
     import numpy as np
-    a, b, c, d = P = _planes(M)
+    P, S = _planes(12, M)
+    (a, b, c, d), ((a2, s, t, x2), u, p) = P, S.reshape(3, 4, -1)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        a2 = _norm_sq(a)
-        s = np.sqrt(a2)
-        p = qmul_planes(c, a / s * np.array([[1.0], [-1.0], [-1.0], [-1.0]]))
-        X = [s * dk - rk for dk, rk in zip(d, qmul_planes(p, b))]
-        x2 = _norm_sq(X)
-        redo = ~((a2 >= N2_TINY) & (a2 < N2_HUGE) & (x2 < N2_HUGE) & (a2 * 2 ** 52 >= _norm_sq(b)))
+        np.sqrt(norm_sq_into(a, a2, t), out=s)
+        np.divide(a, s, out=u)
+        np.negative(u[1:], out=u[1:])  # u = conj(a / |a|)
+        qmul_into(c, u, p, t)
+        X = qmul_into(p, b, u, t)  # p b, written over the spent u
+        np.subtract(np.multiply(s, d, out=p), X, out=X)  # |a| d - p b
+        norm_sq_into(X, x2, t)
+        redo = ~((a2 >= N2_TINY) & (a2 < N2_HUGE) & (x2 < N2_HUGE)
+                 & (np.multiply(a2, 2 ** 52, out=s) >= norm_sq_into(b, p[0], t)))
         tiny = np.flatnonzero(x2 < N2_TINY)  # an exact X = 0 is det_h 0 here
-        redo[tiny[np.any([Xk[tiny] for Xk in X], axis=0)]] = True
+        redo[tiny[X[:, tiny].any(axis=0)]] = True
         det = np.sqrt(x2)
     for i in np.flatnonzero(redo):
         det[i] = det_h(Mat2H(*(Quaternion(*e) for e in P[:, :, i].tolist())))

@@ -310,10 +310,10 @@ def distance_suite(rng, n: int) -> Suite:
 
 
 def integrated_suite(rng, n: int) -> Suite:
-    """The integrated length of a 10,000-sample geodesic is the distance."""
-    s = Suite(n_checked=n)
-    pairs = []
-    while len(pairs) < n:
+    """The integrated length of a 10,000-sample geodesic is the distance, near the sphere too."""
+    s = Suite(n_checked=n + 1)
+    pairs = [(Quaternion(1 - 1e-6, 0.0, 0.0, 0.0), Quaternion(0.0, 0.6, 0.8, 0.0) * (1 - 1e-6))]
+    while len(pairs) <= n:
         p = smp.random_ball_point(rng, 0.85)
         q = smp.random_ball_point(rng, 0.85)
         if distance_disc(p, q) >= 0.05:

@@ -10,8 +10,11 @@ import pytest
 from qmobius.crossratio import cross_ratio, is_concyclic
 from qmobius.errors import (CoincidentPoints, GeometryError, NonFiniteResult, OutOfDomain,
                             TooFewSamples)
-from qmobius.flt import INFINITY, apply, is_infinity, three_point_map, to_canonical_disc
+from qmobius.flt import (INFINITY, Dilation, Inversion, Rotation, Translation, apply,
+                         apply_generator, apply_generators, is_infinity, three_point_map,
+                         to_canonical_disc)
 from qmobius.hypgeo import (
+    _apply_matrix_to_reals,
     _direction,
     _end_beyond,
     cayley,
@@ -28,7 +31,7 @@ from qmobius.hypgeo import (
     normalizing_map,
 )
 from qmobius.kobayashi import kobayashi_distance
-from qmobius.mat2h import CAYLEY, Mat2H
+from qmobius.mat2h import CAYLEY, Mat2H, qmul_planes
 from qmobius.quat import I, J, K, N2_HUGE, N2_TINY, ONE, ZERO, Quaternion
 from qmobius.sampling import (
     make_rng,
@@ -507,6 +510,23 @@ def test_geodesic_sample_rows_pinned_to_scalar_apply():
                     p = apply(Linv, q(r[k]))
                     assert np.abs(rows[k] - np.array(p)).max() <= 1e-15
             assert tuple(rows[0]) == q1 and tuple(rows[-1]) == q2
+
+
+def test_apply_matrix_to_reals_bit_identical_to_its_expression_form():
+    # the numpy expressions that the in-place planes replaced, every bit
+    # compared, signed zeros included; real and zero entries among the rows
+    rng = make_rng(76)
+    r = np.concatenate([[0.0, -0.0, 1.0], np.tanh(np.linspace(0.0, 3.0, 50))])
+    for M in [Mat2H(*(random_quaternion(rng, 2.0) for _ in range(4))) for _ in range(4)] + [
+            Mat2H(ONE, ZERO, q(0.0, -0.0, 0.0, -0.0), q(2.0)), Mat2H(I, HALF, ZERO, ONE)]:
+        a, b, c, d = M
+        num = [r * a[k] + b[k] for k in range(4)]
+        dw, dx, dy, dz = den = [r * c[k] + d[k] for k in range(4)]
+        n2 = dw * dw + dx * dx + dy * dy + dz * dz
+        want = np.array(qmul_planes(num, (dw / n2, -dx / n2, -dy / n2, -dz / n2)))
+        got = _apply_matrix_to_reals(M, r)
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def test_geodesic_sample_rows_near_the_sphere_are_equally_spaced():
@@ -1066,6 +1086,13 @@ POINT_CALLS = {
     # a raw matrix whose c or d is p, at a finite point, is no map of it either
     "apply(c = p)": (NonFiniteResult, lambda p: apply(Mat2H(ONE, ZERO, p, ONE), HALF)),
     "apply(d = p)": (NonFiniteResult, lambda p: apply(Mat2H(ONE, ZERO, ZERO, p), HALF)),
+    # each generator decides as apply of its matrix does, and so does a pipeline
+    "Translation": (NonFiniteResult, lambda p: apply_generator(Translation(HALF), p)),
+    "Rotation": (NonFiniteResult, lambda p: apply_generator(Rotation(I), p)),
+    "Dilation": (NonFiniteResult, lambda p: apply_generator(Dilation(2.0), p)),
+    "Inversion": (NonFiniteResult, lambda p: apply_generator(Inversion(), p)),
+    "apply_generators": (NonFiniteResult,
+                         lambda p: apply_generators([Dilation(2.0), Inversion()], p)),
     "cayley": (NonFiniteResult, cayley),
     "cayley_inv": (NonFiniteResult, cayley_inv),
     # and a tangent vector's length must fit a float

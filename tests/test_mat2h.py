@@ -24,7 +24,9 @@ from qmobius.mat2h import (
     inverse_form_a,
     inverse_form_b,
     mat_mul_many,
+    norm_sq_into,
     normalize,
+    qmul_into,
     qmul_planes,
 )
 from qmobius.quat import N2_HUGE, N2_TINY, TOL, I, J, K, ONE, ZERO, Quaternion, _ldexp_q
@@ -307,22 +309,140 @@ def test_bulk_det_of_product_view_matches_copy_bitwise():
     assert np.array_equal(det_h_many(prod), det_h_many(np.ascontiguousarray(prod)))
 
 
+RESCUE_ROWS = [[[1e100, 0, 0, 0], [0] * 4, [0] * 4, [1e100, 0, 0, 0]],
+               [[1e-100, 0, 0, 0], [0] * 4, [0] * 4, [1e-100, 0, 0, 0]],
+               [[1e-310, 0, 0, 0], [0] * 4, [0] * 4, [1, 0, 0, 0]],
+               [[1e200, 0, 0, 0], [0] * 4, [0] * 4, [1e200, 0, 0, 0]]]
+
+
 def test_bulk_det_rescues_rows_beyond_squared_norm_range():
     # t = |a|^2|d|^2 + |c|^2|b|^2 overflows, underflows, and underflows on
     # a subnormal row; the last row's det_h overflows, as in the scalar
     rng = make_rng(22)
-    extreme = [[[1e100, 0, 0, 0], [0] * 4, [0] * 4, [1e100, 0, 0, 0]],
-               [[1e-100, 0, 0, 0], [0] * 4, [0] * 4, [1e-100, 0, 0, 0]],
-               [[1e-310, 0, 0, 0], [0] * 4, [0] * 4, [1, 0, 0, 0]],
-               [[1e200, 0, 0, 0], [0] * 4, [0] * 4, [1e200, 0, 0, 0]]]
     stack = rng.uniform(-2.0, 2.0, size=(12, 4, 4))
-    stack[1::3] = extreme
+    stack[1::3] = RESCUE_ROWS
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         dets = det_h_many(stack)
     assert list(dets[1::3]) == [1e200, 1e-200, 1e-310, math.inf]
     for row, det in zip(stack, dets):
         assert det == pytest.approx(det_h(as_mat(row)), rel=1e-12, abs=1e-12)
+
+
+# -- the kernels against their expression forms, bit for bit ---------------
+
+
+def expr_planes(M):
+    return np.ascontiguousarray(M.transpose(1, 2, 0), dtype=float)
+
+
+def reference_mat_mul_many(A, B):
+    """mat_mul_many with each Hamilton product a numpy expression, as it was
+    before the products were written in place."""
+    a1, b1, c1, d1 = expr_planes(A)
+    a2, b2, c2, d2 = expr_planes(B)
+    out = np.empty((4, 4, a1.shape[1]))
+    terms = ((a1, a2, b1, c2), (a1, b2, b1, d2), (c1, a2, d1, c2), (c1, b2, d1, d2))
+    for entry, (l1, r1, l2, r2) in zip(out, terms):
+        for comp, s, t in zip(entry, qmul_planes(l1, r1), qmul_planes(l2, r2)):
+            np.add(s, t, out=comp)
+    return out.transpose(2, 0, 1)
+
+
+def expr_norm_sq(p):
+    w, x, y, z = p
+    return w * w + x * x + y * y + z * z
+
+
+def reference_det_h_many(M):
+    """det_h_many with each product and squared norm a numpy expression, as it
+    was before they were written in place; it calls the scalar det_h through
+    the module, as det_h_many does."""
+    a, b, c, d = P = expr_planes(M)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        a2 = expr_norm_sq(a)
+        s = np.sqrt(a2)
+        p = qmul_planes(c, a / s * np.array([[1.0], [-1.0], [-1.0], [-1.0]]))
+        X = [s * dk - rk for dk, rk in zip(d, qmul_planes(p, b))]
+        x2 = expr_norm_sq(X)
+        redo = ~((a2 >= N2_TINY) & (a2 < N2_HUGE) & (x2 < N2_HUGE)
+                 & (a2 * 2 ** 52 >= expr_norm_sq(b)))
+        tiny = np.flatnonzero(x2 < N2_TINY)
+        redo[tiny[np.any([Xk[tiny] for Xk in X], axis=0)]] = True
+        det = np.sqrt(x2)
+    for i in np.flatnonzero(redo):
+        det[i] = mat2h.det_h(Mat2H(*(Quaternion(*e) for e in P[:, :, i].tolist())))
+    return det
+
+
+def assert_same_bits(got, want):
+    """Every bit equal: signed zeros, infinities and nan payloads included."""
+    got, want = np.ascontiguousarray(got), np.ascontiguousarray(want)
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def kernel_input(name):
+    rng = make_rng(25)
+    stack = pinned_stack(rng, 60)
+    if name == "pinned":
+        return stack
+    if name == "reversed view":
+        return stack[::-1]
+    if name == "product view":
+        return mat_mul_many(stack, pinned_stack(rng, 60))
+    if name == "rescue rows":
+        return np.array(RESCUE_ROWS, dtype=float)
+    if name == "small pivots":  # |a|^2 / |b|^2 = 2^-53 and 2^-51 by turns, about 2^-52
+        stack[:, 0] = stack[:, 1] * np.where(np.arange(60) % 2, 2 ** -25.5, 2 ** -26.5)[:, None]
+        return stack
+    stack[::2, 1] = 0.0  # b = 0
+    stack[::3, 0] = 0.0  # a = 0, a whole zero row where b is too
+    stack[1::4, 2, 1:] = -0.0  # a real c with negative zeros
+    stack[2::5, 3] = -0.0
+    return stack
+
+
+@pytest.mark.parametrize("name", ["pinned", "reversed view", "product view", "zero entries",
+                                  "small pivots", "rescue rows"])
+def test_bulk_kernels_bit_identical_to_their_expression_forms(name, monkeypatch):
+    X = kernel_input(name)
+    Y = make_rng(26).uniform(-2.0, 2.0, size=X.shape)
+    for L, R in ((X, Y), (Y, X)):
+        assert_same_bits(mat_mul_many(L, R), reference_mat_mul_many(L, R))
+    calls, scalar = [], mat2h.det_h  # the rows each sends to the scalar det_h
+    monkeypatch.setattr(mat2h, "det_h", lambda A: calls.append(A) or scalar(A))
+    for M in (X, np.ascontiguousarray(X)):
+        got = det_h_many(M)
+        sent = calls.copy()
+        calls.clear()
+        assert_same_bits(got, reference_det_h_many(M))
+        assert sent == calls
+        assert len(sent) == {"zero entries": 20, "small pivots": 30, "rescue rows": 4}.get(name, 0)
+        calls.clear()
+
+
+def test_bulk_planes_start_on_cache_lines():
+    # numpy's vector stores take about twice as long where they straddle two lines
+    for shape in ((4, 4, 10_000), (3, 7), (5,)):
+        assert mat2h._empty(*shape).__array_interface__["data"][0] % 64 == 0
+    prod = mat_mul_many(np.ones((16, 4, 4)), np.ones((16, 4, 4)))
+    assert prod.__array_interface__["data"][0] % 64 == 0 and prod.base.flags.c_contiguous
+
+
+def test_in_place_product_and_norm_match_scalar_bit_for_bit():
+    rng = make_rng(16)
+    lhs = rng.normal(size=(4, 24))
+    rhs = rng.normal(size=(4, 24))
+    lhs[:, :4] = [[0.0, -0.0, 0.0, 1.0]] * 4  # signed zeros in every component
+    rhs[:, :4] = [[-0.0, 0.0, 2.0, -0.0]] * 4
+    prod = qmul_into(lhs, rhs, np.empty((4, 24)), np.empty(24))
+    n2 = norm_sq_into(lhs, np.empty(24), np.empty(24))
+    for i in range(24):
+        p = Quaternion(*lhs[:, i].tolist())
+        r = Quaternion(*rhs[:, i].tolist())
+        assert_same_bits(prod[:, i], np.array(p * r))
+        assert_same_bits(n2[i], np.float64(p.norm_sq()))
 
 
 # -- inverses ------------------------------------------------------------

@@ -156,3 +156,21 @@ def test_every_domain_rule_has_one_home():
     stray = sorted({(kind, where) for kind, where in found if where not in DOMAIN_HOMES[kind]})
     assert stray == []
     assert {kind for kind, _ in found} == DOMAIN_HOMES.keys()
+
+
+# the batched kernels write every Hamilton product and squared norm into
+# their own planes; the expression forms allocate a plane per operation
+IN_PLACE_KERNELS = {"mat2h.mat_mul_many", "mat2h.det_h_many", "hypgeo._apply_matrix_to_reals"}
+
+
+def test_batched_kernels_call_no_expression_forms():
+    called = {}
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.FunctionDef) and f"{path.stem}.{node.name}" in IN_PLACE_KERNELS:
+                called[f"{path.stem}.{node.name}"] = set().union(
+                    *(_names(n.func) for n in ast.walk(node) if isinstance(n, ast.Call)))
+    assert called.keys() == IN_PLACE_KERNELS
+    for where, names in called.items():
+        assert not names & {"qmul_planes", "_norm_sq"}, where
+        assert "qmul_into" in names, where
