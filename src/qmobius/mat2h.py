@@ -176,13 +176,12 @@ def norm_sq_into(p, out, t):
 def mat_mul_many(A, B):
     """Matrix product, entry for entry equal to A @ B; returns a transposed
     view of planes, which det_h_many and mat_mul_many read without a copy."""
-    import numpy as np
     (a1, b1, c1, d1), (a2, b2, c2, d2), S = _planes(5, A, B)
     s, t, out = S[:4], S[4], _empty(4, 4, S.shape[1])  # s: the second product
     terms = ((a1, a2, b1, c2), (a1, b2, b1, d2), (c1, a2, d1, c2), (c1, b2, d1, d2))
     for entry, (l1, r1, l2, r2) in zip(out, terms):
         qmul_into(l1, r1, entry, t)
-        np.add(entry, qmul_into(l2, r2, s, t), out=entry)
+        entry += qmul_into(l2, r2, s, t)
     return out.transpose(2, 0, 1)
 
 
