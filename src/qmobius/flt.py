@@ -8,6 +8,7 @@ leaves only a sign ambiguity.
 
 from __future__ import annotations
 
+from itertools import chain
 from math import hypot
 from typing import NamedTuple, Union
 
@@ -57,10 +58,13 @@ def apply(f, q: ExtQuaternion) -> ExtQuaternion:
     """Evaluate the map of f (an FLT or a raw Mat2H) at q.
 
     Poles map to INFINITY; INFINITY maps to a c^-1, or stays at INFINITY
-    when c = 0.  A point with an inf or nan component is NonFiniteResult.
+    when c = 0.  A point or raw matrix entry with an inf or nan component is NonFiniteResult.
     """
-    A = f.matrix if isinstance(f, FLT) else f
-    a, b, c, d = A
+    if isinstance(f, FLT):
+        f = f.matrix
+    elif not is_finite(chain(*f)):
+        raise NonFiniteResult(f"the matrix {f} has an inf or nan component")
+    a, b, c, d = f
     if q is INFINITY:
         return INFINITY if abs(c) <= _POLE_EPS * (abs(a) + abs(d)) else a * c.inverse()
     # (a q + b)(c q + d)^-1 on components: each operation is the one the
@@ -73,9 +77,9 @@ def apply(f, q: ExtQuaternion) -> ExtQuaternion:
     ez = cw * qz + cx * qy - cy * qx + cz * qw + dz
     scale = hypot(cw, cx, cy, cz) * hypot(qw, qx, qy, qz) + hypot(dw, dx, dy, dz)
     if not hypot(ew, ex, ey, ez) > _POLE_EPS * scale:  # where a nan lands too
-        if is_finite(q) and is_finite(c) and is_finite(d):
+        if is_finite(q):
             return INFINITY
-        raise NonFiniteResult(f"{q}, c or d has an inf or nan component")
+        raise NonFiniteResult(f"{q} has an inf or nan component")
     (aw, ax, ay, az), (bw, bx, by, bz) = a, b
     nw = aw * qw - ax * qx - ay * qy - az * qz + bw
     nx = aw * qx + ax * qw + ay * qz - az * qy + bx
@@ -105,7 +109,7 @@ class FLT:
         return cls(Mat2H.identity())
 
     def __call__(self, q: ExtQuaternion) -> ExtQuaternion:
-        return apply(self.matrix, q)
+        return apply(self, q)
 
     def inverse(self) -> "FLT":
         return FLT(_m.inverse(self.matrix))
@@ -177,6 +181,8 @@ Generator = Union[Translation, Rotation, Dilation, Inversion]
 
 
 def apply_generator(g: Generator, q: ExtQuaternion) -> ExtQuaternion:
+    if not is_finite(chain(*generator_matrix(g))):  # as apply of the matrix decides
+        raise NonFiniteResult(f"{g} has an inf or nan parameter")
     if q is INFINITY:
         return ZERO if isinstance(g, Inversion) else INFINITY
     if not is_finite(q):

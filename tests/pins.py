@@ -13,8 +13,9 @@ from qmobius.flt import INFINITY
 
 def bits(v):
     """v with each zero's sign made visible and every NaN as one marker;
-    tuples (quaternions, matrices) map entry by entry, INFINITY stays."""
-    if v is INFINITY:
+    tuples (quaternions, matrices) map entry by entry, INFINITY and a set
+    (classify's tags) stay."""
+    if v is INFINITY or isinstance(v, set):
         return v
     if isinstance(v, tuple):
         return tuple(bits(x) for x in v)

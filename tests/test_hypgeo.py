@@ -1083,10 +1083,20 @@ POINT_CALLS = {
                                         lambda p: geodesic_sample_halfspace(ONE, p, 5)),
     # the whole of H u {inf} is their domain; a non-finite component is no point of it
     "apply": (NonFiniteResult, lambda p: apply(Mat2H.identity(), p)),
-    # a raw matrix whose c or d is p, at a finite point, is no map of it either
+    # a raw matrix with p as an entry is no map, at a finite point or at INFINITY
+    "apply(a = p)": (NonFiniteResult, lambda p: apply(Mat2H(p, ZERO, ZERO, ONE), HALF)),
+    "apply(b = p)": (NonFiniteResult, lambda p: apply(Mat2H(ONE, p, ZERO, ONE), HALF)),
     "apply(c = p)": (NonFiniteResult, lambda p: apply(Mat2H(ONE, ZERO, p, ONE), HALF)),
     "apply(d = p)": (NonFiniteResult, lambda p: apply(Mat2H(ONE, ZERO, ZERO, p), HALF)),
-    # each generator decides as apply of its matrix does, and so does a pipeline
+    "apply(a = p, inf)": (NonFiniteResult, lambda p: apply(Mat2H(p, ZERO, ZERO, ONE), INFINITY)),
+    "apply(b = p, inf)": (NonFiniteResult, lambda p: apply(Mat2H(ONE, p, ZERO, ONE), INFINITY)),
+    "apply(c = p, inf)": (NonFiniteResult, lambda p: apply(Mat2H(ONE, ZERO, p, ONE), INFINITY)),
+    "apply(d = p, inf)": (NonFiniteResult, lambda p: apply(Mat2H(ONE, ZERO, ZERO, p), INFINITY)),
+    # each generator decides as apply of its matrix does, and so does a pipeline,
+    # on its parameter too
+    "Translation(p)": (NonFiniteResult, lambda p: apply_generator(Translation(p), HALF)),
+    "Rotation(p)": (NonFiniteResult, lambda p: apply_generator(Rotation(p), HALF)),
+    "Dilation(|p|)": (NonFiniteResult, lambda p: apply_generator(Dilation(abs(p)), HALF)),
     "Translation": (NonFiniteResult, lambda p: apply_generator(Translation(HALF), p)),
     "Rotation": (NonFiniteResult, lambda p: apply_generator(Rotation(I), p)),
     "Dilation": (NonFiniteResult, lambda p: apply_generator(Dilation(2.0), p)),

@@ -7,8 +7,9 @@ from decimal import Decimal, localcontext
 import numpy as np
 import pytest
 
-from qmobius import mat2h
+from qmobius import hypgeo, mat2h
 from qmobius.errors import Singular
+from qmobius.hypgeo import geodesic_sample_rows
 from qmobius.mat2h import (
     CAYLEY,
     CAYLEY_INV,
@@ -37,6 +38,7 @@ from qmobius.sampling import (
     random_quaternion,
     random_slhplus,
     random_sp11,
+    random_unit_quaternion,
 )
 
 import exact
@@ -422,12 +424,41 @@ def test_bulk_kernels_bit_identical_to_their_expression_forms(name, monkeypatch)
         calls.clear()
 
 
-def test_bulk_planes_start_on_cache_lines():
+def on_cache_lines(A):
+    """Whether every (n,) plane of A starts on a 64-byte cache line."""
+    return A.__array_interface__["data"][0] % 64 == 0 and all(s % 64 == 0 for s in A.strides[:-1])
+
+
+def test_bulk_planes_start_on_cache_lines(monkeypatch):
     # numpy's vector stores take about twice as long where they straddle two lines
-    for shape in ((4, 4, 10_000), (3, 7), (5,)):
-        assert mat2h._empty(*shape).__array_interface__["data"][0] % 64 == 0
+    for shape in ((4, 4, 10_000), (4, 4, 10_001), (3, 7), (5,)):
+        assert on_cache_lines(mat2h._empty(*shape)), shape
+    assert mat2h._empty(4, 4, 10_000).flags.c_contiguous  # bulk's layout: no padding
     prod = mat_mul_many(np.ones((16, 4, 4)), np.ones((16, 4, 4)))
     assert prod.__array_interface__["data"][0] % 64 == 0 and prod.base.flags.c_contiguous
+    rng = make_rng(27)
+    for n in (10_001, 61):
+        prod = mat_mul_many(*rng.normal(size=(2, n, 4, 4)))
+        assert on_cache_lines(prod.transpose(1, 2, 0))
+        # and det_h_many and mat_mul_many read it in place
+        assert np.shares_memory(mat2h._planes(0, prod)[0], prod)
+    made = []  # the planes of geodesic_sample_rows' two halves
+    monkeypatch.setattr(hypgeo, "_empty", lambda *shape: made.append(mat2h._empty(*shape))
+                        or made[-1])
+    geodesic_sample_rows(q(0.3, 0.2), q(-0.5, 0.0, 0.6), 10_001)  # halves of 5,001 and 5,000
+    assert len(made) == 6 and all(map(on_cache_lines, made))
+
+
+@pytest.mark.parametrize("n", [1, 7, 10_001])
+def test_bulk_kernels_bit_identical_at_every_plane_stride(n):
+    # n % 8 != 0 pads the planes, but for n = 1: numpy 2.4's in-place negative,
+    # which det_h_many takes, misreads (k, 1) views whose rows are 64 bytes apart
+    X, Y = make_rng(28).normal(size=(2, n, 4, 4))
+    P = mat_mul_many(X, Y)
+    assert_same_bits(P, reference_mat_mul_many(X, Y))
+    assert_same_bits(mat_mul_many(P, X), reference_mat_mul_many(P, X))
+    for M in (X, P):
+        assert_same_bits(det_h_many(M), reference_det_h_many(M))
 
 
 def test_in_place_product_and_norm_match_scalar_bit_for_bit():
@@ -565,15 +596,78 @@ def _operator_inverse_form_b(A):
     return Mat2H(-(s * d * bi), s, bi + bi * a * s * d * bi, -(bi * a * s))
 
 
+def _operator_scalar_mul(A, t):
+    return Mat2H(A.a * t, A.b * t, A.c * t, A.d * t)
+
+
+def _operator_entry_scale(A):
+    return max(abs(A.a), abs(A.b), abs(A.c), abs(A.d))
+
+
+FORM_TAGS = {GroupTag.SP11, GroupTag.SL_HPLUS}
+
+
+def _operator_form_tags(A, reached):
+    """classify's Sp11 and SLHplus decisions spelled with the operators; adds
+    (tag, k, passed) to reached for each form test k that it evaluates."""
+    a, b, c, d = A
+    ac, cc = a.conj(), c.conj()
+    scale = _operator_entry_scale(A)
+    thr = mat2h.bound(1.0 + scale * scale)
+    tags = set()
+    for tag, residuals in (
+            (GroupTag.SP11, (lambda: abs(a.norm_sq() - c.norm_sq() - 1.0),
+                             lambda: abs(ac * b - cc * d),
+                             lambda: abs(b.norm_sq() - d.norm_sq() + 1.0))),
+            (GroupTag.SL_HPLUS, (lambda: abs(2.0 * (cc * a).w),
+                                 lambda: abs(cc * b + ac * d - 1.0),
+                                 lambda: abs(2.0 * (d.conj() * b).w)))):
+        for k, residual in enumerate(residuals):
+            passed = residual() <= thr
+            reached.add((tag, k, passed))
+            if not passed:
+                break
+        else:
+            tags.add(tag)
+    return tags
+
+
 def _signed_zeros(rng, A):
     """A with about half its components replaced by zeros of random sign."""
     return Mat2H(*(Quaternion(*(math.copysign(0.0, rng.normal()) if rng.random() < 0.5
                                 else v for v in e)) for e in A))
 
 
+def _right_real(A, m11, m12, m21, m22):
+    """A [[m11, m12], [m21, m22]] for a real matrix M; it keeps a form F
+    exactly when M^T F M = F, so each M below breaks one entry of it."""
+    a, b, c, d = A
+    return Mat2H(a * m11 + b * m21, a * m12 + b * m22, c * m11 + d * m21, c * m12 + d * m22)
+
+
+def _form_members(rng):
+    """Sp11, SLHplus and central members, and for each form test a member
+    that passes the tests before it and fails that one."""
+    boost = real_mat(math.cosh(346.0), math.sinh(346.0), math.sinh(346.0), math.cosh(346.0))
+    stretch = real_mat(1e150, 0.0, 0.0, 1e-150)  # q -> 1e300 q keeps the half-space
+    for _ in range(6):
+        sp11, slh = random_sp11(rng), random_slhplus(rng)
+        rot = Mat2H(random_unit_quaternion(rng), ZERO, ZERO, random_unit_quaternion(rng))
+        t = float(rng.uniform(0.5, 2.0))
+        for M, breaks in ((sp11, ((2, 0, 0, 1), (1, t, 0, math.hypot(1.0, t)), (1, 0, 0, 2))),
+                          (slh, ((1, 0, t, 1), (2, 0, 0, 1), (1, t, 0, 1)))):
+            yield M
+            yield from (_right_real(M, *m) for m in breaks)
+        yield from (rot @ boost @ sp11, slh @ stretch @ random_slhplus(rng))
+    for s in (1.0, -1.0, 1e150, -1e150, 1e-150):
+        yield IDENT.scalar_mul(s)
+        yield Mat2H(q(s, 1e-6 * s), ZERO, ZERO, q(s, 1e-6 * s))  # off the real axis
+
+
 def _layer_pin_cases():
     """Random, rank-one, near-singular, signed-zero and split-scale
-    matrices at each scale; 1e+-150 and 1e+-200 take normalize's rescale."""
+    matrices at each scale; 1e+-150 and 1e+-200 take normalize's rescale.
+    The members of the forms come at scales 1 and 1e+-150."""
     rng = make_rng(2027)
     for scale in (1.0, 1e3, 1e-3, 1e150, 1e-150, 1e200, 1e-200):
         for _ in range(30):
@@ -585,6 +679,8 @@ def _layer_pin_cases():
             yield Mat2H(*(x + random_quaternion(rng, 1e-9 * scale) for x in rank_one))
             yield _signed_zeros(rng, M)
             yield Mat2H(M.a, M.b, M.c * (1.0 / scale), M.d * (1.0 / scale))
+    for M in _form_members(make_rng(2028)):
+        yield from (M, M.scalar_mul(1e150), M.scalar_mul(1e-150))
 
 
 def test_scalar_layer_is_bit_identical_to_the_operator_expressions():
@@ -599,6 +695,19 @@ def test_scalar_layer_is_bit_identical_to_the_operator_expressions():
     scales = [A.entry_scale() for A in cases]
     rescued = sum(not N2_TINY <= s * s < N2_HUGE for s in scales)
     assert rescued > len(cases) // 3
+
+
+def test_classify_scalar_mul_and_entry_scale_are_bit_identical_to_the_operator_forms():
+    reached = set()
+    for A in _layer_pin_cases():
+        assert (outcome(lambda M: classify(M) & FORM_TAGS, A)
+                == outcome(_operator_form_tags, A, reached)), A
+        assert outcome(Mat2H.entry_scale, A) == outcome(_operator_entry_scale, A), A
+        for t in (-1.0, 0.5, 1.0 / 3.0, 1e-300, 1e300):
+            assert outcome(Mat2H.scalar_mul, A, t) == outcome(_operator_scalar_mul, A, t), (A, t)
+    # every form test is evaluated and both passes and fails
+    assert reached == {(tag, k, passed) for tag in FORM_TAGS for k in range(3)
+                       for passed in (True, False)}
 
 
 # -- classification ------------------------------------------------------

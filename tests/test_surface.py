@@ -174,3 +174,27 @@ def test_batched_kernels_call_no_expression_forms():
     for where, names in called.items():
         assert not names & {"qmul_planes", "_norm_sq"}, where
         assert "qmul_into" in names, where
+
+
+# the scalar Mat2H bodies that run on float components, each pinned bit for bit
+# to its operator spelling in tests/test_mat2h.py: an operator call costs an
+# isinstance dispatch, two unpacks and a NamedTuple build
+COMPONENT_BODIES = {"mat2h.Mat2H.__matmul__", "mat2h.Mat2H.scalar_mul",
+                    "mat2h.Mat2H.entry_scale", "mat2h.inverse_form_a", "mat2h.classify"}
+
+
+def test_scalar_mat2h_bodies_call_no_operator_forms():
+    found = {}
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            where = f"{where}.{node.name}"
+            if where in COMPONENT_BODIES:
+                found[where] = _names(node)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(ast.parse((SRC / "mat2h.py").read_text()), "mat2h")
+    assert found.keys() == COMPONENT_BODIES
+    for where, names in found.items():
+        assert not names & {"_mul_add", "conj", "norm_sq"}, where
