@@ -30,7 +30,8 @@ from qmobius.mat2h import (
     qmul_into,
     qmul_planes,
 )
-from qmobius.quat import N2_HUGE, N2_TINY, TOL, I, J, K, ONE, ZERO, Quaternion, _ldexp_q
+from qmobius.quat import (N2_HUGE, N2_TINY, TOL, I, J, K, ONE, ZERO, Quaternion, _ldexp_q,
+                          bound)
 from qmobius.sampling import (
     make_rng,
     random_invertible_matrix,
@@ -613,7 +614,7 @@ def _operator_form_tags(A, reached):
     a, b, c, d = A
     ac, cc = a.conj(), c.conj()
     scale = _operator_entry_scale(A)
-    thr = mat2h.bound(1.0 + scale * scale)
+    thr = bound(1.0 + scale * scale)
     tags = set()
     for tag, residuals in (
             (GroupTag.SP11, (lambda: abs(a.norm_sq() - c.norm_sq() - 1.0),
