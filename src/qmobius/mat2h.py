@@ -9,12 +9,10 @@ whose square is |a|^2 |d|^2 + |c|^2 |b|^2 - 2 Re(c conj(a) b conj(d)); it is
 multiplicative and vanishes exactly on the non-invertible matrices.  For
 real or complex entries it reduces to |ad - bc|.
 
-@, scalar_mul (so normalize), entry_scale, inverse_form_a (so both inverse forms;
-Quaternion.inverse where a squared norm leaves [N2_TINY, N2_HUGE)) and classify's
-form tests run on float components, with the Quaternion operators' operations in
-their order, so each result is bit-identical to its operator expression (pinned in
-tests/test_mat2h.py).  Per call against the operator forms, on a 2-core VM: inverse
-14.8 -> 10.9 us, @ 6.0 -> 5.1, FLT 6.3 -> 5.5, classify 10.7 -> 7.2.
+@, scalar_mul (so normalize), entry_scale, inverse_form_a (so both inverse forms)
+and classify's form tests run on float components, with the Quaternion operators'
+operations in their order, so each result is bit-identical to its operator
+expression (pinned in tests/test_mat2h.py).
 """
 
 from __future__ import annotations
@@ -134,21 +132,18 @@ def det_h(A: Mat2H) -> float:
 
 
 def _empty(*shape):
-    """np.empty(shape) with each (n,) plane on a 64-byte cache line, n rounded up to 8 apart
-    (contiguous if n % 8 == 0, or n = 1: numpy 2.4's in-place negative misreads (k, 1) views
-    whose rows are 64 bytes apart): vector stores take about 2x as long across two lines."""
+    """np.empty(shape) from a 64-byte cache line, as are its (n,) planes when n % 8 == 0:
+    numpy's vector stores take about twice as long where they straddle two lines."""
     import numpy as np
-    *lead, n = shape
-    m = n + -n % 8 if n > 1 else n
-    buf = np.empty(math.prod(lead) * m + 7)  # 8-byte aligned, so 0 to 7 elements from a line
-    return buf[-buf.ctypes.data % 64 // 8:][:math.prod(lead) * m].reshape(*lead, m)[..., :n]
+    buf = np.empty(math.prod(shape) + 7)  # 8-byte aligned, so 0 to 7 elements from a line
+    return buf[-buf.ctypes.data % 64 // 8:][:math.prod(shape)].reshape(shape)
 
 
 def _planes(k, *stacks):
     """The planes of each stack, then k scratch planes, from one block; a stack is copied,
     in runs of 256 rows that stay in L1, unless it is a transposed view of float planes."""
     views = [M.transpose(1, 2, 0) for M in stacks]
-    copy = [j for j, v in enumerate(views) if not (v.strides[2] == 8 and v.dtype == float)]
+    copy = [j for j, v in enumerate(views) if not (v.flags.c_contiguous and v.dtype == float)]
     m = 16 * len(copy)
     S = _empty(m + k, views[0].shape[2])
     for j, P in zip(copy, S[:m].reshape(len(copy), *views[0].shape)):
@@ -237,18 +232,13 @@ SINGULAR_REL = 1e-6
 def inverse_form_a(A: Mat2H) -> Mat2H:
     """Inverse via the pivot entry a (requires a != 0), with s = (d - c a^-1 b)^-1."""
     a, b, c, (dw, dx, dy, dz) = A
-    w, x, y, z = a
-    n2 = w * w + x * x + y * y + z * z
-    ai = (w / n2, -x / n2, -y / n2, -z / n2) if N2_TINY <= n2 < N2_HUGE else a.inverse()
+    aw, ax, ay, az = ai = a.inverse()
     pw, px, py, pz = qmul_planes(qmul_planes(c, ai), b)
-    w, x, y, z = dw - pw, dx - px, dy - py, dz - pz
-    n2 = w * w + x * x + y * y + z * z
-    s = (_new(Quaternion, (w / n2, -x / n2, -y / n2, -z / n2)) if N2_TINY <= n2 < N2_HUGE
-         else Quaternion(w, x, y, z).inverse())
+    s = _new(Quaternion, (dw - pw, dx - px, dy - py, dz - pz)).inverse()
     uw, ux, uy, uz = u = qmul_planes(qmul_planes(ai, b), s)  # the left factor of two entries
     pw, px, py, pz = qmul_planes(qmul_planes(u, c), ai)
     qw, qx, qy, qz = qmul_planes(qmul_planes(s, c), ai)
-    return _new(Mat2H, (_new(Quaternion, (ai[0] + pw, ai[1] + px, ai[2] + py, ai[3] + pz)),
+    return _new(Mat2H, (_new(Quaternion, (aw + pw, ax + px, ay + py, az + pz)),
                         _new(Quaternion, (-uw, -ux, -uy, -uz)),
                         _new(Quaternion, (-qw, -qx, -qy, -qz)), s))
 
