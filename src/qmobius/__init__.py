@@ -9,11 +9,10 @@ from .mat2h import (CAYLEY, CAYLEY_INV, GroupTag, Mat2H, cayley_conjugate,
                     cayley_conjugate_inv, classify, det_h, inverse, normalize)
 from .flt import (FLT, INFINITY, Dilation, ExtQuaternion, Generator,
                   Inversion, MobiusCanonical, Rotation, Translation, apply,
-                  apply_generator, apply_generators, canonical_det_check,
-                  decompose_generators, ext_from_json, ext_to_json,
-                  generator_inverse, generator_matrix, halfspace_general,
-                  is_constant, is_infinity, isotropy_at_infinity, jacobian,
-                  three_point_map, to_canonical_disc)
+                  apply_generator, apply_generators, decompose_generators,
+                  ext_from_json, ext_to_json, generator_inverse, generator_matrix,
+                  halfspace_general, is_constant, is_infinity, isotropy_at_infinity,
+                  jacobian, three_point_map, to_canonical_disc)
 from .crossratio import (QuadricF3, cross_ratio, is_concyclic, on_quadric,
                          transform_quadric)
 from .hypgeo import (GeodesicDisc, GeodesicHalfspace, cayley, cayley_inv,

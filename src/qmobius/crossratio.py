@@ -138,15 +138,6 @@ class QuadricF3(_Coefficients):
         return all(abs(u[i] * v[j] - u[j] * v[i]) <= thr
                    for i in range(6) for j in range(i + 1, 6))
 
-    def to_json(self) -> dict:
-        return {"alpha": self.alpha, "beta": self.beta.to_json(),
-                "gamma": self.gamma}
-
-    @classmethod
-    def from_json(cls, data) -> "QuadricF3":
-        return cls(float(data["alpha"]), Quaternion.from_json(data["beta"]),
-                   float(data["gamma"]))
-
 
 def on_quadric(q: Quaternion, Q: QuadricF3, tol: float | None = None) -> bool:
     """Whether q lies on Q, against the size of the three terms of its equation."""

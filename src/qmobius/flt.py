@@ -15,7 +15,7 @@ from typing import NamedTuple, Union
 from . import mat2h as _m
 from .errors import (BothZero, CoincidentPoints, ConstraintViolation, NonFiniteResult,
                      NonImaginaryShift, NotSp11, PoleInput, ZeroD)
-from .mat2h import GroupTag, Mat2H, classify, det_h, normalize, rescale, singular
+from .mat2h import GroupTag, Mat2H, classify, normalize, rescale, singular
 from .quat import (I, J, K, N2_HUGE, N2_TINY, ONE, TOL, ZERO, Quaternion, _new, coincident,
                    is_finite, negligible)
 
@@ -379,11 +379,6 @@ def to_canonical_disc(A, tol: float | None = None) -> MobiusCanonical:
     a, b, c, d = M
     return MobiusCanonical(a * (1.0 / abs(a)), d * (1.0 / abs(d)),
                            -(a.inverse() * b))
-
-
-def canonical_det_check(g: MobiusCanonical) -> float:
-    """det_h of the raw canonical matrix; equals 1 - |q0|^2."""
-    return det_h(g.matrix_raw())
 
 
 def isotropy_at_infinity(b: Quaternion, d: Quaternion) -> FLT:

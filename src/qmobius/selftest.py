@@ -3,12 +3,14 @@
 Each suite owns the sampler, checks and bounds of one family of invariants
 and runs on a numpy Generator at one size: `qmobius selftest` runs all of
 them at --iters on one generator seeded by --seed, the acceptance tests
-each at its own seed and size.  A report gives the cases evaluated and
-skipped, every checked statistic, and the tightest check as worst_err,
-bound and margin: the share of its bound a statistic uses up, worst_err /
-bound for an upper bound, bound / worst_err for a positive floor, null for
-a count whose bound is 0.  A suite passes when it evaluated at least one
-case and every check holds.
+each at its own seed and size.  A suite declares each bound once, at
+construction or with `check`; `worst` and `rel` keep a statistic's worst
+value so far, and a NaN, worse than any number, fails its check.  A report
+gives the cases evaluated and skipped, every checked statistic, and the
+tightest check as worst_err, bound and margin: the share of its bound a
+statistic uses up, worst_err / bound for an upper bound, bound / worst_err
+for a positive floor, null for a count whose bound is 0 and for a NaN.  A
+suite passes when it evaluated at least one case and every check holds.
 """
 
 from __future__ import annotations
@@ -20,9 +22,8 @@ import numpy as np
 
 from . import sampling as smp
 from .crossratio import cross_ratio, is_concyclic, on_quadric, transform_quadric
-from .flt import (FLT, Dilation, Inversion, MobiusCanonical, Rotation,
-                  Translation, apply, apply_generator, canonical_det_check,
-                  is_constant, is_infinity, jacobian, three_point_map)
+from .flt import (FLT, Dilation, Inversion, MobiusCanonical, Rotation, Translation,
+                  apply, apply_generator, is_constant, is_infinity, jacobian, three_point_map)
 from .hypgeo import (cayley, cayley_inv, distance_disc, distance_halfspace,
                      geodesic_disc, geodesic_halfspace, geodesic_sample_rows,
                      integrated_length_disc, metric_disc, metric_halfspace)
@@ -41,7 +42,7 @@ def _finite(x: float | None) -> float | None:
 
 
 def _margin(value: float, op: str, bound: float) -> float | None:
-    if bound == 0.0:
+    if bound == 0.0 or value != value:
         return None
     if op == "<=":
         return _finite(value / bound)
@@ -51,16 +52,31 @@ def _margin(value: float, op: str, bound: float) -> float | None:
 
 
 class Suite:
-    """Case counts and checked statistics of one suite run."""
+    """Case counts and checked statistics of one suite run; each keyword
+    name=bound declares a statistic held to <= bound, starting from 0.0."""
 
-    def __init__(self, n_checked: int = 0) -> None:
+    def __init__(self, n_checked: int = 0, **bounds: float) -> None:
         self.n_checked = n_checked
         self.n_skipped = 0
         self.checks: dict[str, tuple[float, str, float]] = {}
+        for name, bound in bounds.items():
+            self.check(name, 0.0, "<=", bound)
 
     def check(self, name: str, value: float, op: str, bound: float) -> None:
         """Record the statistic `value op bound`, op one of <=, >=, >."""
         self.checks[name] = (float(value), op, float(bound))
+
+    def worst(self, name: str, value: float) -> None:
+        """Keep the worse of the stored value and `value`: the larger under
+        <=, the smaller under >= and >.  A NaN is worse than any number."""
+        old, op, bound = self.checks[name]
+        value = float(value)
+        if old == old and (value != value or (value > old if op == "<=" else value < old)):
+            self.checks[name] = (value, op, bound)
+
+    def rel(self, name: str, got, want) -> None:
+        """worst(name, |got - want| / (1 + |want|))."""
+        self.worst(name, abs(got - want) / (1.0 + abs(want)))
 
     def report(self) -> dict:
         graded = [(name, value, bound, _HOLDS[op](value, bound),
@@ -79,12 +95,11 @@ def binet_suite(rng, n: int) -> Suite:
     """det_h is multiplicative, on the batched kernels pinned to the scalar, and
     det_h(A)^2 = |det chi(A)|, chi(A) complex 4x4 with each entry alpha + beta j
     (to_c2's pair) as [[alpha, beta], [-conj beta, conj alpha]] (Aslaksen, 1996)."""
-    s = Suite(n_checked=n)
+    s = Suite(n_checked=n, scalar_agree=1e-12, complex_image=1e-12)
     # components in [-5, 5] keep every entry modulus at most 10
     comps = rng.uniform(-5.0, 5.0, size=(n, 8, 4))
     As = comps[:, :4, :].copy()
     Bs = comps[:, 4:, :].copy()
-    agree = image = 0.0
     det_a = det_h_many(As)
     k = min(n, 100)
     alpha, beta = As[:k, :, 0] + 1j * As[:k, :, 1], As[:k, :, 2] + 1j * As[:k, :, 3]
@@ -92,12 +107,10 @@ def binet_suite(rng, n: int) -> Suite:
     roots = np.sqrt(np.abs(np.linalg.det(chi.transpose(0, 1, 3, 2, 4).reshape(k, 4, 4))))
     for i in range(k):
         dh = det_h(Mat2H(*(Quaternion(*(float(t) for t in row)) for row in As[i])))
-        agree = max(agree, abs(det_a[i] - dh) / (1.0 + det_a[i]))
-        image = max(image, abs(roots[i] - dh) / (1.0 + dh))
+        s.rel("scalar_agree", dh, det_a[i])
+        s.rel("complex_image", roots[i], dh)
     lhs = det_h_many(mat_mul_many(As, Bs))
     rhs = det_a * det_h_many(Bs)
-    s.check("scalar_agree", agree, "<=", 1e-12)
-    s.check("complex_image", image, "<=", 1e-12)
     s.check("worst_rel", np.max(np.abs(lhs - rhs) / (1.0 + rhs), initial=0.0),
             "<=", 1e-9)
     return s
@@ -106,27 +119,24 @@ def binet_suite(rng, n: int) -> Suite:
 def inverse_suite(rng, n: int) -> Suite:
     """A A^-1 = I, and the two Cramer-type inverse forms agree."""
     s = Suite(n_checked=n)
+    s.check("min_det", math.inf, ">", 1e-3)
+    s.check("worst_identity", 0.0, "<=", 1e-8)
+    s.check("worst_forms", 0.0, "<=", 1e-8)
     ident = Mat2H.identity()
-    worst_ident = worst_forms = 0.0
-    min_det = math.inf
     for _ in range(n):
         A = smp.random_invertible_matrix(rng, 2.0)
-        min_det = min(min_det, det_h(A))
+        s.worst("min_det", det_h(A))
         P = A @ inverse(A)
-        worst_ident = max(worst_ident, max(abs(p - e) for p, e in zip(P, ident)))
+        s.worst("worst_identity", max(abs(p - e) for p, e in zip(P, ident)))
         forms = zip(inverse_form_a(A), inverse_form_b(A))
-        worst_forms = max(worst_forms, max(abs(p - q) for p, q in forms))
-    s.check("min_det", min_det, ">", 1e-3)
-    s.check("worst_identity", worst_ident, "<=", 1e-8)
-    s.check("worst_forms", worst_forms, "<=", 1e-8)
+        s.worst("worst_forms", max(abs(p - q) for p, q in forms))
     return s
 
 
 def homomorphism_suite(rng, n: int) -> Suite:
     """The induced maps compose as their matrices, at 8 probes per pair away
     from both poles, and exactly the rank-one matrices induce constants."""
-    s = Suite()
-    worst = 0.0
+    s = Suite(n_checked=8 * n + 3 * n // 10, worst_rel=1e-8)
     for _ in range(n):
         A = smp.random_invertible_matrix(rng, 2.0)
         B = smp.random_invertible_matrix(rng, 2.0)
@@ -139,8 +149,7 @@ def homomorphism_suite(rng, n: int) -> Suite:
             if step is None or abs(A.c * step + A.d) < 0.1:
                 s.n_skipped += 1
                 continue
-            rhs = apply(A, step)
-            worst = max(worst, abs(apply(AB, q) - rhs) / (1.0 + abs(rhs)))
+            s.rel("worst_rel", apply(AB, q), apply(A, step))
             probes += 1
     misflagged = 0
     for _ in range(3 * n // 10):
@@ -155,8 +164,6 @@ def homomorphism_suite(rng, n: int) -> Suite:
             misflagged += 1
         if is_constant(smp.random_invertible_matrix(rng, 2.0)):
             misflagged += 1
-    s.n_checked = 8 * n + 3 * n // 10
-    s.check("worst_rel", worst, "<=", 1e-8)
     s.check("misflagged", misflagged, "<=", 0)
     return s
 
@@ -167,13 +174,12 @@ def cross_ratio_suite(rng, n: int) -> Suite:
     three_point_map(q3, q4, q2): T(q1) = Y X is conjugate to CR = X Y; real
     cross-ratio if and only if concyclic, and a real cross-ratio for two
     ball points and their reflections in the sphere."""
-    s = Suite()
-    worst = worst_three_point = 0.0
+    s = Suite(n_checked=4 * n, worst_rel=1e-9, worst_three_point=1e-13)
     for _ in range(n):
         pts = smp.random_separated_points(rng, 4, min_norm=0.15)
         cr = cross_ratio(*pts)
         t = three_point_map(pts[2], pts[3], pts[1])(pts[0])
-        worst_three_point = max(worst_three_point, max(
+        s.worst("worst_three_point", max(
             abs(t.w - cr.w), abs(t.im_norm() - cr.im_norm())) / (1.0 + abs(cr)))
         b = smp.random_quaternion(rng, 2.0)
         lam = float(rng.uniform(0.2, 3.0))
@@ -182,7 +188,7 @@ def cross_ratio_suite(rng, n: int) -> Suite:
                 cross_ratio(*(p * lam for p in pts)) - cr,
                 cross_ratio(*(a * p for p in pts)) - a * cr * a.conj(),
                 cross_ratio(*(p.inverse() for p in pts)) - pts[2].inverse() * cr * pts[2]]
-        worst = max(worst, max(abs(e) for e in laws) / (1.0 + abs(cr)))
+        s.worst("worst_rel", max(abs(e) for e in laws) / (1.0 + abs(cr)))
     bad = 0
     done = 0
     while done < n:
@@ -206,18 +212,14 @@ def cross_ratio_suite(rng, n: int) -> Suite:
             bad += 1
         if not has_im and not is_concyclic(*generic, tol=1e-5):
             bad += 1
+    s.check("concyclic_mismatches", bad, "<=", 0)
     # 1/conj(q) is q reflected in the sphere; all four lie on the geodesic's circle
-    worst_reflected = 0.0
+    s.check("worst_reflected_im", 0.0, "<=", 1e-9)
     for _ in range(n):
         q1, q2 = (smp.random_unit_quaternion(rng) * float(rng.uniform(0.1, 0.999))
                   for _ in range(2))
         cr = cross_ratio(q1, q2, q1.conj().inverse(), q2.conj().inverse())
-        worst_reflected = max(worst_reflected, cr.im_norm() / (1.0 + abs(cr)))
-    s.n_checked = 4 * n
-    s.check("worst_rel", worst, "<=", 1e-9)
-    s.check("worst_three_point", worst_three_point, "<=", 1e-13)
-    s.check("concyclic_mismatches", bad, "<=", 0)
-    s.check("worst_reflected_im", worst_reflected, "<=", 1e-9)
+        s.worst("worst_reflected_im", cr.im_norm() / (1.0 + abs(cr)))
     return s
 
 
@@ -270,7 +272,7 @@ def spots_suite(rng, n: int) -> Suite:
             "<=", 1e-12)
     cr = cross_ratio(ZERO, half, ONE, Quaternion(-1.0, 0.0, 0.0, 0.0))
     s.check("cross_ratio", abs(cr - 3.0), "<=", 1e-12)
-    canon = [abs(canonical_det_check(MobiusCanonical(ONE, ONE, q0)) - expect)
+    canon = [abs(det_h(MobiusCanonical(ONE, ONE, q0).matrix_raw()) - expect)
              for q0, expect in [(ZERO, 1.0), (half, 0.75),
                                 (Quaternion(0.0, 0.6, 0.0, 0.0), 0.64)]]
     s.check("canonical", max(canon), "<=", 1e-12)
@@ -283,35 +285,28 @@ def distance_suite(rng, n: int) -> Suite:
     """The ball group and conjugation preserve the distance, and the ball
     group the metric (by a central difference); half the log of the
     cross-ratio against the geodesic's ends is the distance."""
-    s = Suite(n_checked=n)
-    worst_dist = worst_conj = worst_fd = worst_route = 0.0
+    s = Suite(n_checked=n, worst_distance=1e-9, worst_conjugation=1e-9,
+              worst_metric_fd=1e-5, worst_cross_ratio_route=1e-9)
     h = 1e-6
     for _ in range(n):
         g = FLT(smp.random_sp11(rng))
         p = smp.random_ball_point(rng, 0.85)
         q = smp.random_ball_point(rng, 0.85)
         d = distance_disc(p, q)
-        worst_dist = max(worst_dist, abs(distance_disc(g(p), g(q)) - d) / (1.0 + d))
-        worst_conj = max(worst_conj,
-                         abs(distance_disc(p.conj(), q.conj()) - d) / (1.0 + d))
+        s.rel("worst_distance", distance_disc(g(p), g(q)), d)
+        s.rel("worst_conjugation", distance_disc(p.conj(), q.conj()), d)
         geo = geodesic_disc(p, q)
-        route = 0.5 * math.log(cross_ratio(p, q, geo.q3, geo.q4).w)
-        worst_route = max(worst_route, abs(route - d) / (1.0 + d))
+        s.rel("worst_cross_ratio_route", 0.5 * math.log(cross_ratio(p, q, geo.q3, geo.q4).w), d)
         base = smp.random_ball_point(rng, 0.8)
         v = smp.random_unit_quaternion(rng)
         push = (g(base + v * h) - g(base - v * h)) * (1.0 / (2.0 * h))
-        rhs = metric_disc(base, v)
-        worst_fd = max(worst_fd, abs(metric_disc(g(base), push) - rhs) / (1.0 + rhs))
-    s.check("worst_distance", worst_dist, "<=", 1e-9)
-    s.check("worst_conjugation", worst_conj, "<=", 1e-9)
-    s.check("worst_metric_fd", worst_fd, "<=", 1e-5)
-    s.check("worst_cross_ratio_route", worst_route, "<=", 1e-9)
+        s.rel("worst_metric_fd", metric_disc(g(base), push), metric_disc(base, v))
     return s
 
 
 def integrated_suite(rng, n: int) -> Suite:
     """The integrated length of a 10,000-sample geodesic is the distance, near the sphere too."""
-    s = Suite(n_checked=n + 1)
+    s = Suite(n_checked=n + 1, worst_rel=1e-5)
     pairs = [(Quaternion(1 - 1e-6, 0.0, 0.0, 0.0), Quaternion(0.0, 0.6, 0.8, 0.0) * (1 - 1e-6))]
     while len(pairs) <= n:
         p = smp.random_ball_point(rng, 0.85)
@@ -320,12 +315,10 @@ def integrated_suite(rng, n: int) -> Suite:
             pairs.append((p, q))
         else:
             s.n_skipped += 1
-    worst = 0.0
     for p, q in pairs:
         length = integrated_length_disc(geodesic_sample_rows(p, q, 10_000))
         d = distance_disc(p, q)
-        worst = max(worst, abs(length - d) / d)
-    s.check("worst_rel", worst, "<=", 1e-5)
+        s.worst("worst_rel", abs(length - d) / d)
     return s
 
 
@@ -333,44 +326,38 @@ def cayley_suite(rng, n: int) -> Suite:
     """The Cayley map: spot values, isometry from the ball onto the
     half-space, the half-space line ends as Cayley images of the ball's,
     and conjugation between the two groups both ways."""
-    s = Suite()
+    s = Suite(n_checked=3 + n + n // 2)
     s.check("spot_zero", abs(cayley(ZERO) - ONE), "<=", 1e-12)
     s.check("spot_one_finite", not is_infinity(cayley(ONE)), "<=", 0)
     s.check("spot_half_i", abs(cayley(Quaternion(0.0, 0.5, 0.0, 0.0))
                                - Quaternion(0.6, 0.8, 0.0, 0.0)), "<=", 1e-12)
-    worst_iso = worst_ends = 0.0
+    for name in ("worst_isometry", "worst_ends", "worst_conjugation"):
+        s.check(name, 0.0, "<=", 1e-9)
     for _ in range(n):
         p = smp.random_ball_point(rng, 0.9)
         q = smp.random_ball_point(rng, 0.9)
         d = distance_disc(p, q)
         u, v = cayley(p), cayley(q)
-        worst_iso = max(worst_iso, abs(distance_halfspace(u, v) - d) / (1.0 + d))
+        s.rel("worst_isometry", distance_halfspace(u, v), d)
         # the closed-form ends against the Cayley images of the ball's ends
         line, ball = geodesic_halfspace(u, v), geodesic_disc(cayley_inv(u), cayley_inv(v))
         for e, f in ((line.e3, cayley(ball.q3)), (line.e4, cayley(ball.q4))):
-            worst_ends = max(worst_ends, abs(e - f) / (1.0 + abs(e))
-                             if not (is_infinity(e) or is_infinity(f))
-                             else 0.0 if e is f else math.inf)
-    worst_conj = 0.0
+            s.worst("worst_ends", abs(e - f) / (1.0 + abs(e))
+                    if not (is_infinity(e) or is_infinity(f))
+                    else 0.0 if e is f else math.inf)
     for _ in range(n // 2):
         A = smp.random_sp11(rng)
         N = cayley_conjugate_inv(A)
         w = smp.random_halfspace_point(rng)
-        rhs = cayley(apply(A, cayley_inv(w)))
-        worst_conj = max(worst_conj, abs(apply(N, w) - rhs) / (1.0 + abs(rhs)))
+        s.rel("worst_conjugation", apply(N, w), cayley(apply(A, cayley_inv(w))))
         back = zip(cayley_conjugate(N), A)
-        worst_conj = max(worst_conj, max(abs(x - y) for x, y in back))
+        s.worst("worst_conjugation", max(abs(x - y) for x, y in back))
         B = smp.random_slhplus(rng)
         M = cayley_conjugate(B)
         p = smp.random_ball_point(rng, 0.9)
-        rhs = cayley_inv(apply(B, cayley(p)))
-        worst_conj = max(worst_conj, abs(apply(M, p) - rhs) / (1.0 + abs(rhs)))
+        s.rel("worst_conjugation", apply(M, p), cayley_inv(apply(B, cayley(p))))
         back = zip(cayley_conjugate_inv(M), B)
-        worst_conj = max(worst_conj, max(abs(x - y) for x, y in back))
-    s.n_checked = 3 + n + n // 2
-    s.check("worst_isometry", worst_iso, "<=", 1e-9)
-    s.check("worst_ends", worst_ends, "<=", 1e-9)
-    s.check("worst_conjugation", worst_conj, "<=", 1e-9)
+        s.worst("worst_conjugation", max(abs(x - y) for x, y in back))
     return s
 
 
@@ -386,7 +373,9 @@ def kobayashi_suite(rng, n: int) -> Suite:
     are not isometric.  The closed-form d_K matches artanh |phi_a(z)| through
     ball_automorphism, sinh^2 delta - sinh^2 d_K = |a1 w2 - a2 w1|^2 / (g_p g_q),
     and d_K = delta on complex lines through 0."""
-    s = Suite()
+    axis = [float(t) for t in np.linspace(0.0, 0.9, 19)]
+    grid = [float(t) for t in np.linspace(0.1, 0.9, 9)]
+    s = Suite(n_checked=1 + n + 2 * len(axis) + len(grid) ** 2)
     report = non_isometry_witness(grid=20)
     wit = report["witness"]
     s.check("Q_err", abs(wit["Q"] - 0.4705882), "<=", 1e-6)
@@ -395,64 +384,57 @@ def kobayashi_suite(rng, n: int) -> Suite:
             "<=", 1e-9)
     s.check("gap", wit["gap"], ">", 0.03)
     s.check("grid_max_gap", report["grid_max_gap"], ">=", wit["gap"] - 1e-12)
-    min_phase_gap = math.inf
-    worst_formula = worst_auto = worst_identity = worst_line = 0.0
+    s.check("min_phase_gap", math.inf, ">=", -1e-12)
+    s.check("worst_gap_formula", 0.0, "<=", 1e-10)
+    s.check("worst_axis", 0.0, "<=", 1e-12)
+    s.check("min_offaxis_gap", math.inf, ">", 0.0)
+    for name in ("worst_automorphism", "worst_identity", "worst_complex_line"):
+        s.check(name, 0.0, "<=", 1e-12)
     for _ in range(n):
         a = float(rng.uniform(0.0, 0.95)) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
         b = float(rng.uniform(0.0, 0.95)) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
         gap = _modulus_gap(a, b)
-        min_phase_gap = min(min_phase_gap, gap)
+        s.worst("min_phase_gap", gap)
         a2, b2 = abs(a) ** 2, abs(b) ** 2
         formula = a2 * b2 * (1.0 - a2) * (1.0 - b2) / (1.0 + a2 * b2)
-        worst_formula = max(worst_formula, abs(gap - formula))
+        s.worst("worst_gap_formula", abs(gap - formula))
         p, q = smp.random_ball_point(rng, 0.95), smp.random_ball_point(rng, 0.95)
         (c1, c2), (z1, z2) = to_c2(p), to_c2(q)
         dk, delta = kobayashi_distance(p, q), distance_disc(p, q)
         phi = ball_automorphism((c1, c2), (z1, z2))
-        worst_auto = max(worst_auto, abs(math.atanh(math.hypot(*map(abs, phi))) - dk) / dk)
+        s.worst("worst_automorphism", abs(math.atanh(math.hypot(*map(abs, phi))) - dk) / dk)
         sd = math.sinh(delta) ** 2
         rhs = abs(c1 * (z2 - c2) - c2 * (z1 - c1)) ** 2 / (
             (1.0 - p.norm_sq()) * (1.0 - q.norm_sq()))
-        worst_identity = max(worst_identity, abs(sd - math.sinh(dk) ** 2 - rhs) / (1.0 + sd))
+        s.worst("worst_identity", abs(sd - math.sinh(dk) ** 2 - rhs) / (1.0 + sd))
         lam, mu = (complex(*rng.uniform(-0.7, 0.7, size=2)) for _ in range(2))
         u, v = from_c2((lam * z1, lam * z2)), from_c2((mu * z1, mu * z2))
-        delta = distance_disc(u, v)
-        worst_line = max(worst_line, abs(kobayashi_distance(u, v) - delta) / (1.0 + delta))
-    axis = [float(t) for t in np.linspace(0.0, 0.9, 19)]
-    worst_axis = max(abs(_modulus_gap(a, b))
-                     for t in axis for a, b in ((t, 0.0), (0.0, t)))
-    grid = [float(t) for t in np.linspace(0.1, 0.9, 9)]
-    min_gap = min(_modulus_gap(a, b) for a in grid for b in grid)
-    s.n_checked = 1 + n + 2 * len(axis) + len(grid) ** 2
-    s.check("min_phase_gap", min_phase_gap, ">=", -1e-12)
-    s.check("worst_gap_formula", worst_formula, "<=", 1e-10)
-    s.check("worst_axis", worst_axis, "<=", 1e-12)
-    s.check("min_offaxis_gap", min_gap, ">", 0.0)
-    s.check("worst_automorphism", worst_auto, "<=", 1e-12)
-    s.check("worst_identity", worst_identity, "<=", 1e-12)
-    s.check("worst_complex_line", worst_line, "<=", 1e-12)
+        s.rel("worst_complex_line", kobayashi_distance(u, v), distance_disc(u, v))
+    for t in axis:
+        for a, b in ((t, 0.0), (0.0, t)):
+            s.worst("worst_axis", abs(_modulus_gap(a, b)))
+    for a in grid:
+        for b in grid:
+            s.worst("min_offaxis_gap", _modulus_gap(a, b))
     return s
 
 
 def triangle_suite(rng, n: int) -> Suite:
     """The ball distance satisfies the triangle inequality."""
     s = Suite(n_checked=n)
-    worst_slack = 0.0
+    s.check("worst_slack", 0.0, ">=", -1e-9)
     for _ in range(n):
         a = smp.random_ball_point(rng, 0.95)
         b = smp.random_ball_point(rng, 0.95)
         c = smp.random_ball_point(rng, 0.95)
-        slack = distance_disc(a, b) + distance_disc(b, c) - distance_disc(a, c)
-        worst_slack = min(worst_slack, slack)
-    s.check("worst_slack", worst_slack, ">=", -1e-9)
+        s.worst("worst_slack", distance_disc(a, b) + distance_disc(b, c) - distance_disc(a, c))
     return s
 
 
 def conformal_suite(rng, n: int) -> Suite:
     """The differential agrees with a central difference of apply, and
     J^T J of an induced map is a multiple of the identity."""
-    s = Suite()
-    worst = worst_cd = 0.0
+    s = Suite(worst_central_difference=1e-8, worst_offscale=1e-4)
     while s.n_checked < n:
         A = normalize(smp.random_invertible_matrix(rng, 1.5))
         q = smp.random_quaternion(rng, 1.5)
@@ -465,13 +447,11 @@ def conformal_suite(rng, n: int) -> Suite:
         h = 1e-6 * (1.0 + abs(q))
         cd = np.array([tuple(apply(A, q + e * h) - apply(A, q - e * h))
                        for e in (ONE, I, J, K)]).T / (2.0 * h)
-        worst_cd = max(worst_cd, float(np.max(np.abs(D - cd) / (1.0 + np.max(np.abs(D))))))
+        s.worst("worst_central_difference", np.max(np.abs(D - cd) / (1.0 + np.max(np.abs(D)))))
         M = D.T @ D
         lam2 = float(np.trace(M)) / 4.0
-        worst = max(worst, float(np.max(np.abs(M - lam2 * np.eye(4)))))
+        s.worst("worst_offscale", np.max(np.abs(M - lam2 * np.eye(4))))
         s.n_checked += 1
-    s.check("worst_central_difference", worst_cd, "<=", 1e-8)
-    s.check("worst_offscale", worst, "<=", 1e-4)
     return s
 
 

@@ -447,8 +447,3 @@ def test_circle_images_stay_concyclic():
             continue
         assert is_concyclic(*images, tol=1e-6)
         done += 1
-
-
-def test_quadric_json_round_trip():
-    Q = QuadricF3(1.5, I + J, -0.25)
-    assert QuadricF3.from_json(Q.to_json()) == Q

@@ -27,7 +27,6 @@ from qmobius.flt import (
     apply,
     apply_generator,
     apply_generators,
-    canonical_det_check,
     decompose_generators,
     generator_inverse,
     generator_matrix,
@@ -562,9 +561,9 @@ def test_canonical_matrix_round_trip():
 
 
 def test_canonical_det_check_values():
-    assert canonical_det_check(MobiusCanonical(ONE, ONE, ZERO)) == pytest.approx(1.0, abs=1e-12)
-    assert canonical_det_check(MobiusCanonical(ONE, ONE, q(0.5))) == pytest.approx(0.75, abs=1e-12)
-    assert canonical_det_check(MobiusCanonical(ONE, ONE, q(0, 0.6))) == pytest.approx(0.64, abs=1e-12)
+    # det_h of the raw canonical matrix is 1 - |q0|^2
+    for q0, expect in ((ZERO, 1.0), (q(0.5), 0.75), (q(0, 0.6), 0.64)):
+        assert det_h(MobiusCanonical(ONE, ONE, q0).matrix_raw()) == pytest.approx(expect, abs=1e-12)
 
 
 def test_canonical_norm_identity():

@@ -404,6 +404,43 @@ def test_spots_suite_sees_a_drifted_metric_disc(monkeypatch):
     assert not report["ok"] and report["check"] == "metric", report
 
 
+def test_distance_suite_sees_a_nan_distance(monkeypatch):
+    # max(worst, nan) is worst, so a running maximum would drop the NaN
+    from qmobius import selftest
+    calls = iter(range(1, 1_000_000))
+    monkeypatch.setattr(selftest, "distance_disc", lambda p, q: (
+        math.nan if next(calls) % 7 == 0 else distance_disc(p, q)))
+    report = selftest.distance_suite(make_rng(107), 50).report()
+    assert not report["ok"] and report["worst_err"] is None, report
+    assert report["check"] in {"worst_distance", "worst_conjugation",
+                               "worst_cross_ratio_route"}, report
+
+
+def test_suite_keeps_each_statistic_worst_value_and_a_nan():
+    from qmobius.selftest import Suite
+    s = Suite(n_checked=1, rel=8.0, upper=0.625)
+    s.check("floor", math.inf, ">", 0.1)
+    s.check("slack", 0.0, ">=", -1.0)
+    for v in (0.5, 0.25):
+        s.worst("upper", v)
+        s.worst("floor", v)
+        s.worst("slack", -v)
+    s.rel("rel", 3.0, -1.0)  # |3 - (-1)| / (1 + |-1|)
+    s.rel("rel", -1.0, -1.0)
+    report = s.report()
+    assert report["stats"] == {"rel": 2.0, "upper": 0.5, "floor": 0.25, "slack": -0.5}
+    assert list(report["stats"]) == ["rel", "upper", "floor", "slack"]
+    assert report["ok"] and report["check"] == "upper" and report["margin"] == 0.8, report
+    # a NaN is worse than any number and stays; under a negative floor its margin is null
+    s.worst("slack", math.nan)
+    s.worst("slack", -2.0)
+    report = s.report()
+    assert not report["ok"] and report["check"] == "slack", report
+    assert report["worst_err"] is None and report["margin"] is None
+    assert report["stats"]["slack"] is None
+    assert list(report["stats"]) == ["rel", "upper", "floor", "slack"]
+
+
 def test_metric_disc_near_the_sphere_matches_exact_references():
     rng = make_rng(11)
     for _ in range(200):

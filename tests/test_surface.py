@@ -198,3 +198,14 @@ def test_scalar_mat2h_bodies_call_no_operator_forms():
     assert found.keys() == COMPONENT_BODIES
     for where, names in found.items():
         assert not names & {"_mul_add", "conj", "norm_sq"}, where
+
+
+def test_selftest_keeps_no_hand_rolled_accumulator():
+    # x = max(x, err) drops a NaN err and puts the bound far from its value;
+    # Suite.worst and Suite.rel keep a running statistic instead
+    found = [node.lineno for node in ast.walk(ast.parse((SRC / "selftest.py").read_text()))
+             if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call)
+             and isinstance(node.value.func, ast.Name) and node.value.func.id in ("max", "min")
+             and {t.id for t in node.targets if isinstance(t, ast.Name)}
+             & {a.id for a in node.value.args if isinstance(a, ast.Name)}]
+    assert found == []
