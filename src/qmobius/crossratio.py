@@ -99,8 +99,8 @@ def is_concyclic(q1: ExtQuaternion, q2: ExtQuaternion, q3: ExtQuaternion,
     """
     if q1 is not INFINITY and q2 is not INFINITY and coincident(q1, q2, tol):
         raise CoincidentPoints("q1 and q2 coincide")
-    cr = cross_ratio(q1, q2, q3, q4, tol)
-    return cr.im_norm() <= bound(1.0 + abs(cr), tol)
+    w, x, y, z = cross_ratio(q1, q2, q3, q4, tol)
+    return hypot(x, y, z) <= bound(1.0 + hypot(w, x, y, z), tol)
 
 
 class _Coefficients(NamedTuple):

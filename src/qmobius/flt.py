@@ -9,13 +9,13 @@ leaves only a sign ambiguity.
 from __future__ import annotations
 
 from itertools import chain
-from math import hypot
+from math import hypot, inf
 from typing import NamedTuple, Union
 
 from . import mat2h as _m
 from .errors import (BothZero, CoincidentPoints, ConstraintViolation, NonFiniteResult,
                      NonImaginaryShift, NotSp11, PoleInput, ZeroD)
-from .mat2h import GroupTag, Mat2H, classify, normalize, rescale, singular
+from .mat2h import GroupTag, Mat2H, classify, normalize, qmul_planes, rescale, singular
 from .quat import (I, J, K, N2_HUGE, N2_TINY, ONE, TOL, ZERO, Quaternion, _new, coincident,
                    is_finite, negligible)
 
@@ -60,17 +60,23 @@ def apply(f, q: ExtQuaternion) -> ExtQuaternion:
     Poles map to INFINITY; INFINITY maps to a c^-1, or stays at INFINITY
     when c = 0.  A point or raw matrix entry with an inf or nan component is NonFiniteResult.
     """
-    if isinstance(f, FLT):
-        f = f.matrix
-    elif not is_finite(chain(*f)):
+    raw = not isinstance(f, FLT)
+    (aw, ax, ay, az), (bw, bx, by, bz), (cw, cx, cy, cz), (dw, dx, dy, dz) = f if raw else f.matrix
+    # a raw matrix's 16 components are scanned only where their hypot is not finite
+    if raw and not hypot(aw, ax, ay, az, bw, bx, by, bz,
+                         cw, cx, cy, cz, dw, dx, dy, dz) < inf and not is_finite(chain(*f)):
         raise NonFiniteResult(f"the matrix {f} has an inf or nan component")
-    a, b, c, d = f
-    if q is INFINITY:
-        return INFINITY if abs(c) <= _POLE_EPS * (abs(a) + abs(d)) else a * c.inverse()
+    if q is INFINITY:  # a c^-1 in the operators' order; Quaternion.inverse rescales
+        if hypot(cw, cx, cy, cz) <= _POLE_EPS * (hypot(aw, ax, ay, az) + hypot(dw, dx, dy, dz)):
+            return INFINITY
+        n2 = cw * cw + cx * cx + cy * cy + cz * cz
+        ci = ((cw / n2, -cx / n2, -cy / n2, -cz / n2) if N2_TINY <= n2 < N2_HUGE
+              else _new(Quaternion, (cw, cx, cy, cz)).inverse())
+        return _new(Quaternion, qmul_planes((aw, ax, ay, az), ci))
     # (a q + b)(c q + d)^-1 on components: each operation is the one the
     # Quaternion operators perform, in their order, so the result is bit-
     # identical to that expression; e = c q + d, n = a q + b
-    (qw, qx, qy, qz), (cw, cx, cy, cz), (dw, dx, dy, dz) = q, c, d
+    qw, qx, qy, qz = q
     ew = cw * qw - cx * qx - cy * qy - cz * qz + dw
     ex = cw * qx + cx * qw + cy * qz - cz * qy + dx
     ey = cw * qy - cx * qz + cy * qw + cz * qx + dy
@@ -80,7 +86,6 @@ def apply(f, q: ExtQuaternion) -> ExtQuaternion:
         if is_finite(q):
             return INFINITY
         raise NonFiniteResult(f"{q} has an inf or nan component")
-    (aw, ax, ay, az), (bw, bx, by, bz) = a, b
     nw = aw * qw - ax * qx - ay * qy - az * qz + bw
     nx = aw * qx + ax * qw + ay * qz - az * qy + bx
     ny = aw * qy - ax * qz + ay * qw + az * qx + by

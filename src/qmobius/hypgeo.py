@@ -17,8 +17,9 @@ Re q > 0, where the line element is |dq| / (2 Re q).
 
 The end beyond x of the ball's line through y and x, the image of -u under the
 ball map sending 0 to x, is e(x, y) = (x - u)(1 - conj(x) u)^-1 for u = m / |m|,
-m = (y - x)(1 - conj(x) y)^-1.  geodesic_disc takes each end from its own base:
-from x near the sphere, the far end's denominator cancels to about 1 - |x|.
+m = (y - x)(1 - conj(x) y)^-1.  geodesic_disc takes each end from its own base
+(from x near the sphere, the far end's denominator cancels to about 1 - |x|),
+with the Quaternion operators' operations in their order on unpacked floats.
 geodesic_sample_rows takes each sample from its nearer end by the same rule:
 the point at distance artanh(r) from x toward y, r in [0, 1), is
 (u r + x)(conj(x) u r + 1)^-1, normalizing_map's inverse in closed form.
@@ -27,8 +28,9 @@ In the half-space, with x = Re q and v = Im q, the line through q1 and q2 is the
 half-line over v1 when v1 = v2, else the semicircle of center v1 + y0 e and
 radius R = hypot(x1, y0), e = (v2 - v1) / L, L = |v2 - v1|,
 y0 = (L + (x2 - x1)(x2 + x1) / L) / 2.  Its ends v1 + s e, s3 = y0 + R beyond q2
-and s4 = y0 - R, have Re 0; the cancelling one is -x1^2 over the other.  At
-tan(phi / 2) = e^sigma it passes v1 + (y0 - R tanh sigma) e + R / cosh sigma:
+and s4 = y0 - R (geodesic_halfspace's, from _arc), have Re 0; the cancelling one
+is -x1^2 over the other.  At tan(phi / 2) = e^sigma it passes
+v1 + (y0 - R tanh sigma) e + R / cosh sigma:
 ds = -dsigma / 2 and sinh sigma1 = y0 / x1 at q1.  geodesic_sample_halfspace
 also takes each sample from its nearer end, at Re = x1 cosh sigma1 / cosh sigma,
 so that nothing leaves float range before the sample itself does.
@@ -41,7 +43,7 @@ from typing import NamedTuple
 
 from .errors import CoincidentPoints, NonFiniteResult, OutOfDomain, TooFewSamples
 from .flt import _POLE_EPS, FLT, INFINITY, ExtQuaternion, MobiusCanonical, apply
-from .mat2h import CAYLEY, CAYLEY_INV, Mat2H, _empty, norm_sq_into, qmul_into, qmul_planes
+from .mat2h import CAYLEY, CAYLEY_INV, Mat2H, _empty, norm_sq_into, qmul_into
 from .quat import N2_HUGE, N2_TINY, ONE, Quaternion, _new, bound, coincident, is_finite
 
 
@@ -110,13 +112,12 @@ def _require_finite(*qs: Quaternion) -> None:
             raise OutOfDomain(f"{q} is not in the open half-space Re q > 0")
 
 
-def _require_distinct(q1: Quaternion, q2: Quaternion, tol: float | None) -> Quaternion:
-    """q2 - q1, for two points of the ball that do not coincide."""
+def _require_distinct(q1: Quaternion, q2: Quaternion, tol: float | None) -> None:
+    """The rule of a line of the ball: two points of the ball that do not coincide."""
     ball_gap(q1)
     ball_gap(q2)
     if coincident(q1, q2, tol):
         raise CoincidentPoints("a line needs two distinct points")
-    return q2 - q1
 
 
 def normalizing_map(q1: Quaternion, q2: Quaternion) -> FLT:
@@ -126,7 +127,8 @@ def normalizing_map(q1: Quaternion, q2: Quaternion) -> FLT:
     factors lam1 = |q2 - q1| (q2 - q1)^-1 and
     lam2 = (1 - conj(q1) q2) / |1 - conj(q1) q2|.
     """
-    diff = _require_distinct(q1, q2, None)
+    _require_distinct(q1, q2, None)
+    diff = q2 - q1
     lam1 = diff.inverse() * abs(diff)
     den = ONE - q1.conj() * q2
     lam2 = den * (1.0 / abs(den))
@@ -137,28 +139,35 @@ def normalizing_map(q1: Quaternion, q2: Quaternion) -> FLT:
 def _over_gap(num, x, y) -> tuple:
     """num * (ONE - x.conj() * y).inverse() on components, with the
     operators' operations in their order; inverse rescales out of range."""
-    xw, xx, xy, xz = x
-    pw, px, py, pz = qmul_planes((xw, -xx, -xy, -xz), y)
-    w, i, j, k = gap = (1.0 - pw, 0.0 - px, 0.0 - py, 0.0 - pz)
+    (nw, nx, ny, nz), (xw, xx, xy, xz), (yw, yx, yy, yz) = num, x, y
+    # conj(x) y as Quaternion.__mul__ forms it, (-a) b being -(a b)
+    w = 1.0 - (xw * yw + xx * yx + xy * yy + xz * yz)
+    i = 0.0 - (xw * yx - xx * yw - xy * yz + xz * yy)
+    j = 0.0 - (xw * yy + xx * yz - xy * yw - xz * yx)
+    k = 0.0 - (xw * yz - xx * yy + xy * yx - xz * yw)
     n2 = w * w + i * i + j * j + k * k
-    if N2_TINY <= n2 < N2_HUGE:
-        return qmul_planes(num, (w / n2, -i / n2, -j / n2, -k / n2))
-    return qmul_planes(num, _new(Quaternion, gap).inverse())
+    w, i, j, k = ((w / n2, -i / n2, -j / n2, -k / n2) if N2_TINY <= n2 < N2_HUGE
+                  else _new(Quaternion, (w, i, j, k)).inverse())
+    return (nw * w - nx * i - ny * j - nz * k,
+            nw * i + nx * w + ny * k - nz * j,
+            nw * j - nx * k + ny * w + nz * i,
+            nw * k + nx * j - ny * i + nz * w)
 
 
 def _direction(x: Quaternion, y: Quaternion) -> Quaternion:
     """u of the module docstring: m / |m|, where m is the image of y under
     the ball map that sends x to 0."""
-    m = _over_gap((y[0] - x[0], y[1] - x[1], y[2] - x[2], y[3] - x[3]), x, y)
-    s = 1.0 / math.hypot(*m)
-    return _new(Quaternion, (m[0] * s, m[1] * s, m[2] * s, m[3] * s))
+    (xw, xx, xy, xz), (yw, yx, yy, yz) = x, y
+    mw, mx, my, mz = _over_gap((yw - xw, yx - xx, yy - xy, yz - xz), x, y)
+    s = 1.0 / math.hypot(mw, mx, my, mz)
+    return _new(Quaternion, (mw * s, mx * s, my * s, mz * s))
 
 
 def _end_beyond(x: Quaternion, y: Quaternion) -> Quaternion:
     """e(x, y) of the module docstring: the end beyond x of the line through y."""
-    u = _direction(x, y)
-    return _new(Quaternion, _over_gap(
-        (x[0] - u[0], x[1] - u[1], x[2] - u[2], x[3] - u[3]), x, u))
+    (xw, xx, xy, xz), u = x, _direction(x, y)
+    uw, ux, uy, uz = u
+    return _new(Quaternion, _over_gap((xw - uw, xx - ux, xy - uy, xz - uz), x, u))
 
 
 class GeodesicDisc(NamedTuple):
@@ -175,12 +184,15 @@ class GeodesicDisc(NamedTuple):
 def geodesic_disc(q1: Quaternion, q2: Quaternion,
                   tol: float | None = None) -> GeodesicDisc:
     _require_distinct(q1, q2, tol)
-    q3 = _end_beyond(q2, q1)
-    q4 = _end_beyond(q1, q2)
-    # the line is a diameter exactly when 0 lies on it, i.e. when
-    # conj(q1) q2 is real
-    diam = (q1.conj() * q2).im_norm() <= bound(abs(q1) * abs(q2), tol)
-    return GeodesicDisc(q1, q2, q3, q4, "Diameter" if diam else "Circle")
+    (w1, x1, y1, z1), (w2, x2, y2, z2) = q1, q2
+    # a diameter exactly when 0 lies on the line, i.e. when conj(q1) q2 (as in
+    # _over_gap) is real
+    diam = math.hypot(w1 * x2 - x1 * w2 - y1 * z2 + z1 * y2,
+                      w1 * y2 + x1 * z2 - y1 * w2 - z1 * x2,
+                      w1 * z2 - x1 * y2 + y1 * x2 - z1 * w2) <= bound(
+        math.hypot(w1, x1, y1, z1) * math.hypot(w2, x2, y2, z2), tol)
+    return _new(GeodesicDisc, (q1, q2, _end_beyond(q2, q1), _end_beyond(q1, q2),
+                               "Diameter" if diam else "Circle"))
 
 
 def distance_disc(q1: Quaternion, q2: Quaternion) -> float:
@@ -326,12 +338,19 @@ def _arc_point(q1: Quaternion, arc, sigma: float, re: float = 0.0) -> ExtQuatern
 def geodesic_halfspace(q1: Quaternion, q2: Quaternion,
                        tol: float | None = None) -> GeodesicHalfspace:
     arc = _arc(q1, q2, tol)
+    _, x, y, z = q1
     if arc is None:
-        foot = _new(Quaternion, (0.0, q1.x, q1.y, q1.z))
-        e3, e4 = (INFINITY, foot) if q2.w > q1.w else (foot, INFINITY)
-        return GeodesicHalfspace(q1, q2, e3, e4, "HalfLine")
-    e3, e4 = _arc_point(q1, arc, -math.inf), _arc_point(q1, arc, math.inf)
-    return GeodesicHalfspace(q1, q2, e3, e4, "Arc")
+        foot = _new(Quaternion, (0.0, x, y, z))
+        e3, e4 = (INFINITY, foot) if q2[0] > q1[0] else (foot, INFINITY)
+        return _new(GeodesicHalfspace, (q1, q2, e3, e4, "HalfLine"))
+    (ex, ey, ez), _, R, s3, s4 = arc
+    # _arc_point at sigma = -/+inf: R g^2 / c is R * 0.0 (+0.0, or nan where R
+    # overflowed); its fallback for an inf end would only redo _arc's far end
+    off3, off4 = s3 - R * 0.0, s4 + R * 0.0
+    e3 = (0.0, x + off3 * ex, y + off3 * ey, z + off3 * ez)
+    e4 = (0.0, x + off4 * ex, y + off4 * ey, z + off4 * ez)
+    return _new(GeodesicHalfspace, (q1, q2, _new(Quaternion, e3) if is_finite(e3) else INFINITY,
+                                    _new(Quaternion, e4) if is_finite(e4) else INFINITY, "Arc"))
 
 
 def _times_exp(x: float, t: float, f: float = 1.0) -> float:

@@ -154,7 +154,7 @@ def _planes(k, *stacks):
 
 
 def qmul_planes(p, q) -> tuple:
-    """Hamilton product in Quaternion.__mul__'s order, for hypgeo._over_gap's scalars."""
+    """Hamilton product in Quaternion.__mul__'s order, for inverse_form_a and classify."""
     w1, x1, y1, z1 = p
     w2, x2, y2, z2 = q
     return (w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,

@@ -40,7 +40,7 @@ from qmobius.flt import (
     to_canonical_disc,
 )
 from qmobius.mat2h import GroupTag, Mat2H, classify, det_h, inverse, normalize
-from qmobius.quat import I, J, K, ONE, ZERO, Quaternion
+from qmobius.quat import I, J, K, N2_HUGE, N2_TINY, ONE, ZERO, Quaternion
 from qmobius.sampling import (
     make_rng,
     random_ball_point,
@@ -141,6 +141,46 @@ def test_apply_is_bit_identical_to_the_operator_expression():
             near_pole.append(got is INFINITY)
     # the probes near a pole land on both sides of the pole decision
     assert 0.2 < sum(near_pole) / len(near_pole) < 0.8
+
+
+def test_apply_at_infinity_is_bit_identical_to_a_c_inverse():
+    # a c^-1 on components, Quaternion.inverse's rescue where |c|^2 leaves
+    # [N2_TINY, N2_HUGE), and the pole test of |c| against |a| + |d|
+    rng = make_rng(2027)
+    mats = [random_matrix(rng, scale) for scale in (1.0, 1e150, 1e-150, 1e-300, 1e300)
+            for _ in range(100)]
+    for _ in range(100):
+        a, b, c, d = random_matrix(rng)
+        t = 10.0 ** rng.uniform(-13.0, -11.0)  # c on both sides of the pole test
+        mats += [Mat2H(a, b, c * t, d), Mat2H(a, b, ZERO, d), Mat2H(a * 1e-160, b, c * 1e-160, d)]
+    zeros = [q(0.0, -0.0, 0.0, -0.0), q(-0.0, 1.0, -0.0, 0.0), q(2.0, -0.0, -0.0, -0.0)]
+    mats += [Mat2H(a, ONE, c, d) for a in zeros for c in zeros for d in zeros]
+    n2 = [A.c.norm_sq() for A in mats]
+    assert any(v >= N2_HUGE for v in n2) and any(0.0 < v < N2_TINY for v in n2)
+    outcomes = []
+    for A in mats:
+        got = outcome(apply, A, INFINITY)
+        assert got == outcome(_operator_apply, A, INFINITY), A
+        outcomes.append(got is INFINITY)
+    assert 0 < sum(outcomes) < len(outcomes)
+
+
+def test_the_raw_matrix_screen_passes_huge_entries_and_stops_any_non_finite_one():
+    # the hypot of the 16 components overflows, so the exact scan decides
+    big = q(1e308, -1e308)
+    for A in (Mat2H(big, ZERO, ZERO, big), Mat2H(big, big, big, -big)):
+        assert math.hypot(*(x for e in A for x in e)) == math.inf
+        for p in (q(0.5, 0.25), q(-3.0, 0.0, 1.0), INFINITY):
+            got = outcome(apply, A, p)
+            assert got == outcome(_operator_apply, A, p) and got is not NonFiniteResult, (A, p)
+    base = [v for e in random_matrix(make_rng(2028)) for v in e]
+    for slot in range(16):
+        for bad in (math.inf, -math.inf, math.nan):
+            comps = base[:slot] + [bad] + base[slot + 1:]
+            A = Mat2H(*(Quaternion(*comps[k:k + 4]) for k in range(0, 16, 4)))
+            for p in (q(0.5, 0.25), INFINITY):
+                with pytest.raises(NonFiniteResult):
+                    apply(A, p)
 
 
 def test_operators_keep_their_types():

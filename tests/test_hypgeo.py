@@ -15,8 +15,11 @@ from qmobius.flt import (INFINITY, Dilation, Inversion, Rotation, Translation, a
                          to_canonical_disc)
 from qmobius.hypgeo import (
     _apply_matrix_to_reals,
+    _arc,
+    _arc_point,
     _direction,
     _end_beyond,
+    _require_distinct,
     cayley,
     cayley_inv,
     distance_disc,
@@ -32,7 +35,7 @@ from qmobius.hypgeo import (
 )
 from qmobius.kobayashi import kobayashi_distance
 from qmobius.mat2h import CAYLEY, Mat2H, qmul_planes
-from qmobius.quat import I, J, K, N2_HUGE, N2_TINY, ONE, ZERO, Quaternion
+from qmobius.quat import I, J, K, N2_HUGE, N2_TINY, ONE, ZERO, Quaternion, bound
 from qmobius.sampling import (
     make_rng,
     random_ball_point,
@@ -296,6 +299,50 @@ def test_ball_ends_are_bit_identical_to_the_operator_forms():
     for x, y in pairs:
         assert outcome(_direction, x, y) == outcome(_operator_direction, x, y), (x, y)
         assert outcome(_end_beyond, x, y) == outcome(_operator_end_beyond, x, y), (x, y)
+
+
+def _ball_end_pairs():
+    """The pairs of test_ball_ends_are_bit_identical_to_the_operator_forms, drawn
+    again in the same order; that pin keeps its list as it was written."""
+    rng = make_rng(90)
+    pairs = [(random_ball_point(rng), random_ball_point(rng)) for _ in range(300)]
+    for _ in range(200):  # 1 - |q| log-uniform down to 1e-15
+        u, v = random_unit_quaternion(rng), random_unit_quaternion(rng)
+        pairs.append((u * (1.0 - 10.0 ** rng.uniform(-15.0, -1.0)), random_ball_point(rng)))
+        pairs.append((random_ball_point(rng) * 1e-300, v * (1.0 - 10.0 ** rng.uniform(-15.0, -1.0))))
+        pairs.append((random_ball_point(rng) * 1e-300, random_ball_point(rng) * 1e-300))
+    signed = [q(0.0, -0.0, 0.0, -0.0), q(-0.0, 0.5, -0.0, 0.0), q(0.25, -0.0, -0.0, -0.0),
+              q(-0.0, -0.0, -0.0, 0.5), q(0.0, 0.0, -0.3, -0.0)]
+    pairs += [(a, b) for a in signed for b in signed if a != b]
+    rescue = [(q(1e70, 0, 0, 0), q(0, 1e70, 0, 0)), (q(-1e70, 2e70, 0, 0), q(3e70, 0, 1e70, 0)),
+              (ONE, q(1, 1e-140, 0, 0)), (ONE, q(1, 0, 0, -1e-160)), (q(2), HALF)]
+    return pairs + rescue + [(y, x) for x, y in rescue]
+
+
+def _operator_geodesic_disc(q1, q2, tol):
+    """geodesic_disc's ends in the Quaternion operators, after its domain rule."""
+    _require_distinct(q1, q2, tol)
+    return _operator_end_beyond(q2, q1), _operator_end_beyond(q1, q2)
+
+
+def test_geodesic_disc_is_bit_identical_to_the_operator_forms():
+    rng = make_rng(91)
+    pairs = _ball_end_pairs()
+    for _ in range(100):  # diameters, and lines 1e-8 off one, which tol=1e-6 calls diameters
+        x, t = random_ball_point(rng, 0.7), rng.uniform(-1.3, 1.3)
+        pairs.append((x, x * t))
+        pairs.append((x, x * t + random_imaginary_unit(rng) * x * 1e-8))
+    for tol in (None, 1e-6):
+        kinds = set()
+        for x, y in pairs:
+            want = outcome(_operator_geodesic_disc, x, y, tol)
+            assert outcome(lambda *a: geodesic_disc(*a)[2:4], x, y, tol) == want, (x, y, tol)
+            if not isinstance(want, type):
+                diam = (x.conj() * y).im_norm() <= bound(abs(x) * abs(y), tol)
+                kind = geodesic_disc(x, y, tol).kind
+                assert kind == ("Diameter" if diam else "Circle"), (x, y, tol)
+                kinds.add(kind)
+        assert kinds == {"Diameter", "Circle"}
 
 
 # -- distance in the ball ------------------------------------------------
@@ -1010,6 +1057,48 @@ def test_geodesic_halfspace_overflowing_and_huge_ends():
     # nor does the gap between the imaginary parts
     with pytest.raises(NonFiniteResult):
         geodesic_halfspace(q(1, 1e308), q(1, -1e308))
+
+
+def _operator_halfspace_ends(q1, q2, tol):
+    """geodesic_halfspace's ends as _arc_point gives them at sigma = -inf, +inf."""
+    arc = _arc(q1, q2, tol)
+    if arc is None:
+        foot = Quaternion(0.0, q1.x, q1.y, q1.z)
+        return (INFINITY, foot) if q2.w > q1.w else (foot, INFINITY)
+    return _arc_point(q1, arc, -math.inf), _arc_point(q1, arc, math.inf)
+
+
+def test_geodesic_halfspace_ends_are_bit_identical_to_arc_point():
+    rng = make_rng(92)
+    pairs = [(random_halfspace_point(rng), random_halfspace_point(rng)) for _ in range(300)]
+    for _ in range(200):  # Re down to 1e-300, at unit and at tiny imaginary scale
+        p, r = random_halfspace_point(rng), random_halfspace_point(rng)
+        x1, x2 = 10.0 ** rng.uniform(-300.0, 0.0), 10.0 ** rng.uniform(-300.0, 0.0)
+        pairs.append((q(x1, *p[1:]), q(x2, *r[1:])))
+        pairs.append((q(x1, *(v * x1 for v in p[1:])), q(x2, *(v * x1 for v in r[1:]))))
+        pairs.append((p, q(r.w, *p[1:])))  # a half-line
+    # near 1e308, with a far end or R = hypot(x1, y0) past float range
+    for _ in range(100):
+        x1 = 10.0 ** rng.uniform(306.0, 308.2)
+        x2 = x1 * rng.uniform(0.5, 1.5)
+        step = random_imaginary_unit(rng) * (abs(x2 - x1) * 10.0 ** rng.uniform(-1.0, 1.0))
+        pairs.append((q(x1), q(x2) + step))
+    overflow, huge_r = (q(1e308), q(1e308, 1.3e308)), (q(1.5e308), q(1.6e308, 1.3e307))
+    # s4 = -(x1 / s3) x1 is -0.0: _arc_point's + R g^2 / c turns it to 0.0
+    signed = (q(1e-300, -0.0, -0.0, -0.0), q(1e-300, 1e10, -0.0, -0.0))
+    pairs += [overflow, huge_r, signed, (q(1), q(2, 1e-310)), (ONE, q(3, 0.5, -0.0, 2.0))]
+    assert _arc(*huge_r, None)[2] == math.inf
+    assert math.copysign(1.0, _arc(*signed, None)[4]) == -1.0
+    seen = set()
+    for q1, q2 in pairs + [(y, x) for x, y in pairs]:
+        for tol in (None, 1e-6):
+            want = outcome(_operator_halfspace_ends, q1, q2, tol)
+            assert outcome(lambda *a: geodesic_halfspace(*a)[2:4], q1, q2, tol) == want
+            if not isinstance(want, type):
+                arc = _arc(q1, q2, tol) is not None
+                assert geodesic_halfspace(q1, q2, tol).kind == ("Arc" if arc else "HalfLine")
+                seen.add((arc, INFINITY in want))
+    assert seen == {(True, False), (True, True), (False, True)}
 
 
 @pytest.mark.parametrize("q1, q2", [

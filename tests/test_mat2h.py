@@ -520,6 +520,30 @@ def test_inverse_pivots_on_the_larger_entry_at_small_scale():
     assert close_mats(A @ inverse(A), IDENT, 1e-12)
 
 
+def test_inverse_suite_sees_a_nan_inverse_entry(monkeypatch):
+    # a per-case max(abs(p - e) for ...) dropped the NaN: worst_identity read 1.1e-15
+    from qmobius import selftest
+
+    def nan_b(A):
+        a, b, c, d = inverse(A)
+        return Mat2H(a, Quaternion(math.nan, b.x, b.y, b.z), c, d)
+
+    monkeypatch.setattr(selftest, "inverse", nan_b)
+    report = selftest.inverse_suite(make_rng(102), 50).report()
+    assert not report["ok"] and report["worst_err"] is None, report
+    assert report["stats"]["worst_identity"] is None, report
+
+
+def test_inverse_suite_sees_a_scaled_inverse_in_the_complex_image(monkeypatch):
+    # A (A^-1 (1 + 1e-10)) is off the identity by 1e-10, inside worst_identity's
+    # 1e-8, and the two forms never call inverse; chi(A)^-1 shares no formula with it
+    from qmobius import selftest
+    monkeypatch.setattr(selftest, "inverse", lambda A: inverse(A).scalar_mul(1.0 + 1e-10))
+    report = selftest.inverse_suite(make_rng(102), 50).report()
+    assert not report["ok"] and report["check"] == "worst_complex_inverse", report
+    assert report["stats"]["worst_identity"] <= 1e-8, report
+
+
 # -- normalization -------------------------------------------------------
 
 

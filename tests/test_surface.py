@@ -176,6 +176,23 @@ def test_batched_kernels_call_no_expression_forms():
         assert "qmul_into" in names, where
 
 
+def _bodies(module, wanted):
+    """The names each function or method of `wanted` in src/qmobius/<module>.py uses."""
+    found = {}
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            where = f"{where}.{node.name}"
+            if where in wanted:
+                found[where] = _names(node)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(ast.parse((SRC / f"{module}.py").read_text()), module)
+    assert found.keys() == wanted
+    return found
+
+
 # the scalar Mat2H bodies that run on float components, each pinned bit for bit
 # to its operator spelling in tests/test_mat2h.py: an operator call costs an
 # isinstance dispatch, two unpacks and a NamedTuple build
@@ -184,28 +201,36 @@ COMPONENT_BODIES = {"mat2h.Mat2H.__matmul__", "mat2h.Mat2H.scalar_mul",
 
 
 def test_scalar_mat2h_bodies_call_no_operator_forms():
-    found = {}
-
-    def visit(node, where):
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            where = f"{where}.{node.name}"
-            if where in COMPONENT_BODIES:
-                found[where] = _names(node)
-        for child in ast.iter_child_nodes(node):
-            visit(child, where)
-
-    visit(ast.parse((SRC / "mat2h.py").read_text()), "mat2h")
-    assert found.keys() == COMPONENT_BODIES
-    for where, names in found.items():
+    for where, names in _bodies("mat2h", COMPONENT_BODIES).items():
         assert not names & {"_mul_add", "conj", "norm_sq"}, where
+
+
+# the geometry route's bodies on float components, pinned in tests/test_hypgeo.py:
+# the ball's ends and diameter test, and the half-space's ends straight from _arc
+GEOMETRY_BODIES = {"hypgeo.geodesic_disc", "hypgeo._over_gap", "hypgeo._direction",
+                   "hypgeo._end_beyond", "hypgeo.geodesic_halfspace"}
+
+
+def test_geometry_bodies_call_no_operator_forms():
+    for where, names in _bodies("hypgeo", GEOMETRY_BODIES).items():
+        assert not names & {"conj", "im_norm", "norm_sq", "_arc_point"}, where
 
 
 def test_selftest_keeps_no_hand_rolled_accumulator():
     # x = max(x, err) drops a NaN err and puts the bound far from its value;
     # Suite.worst and Suite.rel keep a running statistic instead
-    found = [node.lineno for node in ast.walk(ast.parse((SRC / "selftest.py").read_text()))
+    tree = ast.parse((SRC / "selftest.py").read_text())
+    found = [node.lineno for node in ast.walk(tree)
              if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call)
              and isinstance(node.value.func, ast.Name) and node.value.func.id in ("max", "min")
              and {t.id for t in node.targets if isinstance(t, ast.Name)}
              & {a.id for a in node.value.args if isinstance(a, ast.Name)}]
+    assert found == []
+    # nor a per-case max or min inside a statistic: it drops a NaN that is not
+    # its first operand, where worst takes each entry
+    found = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and node.func.attr in ("worst", "check", "rel")
+             and any(isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
+                     and n.func.id in ("max", "min") for a in node.args for n in ast.walk(a))]
     assert found == []
