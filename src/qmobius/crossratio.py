@@ -16,8 +16,8 @@ from typing import NamedTuple
 from .errors import CoincidentPoints, DegenerateResult, NonFiniteResult
 from .flt import FLT, INFINITY, ExtQuaternion, generator_inverse, generator_matrix
 from .mat2h import Mat2H
-from .quat import (N2_HUGE, N2_TINY, ONE, TOL, Quaternion, _new, bound, coincident, is_finite,
-                   negligible)
+from .quat import (ONE, TOL, Quaternion, _new, bound, coincident, is_finite, negligible,
+                   times_inverse)
 
 
 def cross_ratio(q1: ExtQuaternion, q2: ExtQuaternion, q3: ExtQuaternion,
@@ -71,23 +71,16 @@ def cross_ratio(q1: ExtQuaternion, q2: ExtQuaternion, q3: ExtQuaternion,
                 result = result * ((pts[i] - pts[j]).inverse() if invert else pts[i] - pts[j])
         return result
     # d13 d14^-1 d24 d23^-1 with the Quaternion operators' operations in their
-    # order, from ONE * d13 on, whose 0.0 * x terms can flip a zero's sign
-    # (1.0 * x is x): bit-identical to that product; an inverse whose |d|^2
-    # leaves [N2_TINY, N2_HUGE) rescales
-    n2, m2 = bw * bw + bx * bx + by * by + bz * bz, cw * cw + cx * cx + cy * cy + cz * cz
-    bw, bx, by, bz = ((bw / n2, -bx / n2, -by / n2, -bz / n2) if N2_TINY <= n2 < N2_HUGE
-                      else _new(Quaternion, (bw, bx, by, bz)).inverse())
-    cw, cx, cy, cz = ((cw / m2, -cx / m2, -cy / m2, -cz / m2) if N2_TINY <= m2 < N2_HUGE
-                      else _new(Quaternion, (cw, cx, cy, cz)).inverse())
-    aw, ax, ay, az = (aw - 0.0 * ax - 0.0 * ay - 0.0 * az, ax + 0.0 * aw + 0.0 * az - 0.0 * ay,
-                      ay - 0.0 * az + 0.0 * aw + 0.0 * ax, az + 0.0 * ay - 0.0 * ax + 0.0 * aw)
-    aw, ax, ay, az = (aw * bw - ax * bx - ay * by - az * bz, aw * bx + ax * bw + ay * bz - az * by,
-                      aw * by - ax * bz + ay * bw + az * bx, aw * bz + ax * by - ay * bx + az * bw)
-    aw, ax, ay, az = (aw * dw - ax * dx - ay * dy - az * dz, aw * dx + ax * dw + ay * dz - az * dy,
-                      aw * dy - ax * dz + ay * dw + az * dx, aw * dz + ax * dy - ay * dx + az * dw)
-    return _new(Quaternion, (
-        aw * cw - ax * cx - ay * cy - az * cz, aw * cx + ax * cw + ay * cz - az * cy,
-        aw * cy - ax * cz + ay * cw + az * cx, aw * cz + ax * cy - ay * cx + az * cw))
+    # order, from ONE * d13 on (its 0.0 * x terms can flip a zero's sign; 1.0 * x
+    # is x), each right division by times_inverse: bit-identical to that product
+    aw, ax, ay, az = times_inverse(
+        aw - 0.0 * ax - 0.0 * ay - 0.0 * az, ax + 0.0 * aw + 0.0 * az - 0.0 * ay,
+        ay - 0.0 * az + 0.0 * aw + 0.0 * ax, az + 0.0 * ay - 0.0 * ax + 0.0 * aw,
+        bw, bx, by, bz)
+    return _new(Quaternion, times_inverse(
+        aw * dw - ax * dx - ay * dy - az * dz, aw * dx + ax * dw + ay * dz - az * dy,
+        aw * dy - ax * dz + ay * dw + az * dx, aw * dz + ax * dy - ay * dx + az * dw,
+        cw, cx, cy, cz))
 
 
 def is_concyclic(q1: ExtQuaternion, q2: ExtQuaternion, q3: ExtQuaternion,
@@ -158,11 +151,14 @@ def transform_quadric(f, Q: QuadricF3) -> QuadricF3:
          else generator_matrix(generator_inverse(f)))
     H = Mat2H(ONE * Q.alpha, Q.beta.conj(), Q.beta, ONE * Q.gamma)
     image = B.transpose_conj() @ H @ B
+    if not is_finite((image.a.w, *image.c, image.d.w)):
+        raise NonFiniteResult("a coefficient of the image quadric does not fit a float")
     try:
         out = QuadricF3(image.a.w, image.c, image.d.w)
     except ValueError as exc:
         raise DegenerateResult(str(exc)) from exc
     # H' = B* H B has terms up to H's coefficient scale times B's entry scale squared
-    if negligible(out.coefficient_scale(), Q.coefficient_scale() * B.entry_scale() ** 2):
+    s = B.entry_scale()
+    if negligible(out.coefficient_scale(), Q.coefficient_scale() * (s * s)):
         raise DegenerateResult("transformed quadric has no equation")
     return out

@@ -15,9 +15,9 @@ from typing import NamedTuple, Union
 from . import mat2h as _m
 from .errors import (BothZero, CoincidentPoints, ConstraintViolation, NonFiniteResult,
                      NonImaginaryShift, NotSp11, PoleInput, ZeroD)
-from .mat2h import GroupTag, Mat2H, classify, normalize, qmul_planes, rescale, singular
-from .quat import (I, J, K, N2_HUGE, N2_TINY, ONE, TOL, ZERO, Quaternion, _new, coincident,
-                   is_finite, negligible)
+from .mat2h import GroupTag, Mat2H, classify, normalize, rescale, singular
+from .quat import (I, J, K, ONE, TOL, ZERO, Quaternion, _exponent, _ldexp_q, _new,
+                   coincident, is_finite, negligible, times_inverse)
 
 
 class _Infinity:
@@ -61,18 +61,18 @@ def apply(f, q: ExtQuaternion) -> ExtQuaternion:
     when c = 0.  A point or raw matrix entry with an inf or nan component is NonFiniteResult.
     """
     raw = not isinstance(f, FLT)
-    (aw, ax, ay, az), (bw, bx, by, bz), (cw, cx, cy, cz), (dw, dx, dy, dz) = f if raw else f.matrix
+    M = f if raw else f.matrix
+    (aw, ax, ay, az), (bw, bx, by, bz), (cw, cx, cy, cz), (dw, dx, dy, dz) = M
     # a raw matrix's 16 components are scanned only where their hypot is not finite
     if raw and not hypot(aw, ax, ay, az, bw, bx, by, bz,
                          cw, cx, cy, cz, dw, dx, dy, dz) < inf and not is_finite(chain(*f)):
         raise NonFiniteResult(f"the matrix {f} has an inf or nan component")
-    if q is INFINITY:  # a c^-1 in the operators' order; Quaternion.inverse rescales
-        if hypot(cw, cx, cy, cz) <= _POLE_EPS * (hypot(aw, ax, ay, az) + hypot(dw, dx, dy, dz)):
-            return INFINITY
-        n2 = cw * cw + cx * cx + cy * cy + cz * cz
-        ci = ((cw / n2, -cx / n2, -cy / n2, -cz / n2) if N2_TINY <= n2 < N2_HUGE
-              else _new(Quaternion, (cw, cx, cy, cz)).inverse())
-        return _new(Quaternion, qmul_planes((aw, ax, ay, az), ci))
+    if q is INFINITY:  # a c^-1 in the operators' order
+        size = hypot(aw, ax, ay, az) + hypot(dw, dx, dy, dz)
+        if hypot(cw, cx, cy, cz) <= _POLE_EPS * size:
+            # where |a| + |d| overflowed, test and value are taken on M 2^-e, the same map
+            return INFINITY if size < inf else apply(_m._ldexp_m(M, -_exponent(chain(*M))), q)
+        return _new(Quaternion, times_inverse(aw, ax, ay, az, cw, cx, cy, cz))
     # (a q + b)(c q + d)^-1 on components: each operation is the one the
     # Quaternion operators perform, in their order, so the result is bit-
     # identical to that expression; e = c q + d, n = a q + b
@@ -83,22 +83,30 @@ def apply(f, q: ExtQuaternion) -> ExtQuaternion:
     ez = cw * qz + cx * qy - cy * qx + cz * qw + dz
     scale = hypot(cw, cx, cy, cz) * hypot(qw, qx, qy, qz) + hypot(dw, dx, dy, dz)
     if not hypot(ew, ex, ey, ez) > _POLE_EPS * scale:  # where a nan lands too
-        if is_finite(q):
+        if not is_finite(q):
+            raise NonFiniteResult(f"{q} has an inf or nan component")
+        if scale < inf:
             return INFINITY
-        raise NonFiniteResult(f"{q} has an inf or nan component")
-    nw = aw * qw - ax * qx - ay * qy - az * qz + bw
-    nx = aw * qx + ax * qw + ay * qz - az * qy + bx
-    ny = aw * qy - ax * qz + ay * qw + az * qx + by
-    nz = aw * qz + ax * qy - ay * qx + az * qw + bz
-    n2 = ew * ew + ex * ex + ey * ey + ez * ez
-    if not N2_TINY <= n2 < N2_HUGE:  # Quaternion.inverse rescales
-        return Quaternion(nw, nx, ny, nz) * Quaternion(ew, ex, ey, ez).inverse()
-    iw, ix, iy, iz = ew / n2, -ex / n2, -ey / n2, -ez / n2
-    return _new(Quaternion, (
-        nw * iw - nx * ix - ny * iy - nz * iz,
-        nw * ix + nx * iw + ny * iz - nz * iy,
-        nw * iy - nx * iz + ny * iw + nz * ix,
-        nw * iz + nx * iy - ny * ix + nz * iw))
+        # a term of the test overflowed, or met inf * 0.0.  At q = 0, n = b and
+        # e = d; else, with q = 2^t p and 2^k just past the test's larger term,
+        # test and value are taken on n 2^-k = a 2^(t-k) p + b 2^-k and
+        # e 2^-k = c 2^(t-k) p + d 2^-k, whose test terms add up to less than 6
+        # and to at least 2^-52, so the e^-1 of a point that passes it fits a float
+        a, b, c, d = M
+        if not any(q):
+            return _new(Quaternion, times_inverse(*b, *d)) if any(d) else INFINITY
+        t = _exponent(q)
+        k = max(_exponent(c) + t, _exponent(d)) if any(c) else _exponent(d)
+        try:
+            M = Mat2H(_ldexp_q(a, t - k), _ldexp_q(b, -k), _ldexp_q(c, t - k), _ldexp_q(d, -k))
+        except OverflowError:  # a's or b's part of n alone leaves float range
+            raise NonFiniteResult(f"the image of {q} does not fit a float") from None
+        return apply(M, _ldexp_q(q, -t))
+    return _new(Quaternion, times_inverse(
+        aw * qw - ax * qx - ay * qy - az * qz + bw,
+        aw * qx + ax * qw + ay * qz - az * qy + bx,
+        aw * qy - ax * qz + ay * qw + az * qx + by,
+        aw * qz + ax * qy - ay * qx + az * qw + bz, ew, ex, ey, ez))
 
 
 class FLT:

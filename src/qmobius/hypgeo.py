@@ -44,7 +44,8 @@ from typing import NamedTuple
 from .errors import CoincidentPoints, NonFiniteResult, OutOfDomain, TooFewSamples
 from .flt import _POLE_EPS, FLT, INFINITY, ExtQuaternion, MobiusCanonical, apply
 from .mat2h import CAYLEY, CAYLEY_INV, Mat2H, _empty, norm_sq_into, qmul_into
-from .quat import N2_HUGE, N2_TINY, ONE, Quaternion, _new, bound, coincident, is_finite
+from .quat import (N2_HUGE, N2_TINY, ONE, Quaternion, _new, bound, coincident, is_finite,
+                   times_inverse)
 
 
 def _one_minus_norm_sq(w: float, x: float, y: float, z: float, top: float = 2.0) -> float:
@@ -138,20 +139,14 @@ def normalizing_map(q1: Quaternion, q2: Quaternion) -> FLT:
 
 def _over_gap(num, x, y) -> tuple:
     """num * (ONE - x.conj() * y).inverse() on components, with the
-    operators' operations in their order; inverse rescales out of range."""
+    operators' operations in their order."""
     (nw, nx, ny, nz), (xw, xx, xy, xz), (yw, yx, yy, yz) = num, x, y
     # conj(x) y as Quaternion.__mul__ forms it, (-a) b being -(a b)
     w = 1.0 - (xw * yw + xx * yx + xy * yy + xz * yz)
     i = 0.0 - (xw * yx - xx * yw - xy * yz + xz * yy)
     j = 0.0 - (xw * yy + xx * yz - xy * yw - xz * yx)
     k = 0.0 - (xw * yz - xx * yy + xy * yx - xz * yw)
-    n2 = w * w + i * i + j * j + k * k
-    w, i, j, k = ((w / n2, -i / n2, -j / n2, -k / n2) if N2_TINY <= n2 < N2_HUGE
-                  else _new(Quaternion, (w, i, j, k)).inverse())
-    return (nw * w - nx * i - ny * j - nz * k,
-            nw * i + nx * w + ny * k - nz * j,
-            nw * j - nx * k + ny * w + nz * i,
-            nw * k + nx * j - ny * i + nz * w)
+    return times_inverse(nw, nx, ny, nz, w, i, j, k)
 
 
 def _direction(x: Quaternion, y: Quaternion) -> Quaternion:
@@ -316,21 +311,23 @@ def _arc(q1: Quaternion, q2: Quaternion, tol: float | None):
     far = y0 + math.copysign(R, y0)  # the end on y0's side: no cancellation
     if abs(far) < math.inf:
         near = -(x1 / far) * x1  # (y0 + R)(y0 - R) = -x1^2
-    else:  # the same at half scale
-        near = -(x1 / (0.5 * y0 + math.copysign(0.5 * R, y0))) * (0.5 * x1)
+    else:  # the same at half scale, R too: it may be the term that overflowed
+        near = -(x1 / (0.5 * y0 + math.copysign(math.hypot(0.5 * x1, 0.5 * y0), y0))) * (0.5 * x1)
     s3, s4 = (near, far) if far < 0.0 else (far, near)
     return (d[0] / L, d[1] / L, d[2] / L), y0, R, s3, s4
 
 
-def _arc_point(q1: Quaternion, arc, sigma: float, re: float = 0.0) -> ExtQuaternion:
+def _arc_point(q1: Quaternion, arc, sigma: float, re: float) -> ExtQuaternion:
     """The point of the arc at sigma, with real part re, its offset taken from
-    the end on its side; sigma = -inf, +inf give the ends s3, s4 themselves."""
+    the end on its side; sigma = -inf, +inf give the ends s3, s4 themselves.
+    Where R overflowed, its terms are taken at half scale, R = 2 r."""
     e, y0, R, s3, s4 = arc
+    r, k = (R, 1.0) if R < math.inf else (math.hypot(0.5 * q1.w, 0.5 * y0), 2.0)
     g = math.exp(-abs(sigma))
     c = 0.5 + 0.5 * g * g
-    off = s4 + R * g * g / c if sigma > 0.0 else s3 - R * g * g / c
+    off = s4 + r * g * g / c * k if sigma > 0.0 else s3 - r * g * g / c * k
     if abs(off) == math.inf:  # that end does not fit a float; nothing cancels on its side
-        off = y0 - R * math.tanh(sigma)
+        off = (y0 / k - r * math.tanh(sigma)) * k
     p = (re, q1.x + off * e[0], q1.y + off * e[1], q1.z + off * e[2])
     return _new(Quaternion, p) if is_finite(p) else INFINITY
 
@@ -343,12 +340,12 @@ def geodesic_halfspace(q1: Quaternion, q2: Quaternion,
         foot = _new(Quaternion, (0.0, x, y, z))
         e3, e4 = (INFINITY, foot) if q2[0] > q1[0] else (foot, INFINITY)
         return _new(GeodesicHalfspace, (q1, q2, e3, e4, "HalfLine"))
-    (ex, ey, ez), _, R, s3, s4 = arc
-    # _arc_point at sigma = -/+inf: R g^2 / c is R * 0.0 (+0.0, or nan where R
-    # overflowed); its fallback for an inf end would only redo _arc's far end
-    off3, off4 = s3 - R * 0.0, s4 + R * 0.0
-    e3 = (0.0, x + off3 * ex, y + off3 * ey, z + off3 * ez)
-    e4 = (0.0, x + off4 * ex, y + off4 * ey, z + off4 * ez)
+    (ex, ey, ez), _, _, s3, s4 = arc
+    # _arc_point at sigma = -/+inf: its R g^2 / c term is +0.0, which turns s4's
+    # -0.0 to 0.0; its fallback for an inf end would only redo _arc's far end
+    s4 += 0.0
+    e3 = (0.0, x + s3 * ex, y + s3 * ey, z + s3 * ez)
+    e4 = (0.0, x + s4 * ex, y + s4 * ey, z + s4 * ez)
     return _new(GeodesicHalfspace, (q1, q2, _new(Quaternion, e3) if is_finite(e3) else INFINITY,
                                     _new(Quaternion, e4) if is_finite(e4) else INFINITY, "Arc"))
 

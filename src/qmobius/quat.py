@@ -164,7 +164,7 @@ class Quaternion(NamedTuple):
             if not any(self):
                 raise DivisionByZero("cannot invert the zero quaternion")
             if is_finite(self):
-                e = math.frexp(max(map(abs, self)))[1]
+                e = _exponent(self)
                 try:
                     return _ldexp_q(_ldexp_q(self, -e).inverse(), -e)
                 except OverflowError:
@@ -194,6 +194,24 @@ class Quaternion(NamedTuple):
 
     def __str__(self) -> str:
         return f"{self.w:g}{self.x:+g}i{self.y:+g}j{self.z:+g}k"
+
+
+def times_inverse(nw, nx, ny, nz, ew, ex, ey, ez) -> tuple:
+    """n e^-1 on components, with the operations of n * e.inverse() in their
+    order, so bit-identical to it: conj(e) / |e|^2, and Quaternion.inverse
+    itself (rescue and errors) where |e|^2 leaves [N2_TINY, N2_HUGE)."""
+    n2 = ew * ew + ex * ex + ey * ey + ez * ez
+    ew, ex, ey, ez = ((ew / n2, -ex / n2, -ey / n2, -ez / n2) if N2_TINY <= n2 < N2_HUGE
+                      else _new(Quaternion, (ew, ex, ey, ez)).inverse())
+    return (nw * ew - nx * ex - ny * ey - nz * ez,
+            nw * ex + nx * ew + ny * ez - nz * ey,
+            nw * ey - nx * ez + ny * ew + nz * ex,
+            nw * ez + nx * ey - ny * ex + nz * ew)
+
+
+def _exponent(xs) -> int:
+    """frexp's exponent of the largest |x| of xs: every |x| is below 2^e."""
+    return math.frexp(max(map(abs, xs)))[1]
 
 
 def _ldexp_q(q: Quaternion, e: int) -> Quaternion:

@@ -11,7 +11,7 @@ from qmobius.crossratio import (
     on_quadric,
     transform_quadric,
 )
-from qmobius.errors import CoincidentPoints, GeometryError
+from qmobius.errors import CoincidentPoints, GeometryError, NonFiniteResult
 from qmobius.flt import (
     FLT,
     INFINITY,
@@ -349,6 +349,14 @@ def test_transform_unit_sphere_spot_values():
 
     spun = transform_quadric(Rotation(K), UNIT_SPHERE)
     assert spun.proportional_to(UNIT_SPHERE)
+
+
+def test_an_image_quadric_beyond_float_range_raises():
+    # the image's alpha (1e310) or gamma (2.25e308) does not fit a float; the
+    # degeneracy check's squared entry scale raised a bare OverflowError here
+    for g in (Dilation(1e-155), Translation(q(1.5e154))):
+        with pytest.raises(NonFiniteResult):
+            transform_quadric(g, UNIT_SPHERE)
 
 
 def test_cayley_carries_the_unit_sphere_onto_the_boundary_plane():

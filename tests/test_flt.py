@@ -8,6 +8,7 @@ import pytest
 from qmobius.crossratio import QuadricF3
 from qmobius.errors import (
     BothZero,
+    CoincidentPoints,
     ConstraintViolation,
     NonFiniteResult,
     NonImaginaryShift,
@@ -61,6 +62,7 @@ def q(w=0.0, x=0.0, y=0.0, z=0.0):
     return Quaternion(float(w), float(x), float(y), float(z))
 
 
+EPS = 2.0 ** -52
 IDENT = Mat2H.identity()
 INVERSION_M = Mat2H(ZERO, ONE, ONE, ZERO)
 
@@ -166,13 +168,16 @@ def test_apply_at_infinity_is_bit_identical_to_a_c_inverse():
 
 
 def test_the_raw_matrix_screen_passes_huge_entries_and_stops_any_non_finite_one():
-    # the hypot of the 16 components overflows, so the exact scan decides
+    # the hypot of the 16 components overflows, so the exact scan decides; the
+    # second matrix's pole test overflows as well, so apply takes it, and the
+    # value, on A 2^-1024, the same map
     big = q(1e308, -1e308)
-    for A in (Mat2H(big, ZERO, ZERO, big), Mat2H(big, big, big, -big)):
+    for A, k in ((Mat2H(big, ZERO, ZERO, big), 0), (Mat2H(big, big, big, -big), -1024)):
         assert math.hypot(*(x for e in A for x in e)) == math.inf
         for p in (q(0.5, 0.25), q(-3.0, 0.0, 1.0), INFINITY):
             got = outcome(apply, A, p)
-            assert got == outcome(_operator_apply, A, p) and got is not NonFiniteResult, (A, p)
+            want = outcome(_operator_apply, A.scalar_mul(2.0 ** k), p)
+            assert got == want and got is not NonFiniteResult, (A, p)
     base = [v for e in random_matrix(make_rng(2028)) for v in e]
     for slot in range(16):
         for bad in (math.inf, -math.inf, math.nan):
@@ -181,6 +186,26 @@ def test_the_raw_matrix_screen_passes_huge_entries_and_stops_any_non_finite_one(
             for p in (q(0.5, 0.25), INFINITY):
                 with pytest.raises(NonFiniteResult):
                     apply(A, p)
+
+
+def test_apply_where_a_term_of_the_pole_test_overflows():
+    # |c||q| + |d| and |c q + d| overflowed, and not inf > inf read as a pole;
+    # test and value are now taken at a scale where nothing overflows
+    def close(got, want):
+        return got is not INFINITY and abs(got - want) <= 4 * EPS * abs(want)
+    b = q(1e308, 1e308)
+    assert close(apply(Mat2H(b, b, b, b * 0.5), ONE), q(4.0 / 3.0))  # (a + b)(c + d)^-1
+    p, M = q(1e308, 1e308), Mat2H(ONE, ZERO, q(2), ONE)
+    assert close(apply(M, p), q(0.5)) and close(apply(FLT(M), p), q(0.5))  # p (2 p + 1)^-1
+    assert close(apply(Mat2H(q(1000), ZERO, q(2), ONE), p), q(500))
+    assert apply(Mat2H(ZERO, ONE, ONE, -p), p) is INFINITY  # a true pole stays one
+    # at INFINITY, |a| + |d| overflowed: a c^-1 = 1
+    assert close(apply(Mat2H(b, ZERO, b, b), INFINITY), ONE)
+    # inf * 0.0 in the test: the identity at a point whose modulus overflows,
+    # and a c whose modulus overflows, at 0
+    big = q(1.7e308, 1.7e308)
+    assert apply(IDENT, big) == big
+    assert apply(Mat2H(ONE, ONE, big, ONE), ZERO) == ONE
 
 
 def test_operators_keep_their_types():
@@ -534,6 +559,9 @@ def test_three_point_map_infinite_arguments():
     assert g(ZERO) == ZERO
     assert is_infinity(g(ONE))
     assert ext_close(g(INFINITY), ONE, 1e-12)
+
+    with pytest.raises(CoincidentPoints):
+        three_point_map(INFINITY, INFINITY, ONE)
 
 
 def test_three_point_image_unique_up_to_conjugation():

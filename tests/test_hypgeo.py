@@ -730,6 +730,8 @@ def test_integrated_length_near_the_sphere_matches_exact_distances(delta):
 def test_integrated_length_errors():
     with pytest.raises(TooFewSamples):
         integrated_length_disc([HALF])
+    with pytest.raises(ValueError):  # rows of three components
+        integrated_length_disc([[0, 0, 0]])
     with pytest.raises(OutOfDomain):
         integrated_length_disc([ZERO, q(1.2)])
 
@@ -962,6 +964,34 @@ def _halfspace_pairs(rng, re, scale, n=60):
     return [(point(k % 2), point()) for k in range(n)]
 
 
+def _assert_end_matches(got, v1, e, s):
+    """got is the boundary point v1 + s e, to 4 eps of |v1| + |v1 + s e|."""
+    assert got.w == 0.0
+    want = [a + s * b for a, b in zip(v1, e)]
+    size = max(map(abs, v1)) + max(map(abs, want))
+    err = max(abs(Decimal(a) - b) for a, b in zip(got[1:], want))
+    assert err <= 4 * Decimal(EPS) * size, (got, err / size)
+
+
+def _assert_samples_match(q1, q2, pts):
+    """The inner samples pts[1:-1] against the reference's walk, in a 60-digit context."""
+    n = len(pts)
+    x1, v1, e, y0, R = _semicircle_reference(q1, q2)
+    gap = sum((Decimal(a) - Decimal(b)) ** 2 for a, b in zip(q1, q2)).sqrt()
+    delta = _asinh(gap / (2 * (x1 * Decimal(q2.w)).sqrt()))
+    t1 = x1 / (R - y0)
+    for k, p in enumerate(pts[1:-1], start=1):
+        t = t1 * (-2 * k * delta / (n - 1)).exp()
+        re_want = 2 * R * t / (1 + t * t)
+        off = y0 + R * (1 - t * t) / (1 + t * t)
+        im_want = [a + off * b for a, b in zip(v1, e)]
+        assert p.w > 0.0
+        assert abs(Decimal(p.w) - re_want) <= 4 * Decimal(EPS) * (1 + delta) * re_want
+        size = max(map(abs, v1)) + max(re_want, *map(abs, im_want))
+        err = max(abs(Decimal(a) - b) for a, b in zip(p[1:], im_want))
+        assert err <= 4 * Decimal(EPS) * (1 + delta) * size, (q1, q2, k)
+
+
 _RE_SCALES = [(1e-1, 1.0), (1e-4, 1.0), (1e-8, 1.0), (1e-12, 1.0),
               (1.0, 1e150), (1.0, 1e-150), (1e-12, 1e150), (1e-12, 1e-150)]
 
@@ -978,11 +1008,7 @@ def test_geodesic_halfspace_ends_match_exact_references(re, scale):
             assert g.kind == "Arc"
             _, v1, e, y0, R = _semicircle_reference(q1, q2)
             for got, s in ((g.e3, y0 + R), (g.e4, y0 - R)):
-                assert got.w == 0.0
-                want = [a + s * b for a, b in zip(v1, e)]
-                size = max(map(abs, v1)) + max(map(abs, want))
-                err = max(abs(Decimal(a) - b) for a, b in zip(got[1:], want))
-                assert err <= 4 * Decimal(EPS) * size, (q1, q2, err / size)
+                _assert_end_matches(got, v1, e, s)
 
 
 @pytest.mark.parametrize("re, scale", _RE_SCALES)
@@ -998,20 +1024,25 @@ def test_geodesic_sample_halfspace_matches_exact_references(re, scale):
         for q1, q2 in _halfspace_pairs(rng, re, scale, n=30):
             pts = geodesic_sample_halfspace(q1, q2, n)
             assert pts[0] == q1 and pts[-1] == q2 and len(pts) == n
-            x1, v1, e, y0, R = _semicircle_reference(q1, q2)
-            gap = sum((Decimal(a) - Decimal(b)) ** 2 for a, b in zip(q1, q2)).sqrt()
-            delta = _asinh(gap / (2 * (x1 * Decimal(q2.w)).sqrt()))
-            t1 = x1 / (R - y0)
-            for k, p in enumerate(pts[1:-1], start=1):
-                t = t1 * (-2 * k * delta / (n - 1)).exp()
-                re_want = 2 * R * t / (1 + t * t)
-                off = y0 + R * (1 - t * t) / (1 + t * t)
-                im_want = [a + off * b for a, b in zip(v1, e)]
-                assert p.w > 0.0
-                assert abs(Decimal(p.w) - re_want) <= 4 * Decimal(EPS) * (1 + delta) * re_want
-                size = max(map(abs, v1)) + max(re_want, *map(abs, im_want))
-                err = max(abs(Decimal(a) - b) for a, b in zip(p[1:], im_want))
-                assert err <= 4 * Decimal(EPS) * (1 + delta) * size, (q1, q2, k)
+            _assert_samples_match(q1, q2, pts)
+
+
+def test_halfspace_line_whose_radius_overflows_matches_exact_references():
+    # R = hypot(x1, y0) = 1.96e308 overflowed: the end beyond q1 read -0.0 (then
+    # INFINITY), and the samples raised; each now takes R at half scale
+    q1, q2 = q(1.5e308), q(1.6e308, 1.3e307)
+    assert _arc(q1, q2, None)[2] == math.inf
+    g = geodesic_halfspace(q1, q2)
+    with localcontext() as ctx:
+        ctx.prec = 60
+        _, v1, e, y0, R = _semicircle_reference(q1, q2)
+        assert g.kind == "Arc" and g.e3 is INFINITY and y0 + R > Decimal(sys.float_info.max)
+        _assert_end_matches(g.e4, v1, e, y0 - R)
+        for n in (3, 5, 9):
+            _assert_samples_match(q1, q2, geodesic_sample_halfspace(q1, q2, n))
+    # the middle sample of this line is the arc's top, Re = R = 1.82e308
+    with pytest.raises(NonFiniteResult):
+        geodesic_sample_halfspace(q(1.75e308), q(1.75e308, 1e308), 9)
 
 
 def test_geodesic_sample_halfspace_is_equally_spaced():
@@ -1065,7 +1096,7 @@ def _operator_halfspace_ends(q1, q2, tol):
     if arc is None:
         foot = Quaternion(0.0, q1.x, q1.y, q1.z)
         return (INFINITY, foot) if q2.w > q1.w else (foot, INFINITY)
-    return _arc_point(q1, arc, -math.inf), _arc_point(q1, arc, math.inf)
+    return _arc_point(q1, arc, -math.inf, 0.0), _arc_point(q1, arc, math.inf, 0.0)
 
 
 def test_geodesic_halfspace_ends_are_bit_identical_to_arc_point():

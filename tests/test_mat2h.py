@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from qmobius import mat2h
-from qmobius.errors import Singular
+from qmobius.errors import NonFiniteResult, Singular
 from qmobius.mat2h import (
     CAYLEY,
     CAYLEY_INV,
@@ -461,6 +461,12 @@ def test_inverse_singular_raises():
         inverse(Mat2H(I, I, ONE, ONE))
     with pytest.raises(Singular):
         inverse(Mat2H(ZERO, ZERO, ZERO, ZERO))
+
+
+def test_an_inverse_beyond_float_range_raises():
+    # diag(1e-310, 1e-310) is regular, but its inverse has scale 2^1029
+    with pytest.raises(NonFiniteResult):
+        inverse(Mat2H(q(1e-310), ZERO, ZERO, q(1e-310)))
 
 
 def test_inverse_fuzz():

@@ -216,6 +216,35 @@ def test_geometry_bodies_call_no_operator_forms():
         assert not names & {"conj", "im_norm", "norm_sq", "_arc_point"}, where
 
 
+def _negated_name_over_name(path):
+    """module.function of each -x / n in path: conj(e) / |e|^2 spelled out."""
+    module, found = path.stem, []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            where = f"{where}.{node.name}"
+        if (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div)
+                and isinstance(node.left, ast.UnaryOp) and isinstance(node.left.op, ast.USub)
+                and isinstance(node.left.operand, ast.Name) and isinstance(node.right, ast.Name)):
+            found.append(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(ast.parse(path.read_text()), module)
+    return found
+
+
+def test_component_inverse_has_one_home():
+    # a right division n e^-1 on components is quat.times_inverse, whose range
+    # rule and rescue are Quaternion.inverse's; no other module keeps a copy
+    homes = {where for p in sorted(SRC.glob("*.py")) for where in _negated_name_over_name(p)}
+    assert homes == {"quat.Quaternion.inverse", "quat.times_inverse"}
+    for module in ("flt", "crossratio"):
+        imported = {alias.name for node in ast.walk(ast.parse((SRC / f"{module}.py").read_text()))
+                    if isinstance(node, ast.ImportFrom) for alias in node.names}
+        assert not imported & {"N2_TINY", "N2_HUGE"}, module
+
+
 def test_selftest_keeps_no_hand_rolled_accumulator():
     # x = max(x, err) drops a NaN err and puts the bound far from its value;
     # Suite.worst and Suite.rel keep a running statistic instead
